@@ -9,6 +9,11 @@
 //! worker pool doesn't serialise on one mutex. Hit/miss tallies are
 //! relaxed atomics readable while the workers run.
 //!
+//! Next to its embedding an entry keeps the `EmbedScore` the first
+//! `Embed` for its key computed, so a warm `Embed` is a lookup and a
+//! copy of four numbers. The guest tree is deliberately not kept: at
+//! 12 bytes per node it would outweigh the embedding (DESIGN.md §12).
+//!
 //! A capacity of 0 disables caching entirely (every lookup misses, every
 //! insert is dropped) — the cold-cache baseline `loadgen` compares
 //! against.
@@ -39,14 +44,33 @@ pub struct EmbeddingKey {
     pub theorem: u8,
     /// Host-topology tag (`xtree_host::HOST_XTREE` etc.). The cached
     /// `XEmbedding` is host-independent — it is always the Theorem-1/2
-    /// X-tree map that the host backends re-interpret — but the key keeps
-    /// the tag so per-host request populations stay distinguishable and a
-    /// future host-specific artifact can slot in without a format change.
+    /// X-tree map that the host backends re-interpret — but the entry's
+    /// score is not: dilation, load, and congestion are measured on this
+    /// host, so the tag is part of what the cached value is a function
+    /// of.
     pub host: u8,
+}
+
+/// The host-specific fields of an `EmbedOk` reply: how an entry's
+/// embedding scores on the key's host. A pure function of the key, so
+/// it is computed once, by the first `Embed` for that key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct EmbedScore {
+    /// Maximum host distance over guest edges.
+    pub dilation: u64,
+    /// Maximum guests on one host vertex.
+    pub max_load: u64,
+    /// Maximum guest-edge routes over one host edge.
+    pub congestion: u64,
+    /// True if no two guests share a host vertex.
+    pub injective: bool,
 }
 
 struct Entry {
     emb: Arc<XEmbedding>,
+    /// `None` until an `Embed` scores the entry (a `Simulate` miss
+    /// inserts without one).
+    score: Option<EmbedScore>,
     /// Shard-local logical clock value of the last touch.
     last_used: u64,
 }
@@ -87,6 +111,15 @@ impl EmbeddingCache {
     /// Looks `key` up, refreshing its recency on a hit. Counts the
     /// hit/miss either way.
     pub fn get(&self, key: &EmbeddingKey) -> Option<Arc<XEmbedding>> {
+        self.lookup(key).map(|(emb, _)| emb)
+    }
+
+    /// [`get`](Self::get), also returning the entry's score if an `Embed`
+    /// has stored one. Counts exactly like `get`.
+    pub(crate) fn lookup(
+        &self,
+        key: &EmbeddingKey,
+    ) -> Option<(Arc<XEmbedding>, Option<EmbedScore>)> {
         if self.per_shard_cap == 0 {
             self.misses.fetch_add(1, Relaxed);
             return None;
@@ -97,10 +130,10 @@ impl EmbeddingCache {
         match shard.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
-                let emb = Arc::clone(&entry.emb);
+                let found = (Arc::clone(&entry.emb), entry.score);
                 drop(shard);
                 self.hits.fetch_add(1, Relaxed);
-                Some(emb)
+                Some(found)
             }
             None => {
                 drop(shard);
@@ -115,8 +148,9 @@ impl EmbeddingCache {
     ///
     /// Two workers racing on the same cold key may both build and both
     /// insert; the second insert just replaces the first with an equal
-    /// value, so correctness is unaffected — the race costs one duplicate
-    /// construction, not a wrong answer.
+    /// value (keeping any score already stored), so correctness is
+    /// unaffected — the race costs one duplicate construction, not a
+    /// wrong answer.
     pub fn insert(&self, key: EmbeddingKey, emb: Arc<XEmbedding>) {
         if self.per_shard_cap == 0 {
             return;
@@ -136,13 +170,28 @@ impl EmbeddingCache {
                 shard.map.remove(&victim);
             }
         }
+        let score = shard.map.get(&key).and_then(|e| e.score);
         shard.map.insert(
             key,
             Entry {
                 emb,
+                score,
                 last_used: tick,
             },
         );
+    }
+
+    /// Stores `score` on `key`'s entry. Neither a lookup nor a touch: the
+    /// hit/miss counts and the recency order stay as they are, and an
+    /// entry evicted since its lookup is not brought back.
+    pub(crate) fn set_score(&self, key: &EmbeddingKey, score: EmbedScore) {
+        if self.per_shard_cap == 0 {
+            return;
+        }
+        let mut shard = self.shard(key).lock().expect("cache poisoned");
+        if let Some(entry) = shard.map.get_mut(key) {
+            entry.score = Some(score);
+        }
     }
 
     /// Cache hits so far.
@@ -227,6 +276,28 @@ mod tests {
             "cap 8 across {SHARDS} shards holds ≤ 1 each, got {}",
             c.entries()
         );
+    }
+
+    #[test]
+    fn scores_stay_with_their_entry() {
+        let c = EmbeddingCache::new(8);
+        let score = EmbedScore {
+            dilation: 3,
+            max_load: 16,
+            congestion: 40,
+            injective: false,
+        };
+        c.set_score(&key(1), score); // no entry yet: nothing to score
+        c.insert(key(1), emb(3));
+        assert_eq!(c.lookup(&key(1)).unwrap().1, None, "inserted unscored");
+        c.set_score(&key(1), score);
+        assert_eq!(c.lookup(&key(1)).unwrap().1, Some(score));
+        // A duplicate build re-inserting the key keeps the score.
+        c.insert(key(1), emb(3));
+        assert_eq!(c.lookup(&key(1)).unwrap().1, Some(score));
+        assert!(c.lookup(&key(2)).is_none());
+        assert_eq!((c.hits(), c.misses()), (3, 1), "set_score is not a lookup");
+        assert_eq!(c.entries(), 1);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!   refusals are a pure function of `(seed, connection id)`, so a fault
 //!   schedule replays byte-deterministically;
 //! * [`cache`] — the sharded-LRU embedding cache keyed on
-//!   `(family, nodes, seed, theorem)`, sharing `Arc<XEmbedding>`s so a
-//!   hit skips the Theorem-1 construction entirely;
+//!   `(family, nodes, seed, theorem, host)`, sharing `Arc<XEmbedding>`s
+//!   so a hit skips the Theorem-1 construction entirely, and keeping each
+//!   entry's `Embed` score so a warm `Embed` is a lookup;
 //! * [`service`] — what a worker does with a request (validate → cache
-//!   get-or-build → evaluate / simulate);
+//!   get-or-build → score / simulate, on hosts shared per height);
 //! * [`metrics`] — request counters, latency/queue-depth histograms, and
 //!   the shared engine-event sink, exported in the workspace's standard
 //!   Prometheus and JSONL shapes;

@@ -38,7 +38,7 @@ pub struct ServerMetrics {
     /// configured I/O timeout (idle or stalled peers).
     io_timeouts: AtomicU64,
     latency_us: Mutex<Histogram>,
-    /// Embed-construction latency on cache hits (lookup + evaluate).
+    /// Embed-construction latency on cache hits (the lookup).
     embed_hit_us: Mutex<Histogram>,
     /// Embed-construction latency on cache misses (full Theorem-1 build).
     embed_miss_us: Mutex<Histogram>,

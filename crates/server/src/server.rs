@@ -12,7 +12,9 @@
 //! Shutdown is graceful by construction: the flag stops new admissions,
 //! closing the queue lets workers drain already-accepted jobs before
 //! exiting, and a self-connect wakes the blocking `accept()` so the
-//! acceptor can observe the flag and leave.
+//! acceptor can observe the flag and leave. A wire `Shutdown` starts the
+//! drain only after its reply is written, so a process that exits as
+//! soon as [`Server::wait`] returns never cuts that reply off.
 
 use crate::cache::EmbeddingCache;
 use crate::chaos::{ChaosPlan, ChaosStream};
@@ -334,11 +336,10 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
                 shared.metrics.count_stats();
                 Response::StatsOk(shared.metrics.snapshot(&shared.cache, shared.queue.len()))
             }
-            Request::Shutdown => {
-                let pending = shared.queue.len() as u64;
-                begin_shutdown(shared, local);
-                Response::ShutdownOk { pending }
-            }
+            // The drain starts below, once this reply is written.
+            Request::Shutdown => Response::ShutdownOk {
+                pending: shared.queue.len() as u64,
+            },
             Request::Embed { .. } | Request::Simulate { .. } => {
                 if matches!(req, Request::Embed { .. }) {
                     shared.metrics.count_embed();
@@ -362,13 +363,19 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
         if deadline.is_some() {
             let _ = writer.set_write_timeout(shared.io_timeout);
         }
+        let shutting_down = matches!(resp, Response::ShutdownOk { .. });
+        if shutting_down {
+            // Only now: `xtree-cli serve` exits as soon as the drain is
+            // done, and this detached thread's reply would die with it.
+            begin_shutdown(shared, local);
+        }
         if wrote.is_err() {
             if matches!(wrote, Err(WireError::TimedOut)) {
                 shared.metrics.count_io_timeout();
             }
             return;
         }
-        if matches!(resp, Response::ShutdownOk { .. }) {
+        if shutting_down {
             return;
         }
     }

@@ -1,0 +1,101 @@
+//! A scored warm `Embed` hit is a cache lookup: `handle_compute` answers
+//! it without a single heap allocation, on every host and theorem.
+//!
+//! Allocation counts do not depend on the machine, so this gate holds on
+//! any CI runner. The counting allocator tallies per thread, so the test
+//! harness's own threads cannot disturb the count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use xtree_host::{HOST_HYPERCUBE, HOST_UNIVERSAL, HOST_XTREE};
+use xtree_server::service::handle_compute;
+use xtree_server::{EmbeddingCache, Request, Response, ServerMetrics};
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread makes while running `f`, and its result.
+fn allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn scored_warm_embed_hits_do_not_allocate() {
+    for host in [HOST_XTREE, HOST_HYPERCUBE, HOST_UNIVERSAL] {
+        for theorem in [1, 2] {
+            let embed = Request::Embed {
+                family: 5,
+                nodes: 112,
+                seed: 11,
+                theorem,
+            };
+            let simulate = Request::Simulate {
+                family: 5,
+                nodes: 112,
+                seed: 11,
+                theorem,
+                workload: 0,
+            };
+            // Both ways an entry gets its score: the first Embed misses
+            // and scores, or a Simulate inserts and the first Embed hit
+            // scores.
+            for first in [&embed, &simulate] {
+                let cache = EmbeddingCache::new(8);
+                let metrics = ServerMetrics::new();
+                handle_compute(first, host, &cache, &metrics);
+                handle_compute(&embed, host, &cache, &metrics);
+                let (n, resp) = allocs(|| handle_compute(&embed, host, &cache, &metrics));
+                assert!(
+                    matches!(resp, Response::EmbedOk { cached: true, .. }),
+                    "host {host} theorem {theorem}: {resp:?}"
+                );
+                assert_eq!(
+                    n, 0,
+                    "host {host} theorem {theorem}: a scored warm hit allocated"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn the_counter_sees_a_cold_request() {
+    // Guards the gate above against a counter that never counts.
+    let cache = EmbeddingCache::new(8);
+    let req = Request::Embed {
+        family: 5,
+        nodes: 112,
+        seed: 12,
+        theorem: 1,
+    };
+    let (n, _) = allocs(|| handle_compute(&req, HOST_XTREE, &cache, &ServerMetrics::new()));
+    assert!(n > 0, "a cold build allocates");
+}

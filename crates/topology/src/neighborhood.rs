@@ -85,8 +85,23 @@ pub fn inverse_only(a: Address, height: u8) -> Vec<Address> {
 }
 
 /// True if `b ∈ N(a)` within `X(height)`.
+///
+/// The closed form of [`neighborhood`]'s three windows, with `i` the
+/// index of `a`: `b` is on `a`'s level with `|Δindex| ≤ 3`, one level
+/// down with index in `2i − 2 ..= 2i + 3`, or two levels down with index
+/// in `4i − 2 ..= 4i + 5`. No allocation, so `evaluate` can test every
+/// guest edge.
 pub fn in_neighborhood(a: Address, b: Address, height: u8) -> bool {
-    neighborhood(a, height).binary_search(&b).is_ok()
+    if b.level() > height {
+        return false;
+    }
+    let (i, j) = (a.index(), b.index());
+    match b.level().checked_sub(a.level()) {
+        Some(0) => i.abs_diff(j) <= 3,
+        Some(1) => j + 2 >= 2 * i && j <= 2 * i + 3,
+        Some(2) => j + 2 >= 4 * i && j <= 4 * i + 5,
+        _ => false,
+    }
 }
 
 /// Exhaustively verifies the two Figure-2 counting facts over all of
@@ -163,6 +178,22 @@ mod tests {
                 let fast: BTreeSet<_> = neighborhood(a, height).into_iter().collect();
                 let slow = slow_neighborhood(a, height);
                 assert_eq!(fast, slow, "N({a}) in X({height})");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_membership_matches_the_enumeration() {
+        for height in 0..=8u8 {
+            for a in Address::all_up_to(height) {
+                let n = neighborhood(a, height);
+                for b in Address::all_up_to(height) {
+                    assert_eq!(
+                        in_neighborhood(a, b, height),
+                        n.binary_search(&b).is_ok(),
+                        "{b} ∈ N({a}) in X({height})"
+                    );
+                }
             }
         }
     }
