@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use xtree_core::theorem1;
-use xtree_sim::{run_rounds, workload, Network};
+use xtree_sim::{run_rounds, workload, TableHost, XTreeHost};
 use xtree_topology::XTree;
 use xtree_trees::generate::{theorem1_size, TreeFamily};
 
@@ -20,7 +20,7 @@ fn bench_simulation(c: &mut Criterion) {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         let tree = TreeFamily::RandomBst.generate(n, &mut rng);
         let emb = theorem1::embed(&tree).emb;
-        let net = Network::xtree(&XTree::new(r));
+        let net = XTreeHost::new(r);
         let bc = workload::broadcast_rounds(&tree, &emb);
         let ex = vec![workload::exchange_round(&tree, &emb)];
         group.bench_with_input(BenchmarkId::new("broadcast", n), &bc, |b, w| {
@@ -30,10 +30,10 @@ fn bench_simulation(c: &mut Criterion) {
             b.iter(|| black_box(run_rounds(&net, w)))
         });
         group.bench_with_input(BenchmarkId::new("routing_tables", n), &r, |b, &r| {
-            b.iter(|| black_box(Network::new(XTree::new(r).graph().clone())))
+            b.iter(|| black_box(TableHost::new(XTree::new(r).graph().clone())))
         });
         group.bench_with_input(BenchmarkId::new("structured_router", n), &r, |b, &r| {
-            b.iter(|| black_box(Network::xtree(&XTree::new(r))))
+            b.iter(|| black_box(XTreeHost::new(r)))
         });
     }
     group.finish();

@@ -30,9 +30,9 @@ use xtree_core::metrics::heap_order_embedding;
 use xtree_core::XEmbedding;
 use xtree_json::Value;
 use xtree_sim::{
-    recover_batch, Engine, FaultPlan, FaultState, Message, Network, RecoveryEnd, RecoveryPolicy,
+    recover_batch, Engine, FaultPlan, FaultState, Host, Message, RecoveryEnd, RecoveryPolicy,
+    XTreeHost,
 };
-use xtree_topology::{Graph, XTree};
 use xtree_trees::{generate, BinaryTree};
 
 /// Failure cycles are drawn from this window, so damage lands while the
@@ -51,7 +51,7 @@ struct Degraded {
 /// damage schedule from cycle 0.
 fn run_degraded(
     engine: &mut Engine,
-    net: &Network,
+    net: &XTreeHost,
     rounds: &[Vec<Message>],
     plan: &FaultPlan,
 ) -> Degraded {
@@ -61,7 +61,7 @@ fn run_degraded(
         delivered: 0,
     };
     for batch in rounds {
-        let mut faults = FaultState::new(net.graph(), plan.clone()).expect("plan fits its host");
+        let mut faults = FaultState::new(net.csr(), plan.clone()).expect("plan fits its host");
         let out = engine
             .run_batch_faulted(net, batch, &mut faults)
             .expect("faulted batch");
@@ -91,7 +91,7 @@ struct Recovered {
 #[allow(clippy::too_many_arguments)]
 fn run_recovered(
     engine: &mut Engine,
-    net: &Network,
+    net: &XTreeHost,
     tree: &BinaryTree,
     emb0: &XEmbedding,
     rounds: &[Vec<Message>],
@@ -107,7 +107,7 @@ fn run_recovered(
         migrated: 0,
     };
     for batch in rounds {
-        let mut faults = FaultState::new(net.graph(), plan.clone()).expect("plan fits its host");
+        let mut faults = FaultState::new(net.csr(), plan.clone()).expect("plan fits its host");
         let mut emb = emb0.clone();
         let out = recover_batch(engine, net, tree, &mut emb, batch, &mut faults, policy)
             .expect("supervised batch");
@@ -136,9 +136,8 @@ fn main() {
     let rates = [0.0, 0.01, 0.02, 0.05, 0.1];
     let mut hosts = Vec::new();
     for &r in heights {
-        let x = XTree::new(r);
-        let n = x.node_count();
-        let net = Network::xtree(&x);
+        let net = XTreeHost::new(r);
+        let n = net.node_count();
         let batches = if smoke { 2 } else { 4 };
         let per_batch = (n / 2).min(512);
         let rounds = seeded_batches(base_seed, n as u64, batches, per_batch);
@@ -162,7 +161,7 @@ fn main() {
                 &mut engine,
                 &net,
                 &rounds,
-                &FaultPlan::random_links(net.graph(), rate, seed, FAULT_WINDOW, Some(REPAIR_AFTER))
+                &FaultPlan::random_links(net.csr(), rate, seed, FAULT_WINDOW, Some(REPAIR_AFTER))
                     .expect("rate is a probability"),
             );
             assert_eq!(
@@ -173,7 +172,7 @@ fn main() {
                 &mut engine,
                 &net,
                 &rounds,
-                &FaultPlan::random_links(net.graph(), rate, seed, FAULT_WINDOW, None)
+                &FaultPlan::random_links(net.csr(), rate, seed, FAULT_WINDOW, None)
                     .expect("rate is a probability"),
             );
             let slowdown = repaired.cycles as f64 / clean.max(1) as f64;
@@ -183,7 +182,7 @@ fn main() {
             // with and without the supervisor. The no-retry supervised run
             // must match the bare engine exactly — recovery costs nothing
             // when it is switched off.
-            let node_plan = FaultPlan::random_nodes(net.graph(), rate, seed, FAULT_WINDOW)
+            let node_plan = FaultPlan::random_nodes(net.csr(), rate, seed, FAULT_WINDOW)
                 .expect("rate is a probability");
             let bare = run_degraded(&mut engine, &net, &rounds, &node_plan);
             let off = run_recovered(

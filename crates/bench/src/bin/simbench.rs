@@ -3,8 +3,8 @@
 //!
 //! For each host size it delivers the same seeded random batches twice:
 //!
-//! * **new** — structured `O(1)` router + the allocation-free [`Engine`]
-//!   with reused scratch buffers;
+//! * **new** — the closed-form `O(1)` X-tree host + the allocation-free
+//!   [`Engine`] with reused scratch buffers;
 //! * **legacy** — the pre-optimisation pipeline, reproduced verbatim: a
 //!   dense BFS next-hop table plus a HashMap-keyed cycle loop rebuilt per
 //!   batch. Only measurable up to the old 2^13-vertex table cap, which is
@@ -16,12 +16,11 @@ use std::collections::HashMap;
 use std::time::Instant;
 use xtree_bench::seeded_batches;
 use xtree_json::Value;
-use xtree_sim::{BatchStats, Engine, Message, Network};
-use xtree_topology::{Graph, XTree};
+use xtree_sim::{BatchStats, Engine, Host, Message, TableHost, XTreeHost};
 
 /// The engine as it was before this optimisation pass: per-cycle hash maps
 /// keyed by `(from, to)` vertex pairs, all state rebuilt every batch.
-fn run_batch_legacy(net: &Network, messages: &[Message]) -> BatchStats {
+fn run_batch_legacy(net: &TableHost, messages: &[Message]) -> BatchStats {
     let mut at: Vec<u32> = messages.iter().map(|m| m.src).collect();
     let mut done: Vec<bool> = messages.iter().map(|m| m.src == m.dst).collect();
     let ideal_cycles = messages
@@ -107,12 +106,11 @@ fn main() {
     let seed = xtree_bench::seed_from_args(0x5EED_BEEF);
     let mut hosts = Vec::new();
     for (r, batches) in [(8u8, 192usize), (10, 64), (13, 16)] {
-        let x = XTree::new(r);
-        let n = x.node_count();
+        let net = XTreeHost::new(r);
+        let n = net.node_count();
         let per_batch = n / 2;
         let rounds = seeded_batches(seed, n as u64, batches, per_batch);
 
-        let net = Network::xtree(&x);
         let mut engine = Engine::new();
         // Warm the scratch buffers so the measurement sees the steady state.
         engine
@@ -124,7 +122,7 @@ fn main() {
 
         // The legacy pipeline only exists below the old table cap.
         let legacy = (n <= 1 << 13).then(|| {
-            let table_net = Network::new(x.graph().clone()).expect("connected host");
+            let table_net = TableHost::new(net.csr().clone()).expect("connected host");
             measure(&rounds, |b| run_batch_legacy(&table_net, b))
         });
 

@@ -24,8 +24,8 @@ use std::time::Instant;
 use xtree_bench::seeded_batches;
 use xtree_json::Value;
 use xtree_sim::telemetry::{AtomicCounters, MetricsSink, TraceRecorder};
-use xtree_sim::{Engine, Message, Network, SimError};
-use xtree_topology::{Csr, Graph, XTree};
+use xtree_sim::{Engine, Host, Message, SimError, XTreeHost};
+use xtree_topology::Csr;
 
 /// Acceptance threshold for the no-op sink: the instrumented loop may cost
 /// at most this much over the pre-instrumentation baseline.
@@ -57,8 +57,8 @@ struct Totals {
 }
 
 impl Baseline {
-    fn run_batch(&mut self, net: &Network, messages: &[Message]) -> Result<(u32, u64), SimError> {
-        let graph: &Csr = net.graph();
+    fn run_batch(&mut self, net: &XTreeHost, messages: &[Message]) -> Result<(u32, u64), SimError> {
+        let graph: &Csr = net.csr();
         let links = graph.directed_edge_count();
         if self.claim_epoch.len() < links {
             self.claim_msg.resize(links, 0);
@@ -175,9 +175,8 @@ fn main() {
     let mut hosts = Vec::new();
     let mut x10_noop_overhead = None;
     for &(r, batches) in heights {
-        let x = XTree::new(r);
-        let n = x.node_count();
-        let net = Network::xtree(&x);
+        let net = XTreeHost::new(r);
+        let n = net.node_count();
         let per_batch = n / 2;
         let rounds = seeded_batches(seed, n as u64, batches, per_batch);
 

@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 use xtree_core::universal::UniversalGraph;
 use xtree_core::{baseline, evaluate, hypercube, metrics, theorem1, theorem2};
-use xtree_sim::{simulate_all, simulate_step, Network};
+use xtree_sim::{simulate_all, simulate_step, HypercubeHost, XTreeHost};
 use xtree_topology::{
     neighborhood, Address, Butterfly, CompleteBinaryTree, CubeConnectedCycles, Graph, Hypercube,
     Mesh2D, XTree,
@@ -671,7 +671,7 @@ pub fn s1() -> Table {
         .map(|(f, t)| {
             let mut rows = Vec::new();
             let x = theorem1::embed(t).emb;
-            let xnet = Network::xtree(&XTree::new(x.height));
+            let xnet = XTreeHost::new(x.height);
             let xdil = evaluate(t, &x).dilation;
             for rep in simulate_all(&xnet, t, &x).expect("simulation failed") {
                 rows.push(vec![
@@ -686,7 +686,7 @@ pub fn s1() -> Table {
                 ]);
             }
             let q = hypercube::embed_theorem3(t);
-            let qnet = Network::hypercube(&Hypercube::new(q.dim));
+            let qnet = HypercubeHost::new(q.dim);
             let qdil = q.dilation(t);
             for rep in simulate_all(&qnet, t, &q).expect("simulation failed") {
                 rows.push(vec![
@@ -806,7 +806,7 @@ pub fn s2() -> Table {
         .par_iter()
         .map(|(r, n, f, t)| {
             let emb = theorem1::embed(t).emb;
-            let net = Network::xtree(&XTree::new(emb.height));
+            let net = XTreeHost::new(emb.height);
             let step = simulate_step(&net, t, &emb).expect("simulation failed");
             (
                 vec![

@@ -30,10 +30,10 @@ use xtree_sim::workload::WORKLOADS;
 use xtree_sim::{
     compute_load, congestion, decode_checkpoint, encode_checkpoint, simulate_all_faulted_with,
     simulate_all_with, weighted_congestion, AnyHost, Backoff, Checkpoint, FaultPlan,
-    FaultSimReport, Host, HostMap, Network, RecoveryPolicy, RecoveryTotals, Session, SessionStatus,
-    SimReport,
+    FaultSimReport, Host, HostMap, HypercubeHost, RecoveryPolicy, RecoveryTotals, Session,
+    SessionStatus, SimReport, XTreeHost,
 };
-use xtree_topology::{Butterfly, Csr, CubeConnectedCycles, Graph, Hypercube, Mesh2D, XTree};
+use xtree_topology::{Butterfly, Csr, CubeConnectedCycles, Graph, Mesh2D, XTree};
 use xtree_trees::{generate, BinaryTree, TreeFamily};
 
 /// What went wrong, carrying the process exit code: bad invocations exit
@@ -287,15 +287,14 @@ fn cmd_embed(a: &Args) -> Result<String, CliError> {
                 theorem2::injectivize(&res.emb)
             };
             let stats = evaluate(&tree, &emb);
-            let host = XTree::new(emb.height);
-            let congestion = metrics::edge_congestion(&tree, &emb, &host);
+            let host = XTreeHost::new(emb.height);
+            let congestion = metrics::edge_congestion(&tree, &emb, host.xtree());
             // Traffic-weighted congestion over the same host links: each
             // guest edge counts with its scenario demand instead of 1.
             let weighted = match &traffic {
                 Some(t) => {
-                    let net = Network::xtree(&host);
                     let demand = t.edge_demand(&tree, a.num_or("seed", 7u64)?);
-                    let w = weighted_congestion(&net, &tree, &emb, &demand)
+                    let w = weighted_congestion(&host, &tree, &emb, &demand)
                         .map_err(|e| CliError::Runtime(e.to_string()))?;
                     Some((t.label(), w))
                 }
@@ -717,7 +716,7 @@ fn cmd_simulate(a: &Args) -> Result<String, CliError> {
     let (reports, telemetry) = match host {
         "xtree" => {
             let emb = theorem1::embed(&tree).emb;
-            let net = Network::xtree(&XTree::new(emb.height));
+            let net = XTreeHost::new(emb.height);
             if let Some(t) = &traffic {
                 let demand = t.edge_demand(&tree, a.num_or("seed", 7u64)?);
                 let w = weighted_congestion(&net, &tree, &emb, &demand)
@@ -731,7 +730,7 @@ fn cmd_simulate(a: &Args) -> Result<String, CliError> {
                 return Err("--traffic supports --host xtree only".into());
             }
             let q = hypercube::embed_theorem3(&tree);
-            let net = Network::hypercube(&Hypercube::new(q.dim));
+            let net = HypercubeHost::new(q.dim);
             simulate_telemetry(&net, &tree, &q, &faults, &tel)?
         }
         "universal" => {
@@ -903,9 +902,9 @@ fn cmd_simulate_session(
     rec: &RecoveryArgs,
 ) -> Result<String, CliError> {
     let emb = theorem1::embed(tree).emb;
-    let net = Network::xtree(&XTree::new(emb.height));
+    let net = XTreeHost::new(emb.height);
     let plan = match faults {
-        Some(f) => f.plan(net.graph())?,
+        Some(f) => f.plan(net.csr())?,
         None => FaultPlan::new(),
     };
     let policy = rec.recover.then(|| rec.policy.clone());
@@ -1118,7 +1117,7 @@ fn cmd_resume(a: &Args) -> Result<String, CliError> {
     let family = TreeFamily::parse(&family_name)
         .ok_or_else(|| format!("resume: unknown family `{family_name}` in checkpoint"))?;
     let tree = family.generate_seeded(nodes, seed);
-    let net = Network::xtree(&XTree::new(ck.embedding.height));
+    let net = XTreeHost::new(ck.embedding.height);
     let mut trace = TraceRecorder::resume(ck.trace)
         .map_err(|e| CliError::Runtime(format!("resume {path}: trace: {e}")))?;
     let mut met = MetricsSink::new();
@@ -1725,6 +1724,7 @@ fn cmd_sizes(a: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xtree_topology::Hypercube;
 
     fn run_str(s: &str) -> Result<String, String> {
         run(s.split_whitespace().map(String::from).collect()).map_err(|e| e.message().to_string())

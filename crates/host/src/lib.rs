@@ -7,16 +7,22 @@
 //! X-tree vertex, dilation ≤ 10 relative to a dilation-3 X-tree
 //! embedding). [`Host`] makes all three servable behind one dispatch
 //! point: a CSR view for edge-indexed congestion accumulation, an O(1)
-//! `next_hop` honouring the smallest-id-downhill contract the simulator's
-//! routers are pinned to, an exact `distance`, a degree bound, and a
-//! stable label for the wire protocol and CLI.
+//! `next_hop` honouring the smallest-id-downhill contract, an exact
+//! `distance`, a degree bound, and a stable label for the wire protocol
+//! and CLI.
 //!
 //! The guest side is uniform: [`guest_map`] turns the cached Theorem-1/2
 //! [`XEmbedding`] into a `Vec<u32>` of host vertex ids for any backend
 //! (heap ids on the X-tree, Lemma-3 labels on the hypercube, packed
 //! slots on `G_n`), so the simulation and stats layers never see which
 //! host they are scoring.
+//!
+//! This crate is the only place a host routes. [`TableHost`] is the BFS
+//! reference every closed-form host is pinned to, and the fallback for
+//! irregular hosts (meshes, CCC, butterflies) up to [`TABLE_HOST_CAP`]
+//! vertices.
 
+use std::fmt;
 use xtree_core::hypercube::lemma3_label;
 use xtree_core::universal::UniversalGraph;
 use xtree_core::XEmbedding;
@@ -51,7 +57,7 @@ pub const UNIVERSAL_MAX_HEIGHT: u8 = 10;
 
 /// A routable host topology.
 ///
-/// Contract (shared with `sim`'s routers, proven against BFS tables):
+/// Contract (every implementation is pinned to [`TableHost`]):
 /// `next_hop(v, dst)` returns `v` when `v == dst` and otherwise the
 /// **smallest-id neighbour of `v` strictly closer to `dst`** — so every
 /// hop decreases `distance` by exactly one and the walk from `v` reaches
@@ -62,7 +68,7 @@ pub trait Host {
     /// The topology as a CSR graph over `0..node_count()`.
     fn csr(&self) -> &Csr;
 
-    /// Stable backend label (`xtree` / `hypercube` / `universal` / ...).
+    /// Stable backend label (`xtree` / `hypercube` / `universal` / `table`).
     fn label(&self) -> &'static str;
 
     /// An upper bound on vertex degree (paper-level constant, not a
@@ -117,7 +123,9 @@ impl<H: Host + ?Sized> Host for &H {
     }
 }
 
-/// The X-tree `X(height)` with the closed-form router of PR 1.
+/// The X-tree `X(height)` with closed-form routing: distances from
+/// [`analytic_distance`], hops by probing the ≤ 5 neighbours in heap-id
+/// order. No tables, so `X(20)` routes as cheaply as `X(5)`.
 pub struct XTreeHost {
     xtree: XTree,
 }
@@ -133,6 +141,11 @@ impl XTreeHost {
     /// Host height.
     pub fn height(&self) -> u8 {
         self.xtree.height()
+    }
+
+    /// The X-tree itself, for the `xtree_core` metrics that take one.
+    pub fn xtree(&self) -> &XTree {
+        &self.xtree
     }
 }
 
@@ -150,6 +163,7 @@ impl Host for XTreeHost {
         5
     }
 
+    #[inline]
     fn next_hop(&self, v: u32, dst: u32) -> u32 {
         let hop = xtree_next_hop(
             Address::from_heap_id(v as usize),
@@ -159,6 +173,7 @@ impl Host for XTreeHost {
         hop.heap_id() as u32
     }
 
+    #[inline]
     fn distance(&self, v: u32, dst: u32) -> u32 {
         analytic_distance(
             Address::from_heap_id(v as usize),
@@ -167,7 +182,10 @@ impl Host for XTreeHost {
     }
 }
 
-/// The hypercube `Q_dim` — Theorem 3's host when `dim = height + 1`.
+/// The hypercube `Q_dim` — Theorem 3's host when `dim = height + 1` —
+/// with bit-fixing routing: clear the highest differing set bit if any,
+/// else set the lowest differing bit (both are the smallest-id downhill
+/// neighbour).
 pub struct HypercubeHost {
     cube: Hypercube,
 }
@@ -205,10 +223,12 @@ impl Host for HypercubeHost {
         u32::from(self.cube.dim())
     }
 
+    #[inline]
     fn next_hop(&self, v: u32, dst: u32) -> u32 {
         hypercube_next_hop(u64::from(v), u64::from(dst)) as u32
     }
 
+    #[inline]
     fn distance(&self, v: u32, dst: u32) -> u32 {
         (v ^ dst).count_ones()
     }
@@ -345,6 +365,145 @@ impl Host for UniversalHost {
     }
 }
 
+/// The largest host a [`TableHost`] will tabulate: its two dense tables
+/// would be ≥ 512 MiB beyond 2^13 vertices.
+pub const TABLE_HOST_CAP: usize = 1 << 13;
+
+/// Why a [`TableHost`] cannot be built for a graph.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum HostError {
+    /// The graph is disconnected, so a dense next-hop table (which
+    /// requires every pair to be routable) cannot be built.
+    Disconnected {
+        /// Number of host vertices.
+        vertices: usize,
+        /// Number of connected components found.
+        components: usize,
+    },
+    /// The graph is too large for dense all-pairs tables.
+    TooLarge {
+        /// Number of host vertices.
+        vertices: usize,
+        /// The largest supported vertex count.
+        cap: usize,
+    },
+}
+
+impl fmt::Display for HostError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HostError::Disconnected {
+                vertices,
+                components,
+            } => write!(
+                f,
+                "host graph is disconnected ({components} components over {vertices} vertices); \
+                 dense routing tables need a connected host"
+            ),
+            HostError::TooLarge { vertices, cap } => write!(
+                f,
+                "host has {vertices} vertices but dense routing tables support at most {cap}; \
+                 use a closed-form host (XTreeHost, HypercubeHost)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for HostError {}
+
+/// Any connected graph, routed by dense all-pairs next-hop and distance
+/// tables — one BFS per vertex at construction.
+///
+/// This is the reference the closed-form hosts are tested against, and
+/// the fallback for hosts without structured routing. `O(n²)` memory caps
+/// it at [`TABLE_HOST_CAP`] vertices.
+#[derive(Debug)]
+pub struct TableHost {
+    graph: Csr,
+    n: usize,
+    /// `next_hop[dst * n + v]` = neighbour of `v` on a shortest path to
+    /// `dst` (`v` itself when `v == dst`).
+    next_hop: Vec<u32>,
+    /// `dist[dst * n + v]` = shortest-path distance.
+    dist: Vec<u32>,
+}
+
+impl TableHost {
+    /// Builds the tables for `graph`.
+    ///
+    /// # Errors
+    /// [`HostError::TooLarge`] beyond [`TABLE_HOST_CAP`] vertices and
+    /// [`HostError::Disconnected`] when some pair of vertices cannot reach
+    /// each other.
+    pub fn new(graph: Csr) -> Result<Self, HostError> {
+        let n = graph.node_count();
+        if n > TABLE_HOST_CAP {
+            return Err(HostError::TooLarge {
+                vertices: n,
+                cap: TABLE_HOST_CAP,
+            });
+        }
+        if !graph.is_connected() {
+            let (_, components) = graph.component_ids();
+            return Err(HostError::Disconnected {
+                vertices: n,
+                components,
+            });
+        }
+        let mut next_hop = vec![0u32; n * n];
+        let mut dist = vec![0u32; n * n];
+        for dst in 0..n {
+            let d = graph.bfs(dst);
+            dist[dst * n..(dst + 1) * n].copy_from_slice(&d);
+            let row_h = &mut next_hop[dst * n..(dst + 1) * n];
+            for v in 0..n {
+                if v == dst {
+                    row_h[v] = v as u32;
+                    continue;
+                }
+                // Deterministic: the smallest-id neighbour that decreases
+                // the distance to dst (neighbor lists are sorted). In a
+                // connected graph every v != dst has one.
+                row_h[v] = *graph
+                    .neighbors(v)
+                    .iter()
+                    .find(|&&w| d[w as usize] + 1 == d[v])
+                    .expect("a connected graph has a downhill neighbour");
+            }
+        }
+        Ok(TableHost {
+            graph,
+            n,
+            next_hop,
+            dist,
+        })
+    }
+}
+
+impl Host for TableHost {
+    fn csr(&self) -> &Csr {
+        &self.graph
+    }
+
+    fn label(&self) -> &'static str {
+        "table"
+    }
+
+    fn degree_bound(&self) -> u32 {
+        self.graph.max_degree() as u32
+    }
+
+    #[inline]
+    fn next_hop(&self, v: u32, dst: u32) -> u32 {
+        self.next_hop[dst as usize * self.n + v as usize]
+    }
+
+    #[inline]
+    fn distance(&self, v: u32, dst: u32) -> u32 {
+        self.dist[dst as usize * self.n + v as usize]
+    }
+}
+
 /// Static dispatch over the three backends — one value the serving layer
 /// can build from a wire tag.
 pub enum AnyHost {
@@ -366,6 +525,18 @@ impl AnyHost {
                 .then(|| AnyHost::Universal(UniversalHost::new(height))),
             _ => None,
         }
+    }
+
+    /// An X-tree host over a copy of `host`.
+    ///
+    /// Exists only for the serving benchmark (`servebench/`), whose traced
+    /// replay names it together with the `xtree_sim::Network` alias; both
+    /// go with that benchmark's next change. Everything else builds hosts
+    /// with [`XTreeHost::new`] or [`AnyHost::for_xtree_height`].
+    pub fn xtree(host: &XTree) -> AnyHost {
+        AnyHost::XTree(XTreeHost {
+            xtree: host.clone(),
+        })
     }
 
     /// The wire tag of this backend.

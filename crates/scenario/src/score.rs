@@ -7,8 +7,7 @@ use crate::spec::{ScenarioCell, ScenarioSpec};
 use crate::traffic::TrafficModel;
 use xtree_core::{metrics, theorem1};
 use xtree_json::Value;
-use xtree_sim::{congestion, weighted_congestion, Network, SimError};
-use xtree_topology::XTree;
+use xtree_sim::{congestion, weighted_congestion, SimError, XTreeHost};
 use xtree_trees::generate::theorem1_size;
 
 /// Everything measured for one (family × traffic × size) cell.
@@ -69,7 +68,7 @@ pub fn run_cell(cell: &ScenarioCell) -> Result<CellReport, SimError> {
     let tree = cell.family.generate_seeded(n, cell.seed);
     let built = theorem1::embed(&tree);
     let stats = metrics::evaluate(&tree, &built.emb);
-    let net = Network::xtree(&XTree::new(built.emb.height));
+    let net = XTreeHost::new(built.emb.height);
     let demand = cell.traffic.edge_demand(&tree, cell.seed);
     let weighted = weighted_congestion(&net, &tree, &built.emb, &demand)?;
     let unweighted = congestion(&net, &tree, &built.emb)?;

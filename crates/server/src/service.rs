@@ -9,8 +9,8 @@
 //!
 //! A warm `Embed` is a cache lookup: the entry carries the reply's
 //! host-specific fields, scored by the first `Embed` for the key, so the
-//! guest tree is not even generated. Hypercube and universal hosts come
-//! from a process-wide table that builds each (tag, height) once.
+//! guest tree is not even generated. Every host comes from a
+//! process-wide table that builds each (tag, height) once.
 
 // `Result<_, Response>` keeps the typed error frame as the error value
 // on the compute path; `Response` is as large as its biggest variant
@@ -25,13 +25,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use xtree_core::theorem1::{EmbedOptions, Theorem1Scratch};
 use xtree_core::{evaluate, metrics::edge_congestion, theorem1, theorem2, XEmbedding};
-use xtree_host::{guest_map, host_label, AnyHost, Host, HOST_LABELS, HOST_XTREE};
+use xtree_host::{guest_map, host_label, AnyHost, Host, HOST_LABELS};
 use xtree_sim::workload::{HostMap, WORKLOADS};
 use xtree_sim::{
-    compute_load, congestion, simulate_all_with, simulate_one_with, Network, SimError, SimReport,
+    compute_load, congestion, simulate_all_with, simulate_one_with, SimError, SimReport,
 };
 use xtree_telemetry::Sink;
-use xtree_topology::XTree;
 use xtree_trees::{BinaryTree, TreeFamily};
 
 /// Largest guest a single request may ask for: a million-node tree embeds
@@ -159,19 +158,20 @@ fn host_net(host: u8, height: u8) -> Result<&'static AnyHost, Response> {
     })
 }
 
-/// How `emb` scores on `host`: the host-specific `EmbedOk` fields.
+/// How `emb` scores on `host`: the host-specific `EmbedOk` fields. The
+/// X-tree keeps the `xtree_core` metrics, whose congestion counts
+/// undirected edges; the other hosts go through [`score_on`].
 fn score(host: u8, tree: &BinaryTree, emb: &XEmbedding) -> Result<EmbedScore, Response> {
-    if host == HOST_XTREE {
+    let net = host_net(host, emb.height)?;
+    if let AnyHost::XTree(x) = net {
         let stats = evaluate(tree, emb);
-        let xt = XTree::new(emb.height);
         return Ok(EmbedScore {
             dilation: u64::from(stats.dilation),
             max_load: u64::from(stats.max_load),
-            congestion: u64::from(edge_congestion(tree, emb, &xt)),
+            congestion: u64::from(edge_congestion(tree, emb, x.xtree())),
             injective: stats.injective,
         });
     }
-    let net = host_net(host, emb.height)?;
     let map = guest_map(host, emb).expect("tag validated by host_net");
     score_on(net, tree, &map)
 }
@@ -255,15 +255,9 @@ fn simulate(
     let t0 = Instant::now();
     let found = cache.get(&key);
     let (emb, cached) = embedding(cache, key, found, t0.elapsed(), &tree, metrics)?;
-    let mut sink = &metrics.sim;
-    let reports = if key.host == HOST_XTREE {
-        let net = Network::xtree(&XTree::new(emb.height));
-        run_workloads(&net, &tree, &*emb, workload, &mut sink)
-    } else {
-        let net = host_net(key.host, emb.height)?;
-        let map = guest_map(key.host, &emb).expect("tag validated by host_net");
-        run_workloads(net, &tree, &map, workload, &mut sink)
-    };
+    let net = host_net(key.host, emb.height)?;
+    let map = guest_map(key.host, &emb).expect("tag validated by host_net");
+    let reports = run_workloads(net, &tree, &map, workload, &mut &metrics.sim);
     let reports = reports.map_err(|e| Response::Error {
         code: ERR_INTERNAL,
         message: format!("simulation failed: {e}"),
@@ -293,8 +287,8 @@ fn run_workloads<H: Host, M: HostMap + Sync, S: Sink>(
 /// events and embed-construction latency to `metrics`. Only `Embed` and
 /// `Simulate` arrive here — control requests are answered inline by the
 /// connection handler. `host` selects the host topology the embedding is
-/// served on ([`HOST_XTREE`] is the wire default and the pre-host
-/// behavior, bit for bit).
+/// served on ([`xtree_host::HOST_XTREE`] is the wire default and the
+/// pre-host behavior, bit for bit).
 pub fn handle_compute(
     req: &Request,
     host: u8,
@@ -354,6 +348,7 @@ pub fn handle_compute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xtree_host::{XTreeHost, HOST_XTREE};
 
     fn counters() -> ServerMetrics {
         ServerMetrics::new()
@@ -628,9 +623,6 @@ mod tests {
                     "{} X({height})",
                     fresh.label()
                 );
-                if tag == HOST_XTREE {
-                    continue; // served without the table; see `score`
-                }
                 // Through the service, the table host's replies equal the
                 // fresh host's.
                 let (family, nodes, seed, theorem) = (2, nodes as u64, 9, 1);
@@ -641,8 +633,25 @@ mod tests {
                     theorem,
                 };
                 let resp = handle_compute(&req, tag, &EmbeddingCache::new(0), &counters());
-                let expect = embed_ok(&emb, score_on(&fresh, &tree, &map).unwrap(), false);
-                assert_eq!(resp, expect, "{} X({height})", fresh.label());
+                let fresh_score = if tag == HOST_XTREE {
+                    // The X-tree is scored by the `xtree_core` metrics.
+                    let stats = evaluate(&tree, &emb);
+                    let cong = edge_congestion(&tree, &emb, XTreeHost::new(height).xtree());
+                    EmbedScore {
+                        dilation: u64::from(stats.dilation),
+                        max_load: u64::from(stats.max_load),
+                        congestion: u64::from(cong),
+                        injective: stats.injective,
+                    }
+                } else {
+                    score_on(&fresh, &tree, &map).unwrap()
+                };
+                assert_eq!(
+                    resp,
+                    embed_ok(&emb, fresh_score, false),
+                    "{} X({height})",
+                    fresh.label()
+                );
                 let req = Request::Simulate {
                     family,
                     nodes,
@@ -651,7 +660,13 @@ mod tests {
                     workload: WORKLOAD_ALL,
                 };
                 let resp = handle_compute(&req, tag, &EmbeddingCache::new(0), &counters());
-                let reports = run_workloads(&fresh, &tree, &map, WORKLOAD_ALL, sink).unwrap();
+                let reports = if tag == HOST_XTREE {
+                    // A fresh X-tree with the embedding as its own map.
+                    run_workloads(&XTreeHost::new(height), &tree, &emb, WORKLOAD_ALL, sink)
+                } else {
+                    run_workloads(&fresh, &tree, &map, WORKLOAD_ALL, sink)
+                };
+                let reports = reports.unwrap();
                 let expect = Response::SimulateOk {
                     cached: false,
                     reports: reports.iter().map(wire_report).collect(),

@@ -4,28 +4,15 @@
 //! hosts and broken invariants, which made it unusable as a library under
 //! damaged topologies: a disconnected survivor graph is a *measurement*,
 //! not a programming error. Every fallible entry point of this crate now
-//! returns [`SimError`] instead.
+//! returns [`SimError`] instead. Building a host is the host crate's
+//! business: a table-routed host that cannot be built reports
+//! `xtree_host::HostError`.
 
 use std::fmt;
 
 /// Everything that can go wrong while building or driving a simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
-    /// The host graph is disconnected, so a dense next-hop table (which
-    /// requires every pair to be routable) cannot be built.
-    Disconnected {
-        /// Number of host vertices.
-        vertices: usize,
-        /// Number of connected components found.
-        components: usize,
-    },
-    /// The host is too large for a dense all-pairs routing table.
-    HostTooLarge {
-        /// Number of host vertices.
-        vertices: usize,
-        /// The largest supported vertex count.
-        cap: usize,
-    },
     /// A router proposed a next hop that is not a neighbour of the current
     /// vertex — a routing-strategy bug surfaced as data, not a panic.
     RouterInvariant {
@@ -65,19 +52,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::Disconnected {
-                vertices,
-                components,
-            } => write!(
-                f,
-                "host graph is disconnected ({components} components over {vertices} vertices); \
-                 dense routing tables need a connected host"
-            ),
-            SimError::HostTooLarge { vertices, cap } => write!(
-                f,
-                "host has {vertices} vertices but dense routing tables support at most {cap}; \
-                 use a structured constructor (Network::xtree/hypercube/cbt)"
-            ),
             SimError::RouterInvariant { at, to } => write!(
                 f,
                 "router returned non-neighbour {to} as the next hop from {at}"
@@ -105,20 +79,6 @@ mod tests {
     #[test]
     fn displays_are_descriptive() {
         let cases: Vec<(SimError, &str)> = vec![
-            (
-                SimError::Disconnected {
-                    vertices: 8,
-                    components: 2,
-                },
-                "disconnected",
-            ),
-            (
-                SimError::HostTooLarge {
-                    vertices: 1 << 20,
-                    cap: 1 << 13,
-                },
-                "at most",
-            ),
             (SimError::RouterInvariant { at: 3, to: 9 }, "non-neighbour"),
             (
                 SimError::Diverged {

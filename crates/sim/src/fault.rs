@@ -10,12 +10,12 @@
 //!
 //! Survivor routing keeps the simulator's determinism contract: the next
 //! hop is the smallest-id alive neighbour that decreases the survivor-
-//! graph distance, exactly the convention of the closed-form routers and
-//! the dense BFS tables (see `router`). Routes are served from per-
-//! destination BFS tables that are built lazily and cached until the next
-//! topology change (each applied event bumps an epoch that invalidates the
-//! cache), so a quiet network pays for BFS only once per destination per
-//! damage configuration.
+//! graph distance, exactly the convention of the closed-form hosts and
+//! the dense BFS tables (see `xtree_host::TableHost`). Routes are served
+//! from per-destination BFS tables that are built lazily and cached until
+//! the next topology change (each applied event bumps an epoch that
+//! invalidates the cache), so a quiet network pays for BFS only once per
+//! destination per damage configuration.
 //!
 //! Nothing here touches the fault-free fast path: an engine run without a
 //! fault plan never consults this module.
@@ -625,7 +625,7 @@ fn decode_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, SimError> {
 /// undirected, so distance-to-dst equals distance-from-dst; the next hop
 /// at `v` is its smallest-id alive neighbour one step closer (neighbour
 /// lists are sorted, so the first match wins — the same convention as
-/// `TableRouter`).
+/// `xtree_host::TableHost`).
 fn build_dst_table(graph: &Csr, dst: u32, edge_down: &[bool], node_down: &[bool]) -> DstTable {
     let n = graph.node_count();
     let mut dist = vec![u32::MAX; n];
@@ -905,8 +905,8 @@ mod tests {
         // downhill rule of the dense tables.
         let g = cycle(6);
         let mut st = FaultState::new(&g, FaultPlan::new()).unwrap();
-        let table = crate::router::TableRouter::new(&g).unwrap();
-        use crate::router::Router;
+        let table = xtree_host::TableHost::new(g.clone()).unwrap();
+        use xtree_host::Host;
         for v in 0..6u32 {
             for dst in 0..6u32 {
                 assert_eq!(st.next_hop(&g, v, dst), Some(table.next_hop(v, dst)));

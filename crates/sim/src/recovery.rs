@@ -31,10 +31,10 @@
 use crate::engine::{BatchStats, Engine, Message};
 use crate::error::SimError;
 use crate::fault::FaultState;
-use crate::network::Network;
 use crate::workload::HostMap;
 use xtree_core::repair::{repair_in_place, RepairConfig, RepairError, RepairReport};
 use xtree_core::{QEmbedding, XEmbedding};
+use xtree_host::Host;
 use xtree_telemetry::{Event, Sink};
 use xtree_topology::Csr;
 use xtree_trees::BinaryTree;
@@ -247,9 +247,9 @@ impl RecoveryOutcome {
 ///
 /// # Errors
 /// See [`recover_batch_with`].
-pub fn recover_batch<M: RepairableHost>(
+pub fn recover_batch<H: Host, M: RepairableHost>(
     engine: &mut Engine,
-    net: &Network,
+    net: &H,
     tree: &BinaryTree,
     emb: &mut M,
     messages: &[Message],
@@ -283,9 +283,9 @@ pub fn recover_batch<M: RepairableHost>(
 /// is not an error (it lands in [`RecoveryOutcome::repair_error`] and the
 /// supervisor soldiers on without the migration).
 #[allow(clippy::too_many_arguments)]
-pub fn recover_batch_with<M: RepairableHost, S: Sink>(
+pub fn recover_batch_with<H: Host, M: RepairableHost, S: Sink>(
     engine: &mut Engine,
-    net: &Network,
+    net: &H,
     tree: &BinaryTree,
     emb: &mut M,
     messages: &[Message],
@@ -293,7 +293,7 @@ pub fn recover_batch_with<M: RepairableHost, S: Sink>(
     policy: &RecoveryPolicy,
     sink: &mut S,
 ) -> Result<RecoveryOutcome, SimError> {
-    let graph = net.graph();
+    let graph = net.csr();
     let mut attempts = Vec::new();
     let mut repair: Option<RepairReport> = None;
     let mut repair_error: Option<RepairError> = None;
@@ -486,13 +486,13 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use xtree_core::metrics::heap_order_embedding;
-    use xtree_topology::{Graph, XTree};
+    use xtree_host::XTreeHost;
+    use xtree_topology::Graph;
     use xtree_trees::generate;
 
-    fn setup(height: u8) -> (Network, BinaryTree, XEmbedding) {
-        let x = XTree::new(height);
-        let net = Network::xtree(&x);
-        let n = x.node_count();
+    fn setup(height: u8) -> (XTreeHost, BinaryTree, XEmbedding) {
+        let net = XTreeHost::new(height);
+        let n = net.node_count();
         let tree = generate::left_complete(n);
         let emb = heap_order_embedding(&tree, height);
         (net, tree, emb)
@@ -514,7 +514,7 @@ mod tests {
     fn clean_batch_is_a_single_attempt() {
         let (net, tree, mut emb) = setup(3);
         let msgs = crate::workload::exchange_round(&tree, &emb);
-        let mut faults = FaultState::new(net.graph(), FaultPlan::new()).unwrap();
+        let mut faults = FaultState::new(net.csr(), FaultPlan::new()).unwrap();
         let out = recover_batch(
             &mut Engine::new(),
             &net,
@@ -530,7 +530,7 @@ mod tests {
         assert_eq!(out.requeued(), 0);
         assert!(out.repair.is_none());
         // Identical to the unsupervised run.
-        let mut faults2 = FaultState::new(net.graph(), FaultPlan::new()).unwrap();
+        let mut faults2 = FaultState::new(net.csr(), FaultPlan::new()).unwrap();
         let direct = Engine::new()
             .run_batch_faulted(&net, &msgs, &mut faults2)
             .unwrap();
@@ -546,7 +546,7 @@ mod tests {
         let victim = emb.host_len() as u32 - 1;
         let plan = FaultPlan::new().node_down(0, victim);
 
-        let mut faults = FaultState::new(net.graph(), plan.clone()).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan.clone()).unwrap();
         let msgs = crate::workload::exchange_round(&tree, &emb);
         let bare = Engine::new()
             .run_batch_faulted(&net, &msgs, &mut faults)
@@ -554,7 +554,7 @@ mod tests {
         assert!(!bare.delivered_all(), "the failure must actually bite");
 
         let mut healed = emb.clone();
-        let mut faults = FaultState::new(net.graph(), plan).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan).unwrap();
         let out = recover_batch(
             &mut Engine::new(),
             &net,
@@ -585,12 +585,12 @@ mod tests {
         let plan = FaultPlan::new().node_down(0, victim);
         let msgs = crate::workload::exchange_round(&tree, &emb);
 
-        let mut faults = FaultState::new(net.graph(), plan.clone()).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan.clone()).unwrap();
         let direct = Engine::new()
             .run_batch_faulted(&net, &msgs, &mut faults)
             .unwrap();
         let mut emb2 = emb.clone();
-        let mut faults = FaultState::new(net.graph(), plan).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan).unwrap();
         let out = recover_batch(
             &mut Engine::new(),
             &net,
@@ -615,7 +615,7 @@ mod tests {
         let victim = emb.host_len() as u32 - 1;
         let plan = FaultPlan::new().node_down(0, victim);
         let msgs = crate::workload::exchange_round(&tree, &emb);
-        let mut faults = FaultState::new(net.graph(), plan).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan).unwrap();
         let policy = RecoveryPolicy {
             repair_embedding: false,
             ..RecoveryPolicy::default()
@@ -643,13 +643,13 @@ mod tests {
     fn link_only_faults_recover_without_repairing_the_embedding() {
         // Links that come back up: retries alone (no migration) suffice.
         let (net, tree, mut emb) = setup(4);
-        let n = net.graph().node_count() as u32;
+        let n = net.csr().node_count() as u32;
         let plan =
             FaultPlan::new()
                 .link_down(0, (n - 2) / 2, n - 2)
                 .link_up(600, (n - 2) / 2, n - 2);
         let msgs = crate::workload::exchange_round(&tree, &emb);
-        let mut faults = FaultState::new(net.graph(), plan)
+        let mut faults = FaultState::new(net.csr(), plan)
             .unwrap()
             .with_max_idle_wait(4);
         let out = recover_batch(

@@ -25,11 +25,11 @@
 use crate::engine::{BatchOutcome, Engine};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
-use crate::network::Network;
 use crate::recovery::{recover_batch_with, RecoveryEnd, RecoveryPolicy, RepairableHost};
 use crate::stats::FaultSimReport;
 use crate::workload::{rounds_for, WORKLOADS};
 use xtree_core::XEmbedding;
+use xtree_host::Host;
 use xtree_telemetry::varint::{decode_u64, encode_u64};
 use xtree_telemetry::Sink;
 use xtree_trees::BinaryTree;
@@ -57,8 +57,8 @@ pub enum SessionStatus {
 }
 
 /// A resumable run of the four canonical workloads under one fault plan.
-pub struct Session<'a, M: RepairableHost> {
-    net: &'a Network,
+pub struct Session<'a, H: Host, M: RepairableHost> {
+    net: &'a H,
     tree: &'a BinaryTree,
     emb: M,
     plan: FaultPlan,
@@ -84,13 +84,13 @@ fn empty_report(idx: usize) -> FaultSimReport {
     }
 }
 
-impl<'a, M: RepairableHost> Session<'a, M> {
+impl<'a, H: Host, M: RepairableHost> Session<'a, H, M> {
     /// A fresh session at workload 0, round 0. The embedding is owned
     /// because recovery repairs mutate it; take it back with
     /// [`Session::into_embedding`] or inspect it via
     /// [`Session::embedding`].
     pub fn new(
-        net: &'a Network,
+        net: &'a H,
         tree: &'a BinaryTree,
         emb: M,
         plan: FaultPlan,
@@ -168,7 +168,7 @@ impl<'a, M: RepairableHost> Session<'a, M> {
             if self.faults.is_none() {
                 // Each workload replays the damage schedule from cycle 0,
                 // matching `simulate_all_faulted_with`.
-                self.faults = Some(FaultState::new(self.net.graph(), self.plan.clone())?);
+                self.faults = Some(FaultState::new(self.net.csr(), self.plan.clone())?);
             }
             let faults = self.faults.as_mut().expect("initialised above");
             match &self.policy {
@@ -304,7 +304,7 @@ fn decode_report(bytes: &[u8], pos: &mut usize) -> Result<FaultSimReport, SimErr
     })
 }
 
-impl<'a> Session<'a, XEmbedding> {
+impl<'a, H: Host> Session<'a, H, XEmbedding> {
     /// Serialises the session at a round boundary: cursor, engine clock,
     /// the in-progress fault state, the plan, banked and partial reports,
     /// and the recovery totals. The embedding itself is *not* inside —
@@ -339,11 +339,12 @@ impl<'a> Session<'a, XEmbedding> {
     /// session continues exactly where the snapshot was taken.
     ///
     /// # Errors
-    /// [`SimError::BadCheckpoint`] on truncated or corrupt bytes;
+    /// [`SimError::BadCheckpoint`] on truncated or corrupt bytes, or when
+    /// the workload cursor disagrees with the banked reports;
     /// [`SimError::InvalidFault`] when the embedded plan does not fit
     /// `net`.
     pub fn resume(
-        net: &'a Network,
+        net: &'a H,
         tree: &'a BinaryTree,
         emb: XEmbedding,
         policy: Option<RecoveryPolicy>,
@@ -356,23 +357,45 @@ impl<'a> Session<'a, XEmbedding> {
         let round_idx = snap_word(bytes, &mut pos)? as usize;
         let faults = match snap_word(bytes, &mut pos)? {
             0 => None,
-            _ => Some(FaultState::decode(net.graph(), bytes, &mut pos)?),
+            _ => Some(FaultState::decode(net.csr(), bytes, &mut pos)?),
         };
         let plan = FaultPlan::decode(bytes, &mut pos)?;
         // Validate the plan against this host even when no fault state was
         // in flight (later workloads will bind it).
-        FaultState::new(net.graph(), plan.clone())?;
+        FaultState::new(net.csr(), plan.clone())?;
         let n_completed = snap_word(bytes, &mut pos)? as usize;
-        if n_completed > WORKLOADS.len() {
+        // The cursor decides which workload runs next and the banked
+        // reports are what the run returns, so they must tell one story:
+        // workload `i` banked as report `i`, and the partial report naming
+        // the workload under the cursor.
+        if workload_idx > WORKLOADS.len() || n_completed != workload_idx {
             return Err(SimError::BadCheckpoint {
-                reason: format!("{n_completed} completed workloads in a 4-workload run"),
+                reason: format!(
+                    "workload cursor {workload_idx} with {n_completed} banked reports \
+                     in a 4-workload run"
+                ),
             });
         }
         let mut completed = Vec::with_capacity(n_completed);
-        for _ in 0..n_completed {
-            completed.push(decode_report(bytes, &mut pos)?);
+        for (i, &want) in WORKLOADS.iter().enumerate().take(n_completed) {
+            let r = decode_report(bytes, &mut pos)?;
+            if r.workload != want {
+                return Err(SimError::BadCheckpoint {
+                    reason: format!("banked report {i} names `{}`, not `{want}`", r.workload),
+                });
+            }
+            completed.push(r);
         }
         let partial = decode_report(bytes, &mut pos)?;
+        let want = WORKLOADS[workload_idx.min(WORKLOADS.len() - 1)];
+        if partial.workload != want {
+            return Err(SimError::BadCheckpoint {
+                reason: format!(
+                    "partial report names `{}` at workload cursor {workload_idx}, not `{want}`",
+                    partial.workload
+                ),
+            });
+        }
         let totals = RecoveryTotals {
             retries: snap_word(bytes, &mut pos)?,
             requeued: snap_word(bytes, &mut pos)?,
@@ -411,14 +434,14 @@ mod tests {
     use super::*;
     use crate::stats::simulate_all_faulted_with;
     use xtree_core::metrics::heap_order_embedding;
+    use xtree_host::XTreeHost;
     use xtree_telemetry::{NopSink, TraceRecorder};
-    use xtree_topology::{Graph, XTree};
+    use xtree_topology::Graph;
     use xtree_trees::generate;
 
-    fn setup(height: u8) -> (Network, BinaryTree, XEmbedding) {
-        let x = XTree::new(height);
-        let net = Network::xtree(&x);
-        let tree = generate::left_complete(x.node_count());
+    fn setup(height: u8) -> (XTreeHost, BinaryTree, XEmbedding) {
+        let net = XTreeHost::new(height);
+        let tree = generate::left_complete(net.node_count());
         let emb = heap_order_embedding(&tree, height);
         (net, tree, emb)
     }
@@ -426,7 +449,7 @@ mod tests {
     #[test]
     fn unsupervised_session_matches_simulate_all_faulted() {
         let (net, tree, emb) = setup(4);
-        let n = net.graph().node_count() as u32;
+        let n = net.csr().node_count() as u32;
         let plan =
             FaultPlan::new()
                 .link_down(0, (n - 2) / 2, n - 2)
@@ -520,5 +543,36 @@ mod tests {
             Session::resume(&net, &tree, emb, None, &SessionSnapshot::from_bytes(long)),
             Err(SimError::BadCheckpoint { .. })
         ));
+    }
+
+    #[test]
+    fn resume_rejects_a_cursor_that_disagrees_with_the_banked_reports() {
+        let (net, tree, emb) = setup(2);
+        let mut s = Session::new(&net, &tree, emb.clone(), FaultPlan::new(), None);
+        assert_eq!(s.run_with(0, &mut NopSink).unwrap(), SessionStatus::Paused);
+        let snap = s.snapshot();
+        // The cursor is the word after the engine clock.
+        let mut at = 0;
+        decode_u64(snap.bytes(), &mut at).unwrap();
+        assert_eq!(snap.bytes()[at], 0, "a fresh session pauses at workload 0");
+        assert!(Session::resume(&net, &tree, emb.clone(), None, &snap).is_ok());
+        // A moved cursor would label one workload's rounds as another's,
+        // or skip workloads and return fewer reports.
+        for cursor in 1..=5u8 {
+            let mut bytes = snap.bytes().to_vec();
+            bytes[at] = cursor;
+            let err = Session::resume(
+                &net,
+                &tree,
+                emb.clone(),
+                None,
+                &SessionSnapshot::from_bytes(bytes),
+            )
+            .err();
+            assert!(
+                matches!(err, Some(SimError::BadCheckpoint { .. })),
+                "cursor {cursor}: {err:?}"
+            );
+        }
     }
 }

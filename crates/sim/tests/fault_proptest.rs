@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use xtree_sim::{BatchOutcome, Engine, FaultPlan, FaultState, Message, Network};
+use xtree_sim::{BatchOutcome, Engine, FaultPlan, FaultState, Message, TableHost};
 use xtree_topology::{Csr, Graph, Hypercube, XTree};
 
 fn host(xtree: bool, size: u8) -> Csr {
@@ -72,7 +72,7 @@ proptest! {
             .map(|(i, _)| i as u32)
             .collect();
 
-        let net = Network::new(graph.clone()).unwrap();
+        let net = TableHost::new(graph.clone()).unwrap();
         let mut faults = FaultState::new(&graph, plan).unwrap();
         let out = Engine::new().run_batch_faulted(&net, &msgs, &mut faults).unwrap();
         match out {
@@ -121,7 +121,7 @@ proptest! {
             .iter()
             .map(|(a, b)| Message { src: a % n, dst: b % n })
             .collect();
-        let net = Network::new(graph.clone()).unwrap();
+        let net = TableHost::new(graph.clone()).unwrap();
         let mut faults = FaultState::new(&graph, plan).unwrap();
         let out = Engine::new().run_batch_faulted(&net, &msgs, &mut faults).unwrap();
         // Every link is repaired 3 cycles after it fails and nodes never

@@ -12,8 +12,8 @@
 
 use proptest::prelude::*;
 use xtree_sim::telemetry::{read_trace, Event, MetricsSink, Tee, TraceRecorder};
-use xtree_sim::{Engine, FaultPlan, FaultState, Message, Network};
-use xtree_topology::{Graph, XTree};
+use xtree_sim::{Engine, FaultPlan, FaultState, Host, Message, TableHost, XTreeHost};
+use xtree_topology::XTree;
 
 fn messages(n: u32, picks: &[(u32, u32)]) -> Vec<Message> {
     picks
@@ -28,12 +28,12 @@ fn messages(n: u32, picks: &[(u32, u32)]) -> Vec<Message> {
 /// One faulted run from a fresh engine + fresh fault state, recording
 /// into a fresh trace; returns the trace plus outcome.
 fn traced_faulted_run(
-    net: &Network,
+    net: &impl Host,
     msgs: &[Message],
     plan: &FaultPlan,
 ) -> (TraceRecorder, xtree_sim::BatchOutcome) {
     let mut rec = TraceRecorder::new();
-    let mut faults = FaultState::new(net.graph(), plan.clone()).unwrap();
+    let mut faults = FaultState::new(net.csr(), plan.clone()).unwrap();
     let out = Engine::new()
         .run_batch_faulted_with(net, msgs, &mut faults, &mut rec)
         .unwrap();
@@ -48,9 +48,8 @@ proptest! {
         size in 2u8..=4,
         msg_picks in prop::collection::vec((any::<u32>(), any::<u32>()), 1..32),
     ) {
-        let x = XTree::new(size);
-        let net = Network::xtree(&x);
-        let msgs = messages(x.node_count() as u32, &msg_picks);
+        let net = XTreeHost::new(size);
+        let msgs = messages(net.node_count() as u32, &msg_picks);
         let mut traces = Vec::new();
         for _ in 0..2 {
             let mut rec = TraceRecorder::new();
@@ -75,10 +74,9 @@ proptest! {
         seed in any::<u64>(),
         msg_picks in prop::collection::vec((any::<u32>(), any::<u32>()), 1..24),
     ) {
-        let x = XTree::new(size);
-        let net = Network::xtree(&x);
-        let msgs = messages(x.node_count() as u32, &msg_picks);
-        let plan = FaultPlan::random_links(net.graph(), 0.15, seed, 6, Some(3)).unwrap();
+        let net = XTreeHost::new(size);
+        let msgs = messages(net.node_count() as u32, &msg_picks);
+        let plan = FaultPlan::random_links(net.csr(), 0.15, seed, 6, Some(3)).unwrap();
         let (rec_a, out_a) = traced_faulted_run(&net, &msgs, &plan);
         let (rec_b, out_b) = traced_faulted_run(&net, &msgs, &plan);
         prop_assert_eq!(out_a, out_b);
@@ -102,9 +100,8 @@ proptest! {
         seed in any::<u64>(),
         msg_picks in prop::collection::vec((any::<u32>(), any::<u32>()), 1..24),
     ) {
-        let x = XTree::new(size);
-        let net = Network::xtree(&x);
-        let msgs = messages(x.node_count() as u32, &msg_picks);
+        let net = XTreeHost::new(size);
+        let msgs = messages(net.node_count() as u32, &msg_picks);
 
         // Fault-free: the no-op path (`run_batch`) vs recording sinks.
         let plain = Engine::new().run_batch(&net, &msgs).unwrap();
@@ -118,8 +115,8 @@ proptest! {
         prop_assert_eq!(met.counters().hops, plain.total_hops);
 
         // Faulted: same check through the survivor path.
-        let plan = FaultPlan::random_links(net.graph(), 0.2, seed, 6, Some(3)).unwrap();
-        let mut faults = FaultState::new(net.graph(), plan.clone()).unwrap();
+        let plan = FaultPlan::random_links(net.csr(), 0.2, seed, 6, Some(3)).unwrap();
+        let mut faults = FaultState::new(net.csr(), plan.clone()).unwrap();
         let out_plain = Engine::new().run_batch_faulted(&net, &msgs, &mut faults).unwrap();
         let (_, out_traced) = traced_faulted_run(&net, &msgs, &plan);
         prop_assert_eq!(out_plain, out_traced);
@@ -130,9 +127,8 @@ proptest! {
 fn faulted_x10_fixed_seed_replays_byte_for_byte() {
     // The acceptance scenario: a faulted X(10) run with a fixed seed must
     // verify byte-for-byte on replay.
-    let x = XTree::new(10);
-    let net = Network::xtree(&x);
-    let n = x.node_count() as u64;
+    let net = XTreeHost::new(10);
+    let n = net.node_count() as u64;
     let mut state = 0x7E1E_2026_u64;
     let mut rand = move || {
         state = state
@@ -146,7 +142,7 @@ fn faulted_x10_fixed_seed_replays_byte_for_byte() {
             dst: (rand() % n) as u32,
         })
         .collect();
-    let plan = FaultPlan::random_links(net.graph(), 0.05, 0xFA17, 32, Some(16)).unwrap();
+    let plan = FaultPlan::random_links(net.csr(), 0.05, 0xFA17, 32, Some(16)).unwrap();
     let (rec_a, out_a) = traced_faulted_run(&net, &msgs, &plan);
     let (rec_b, out_b) = traced_faulted_run(&net, &msgs, &plan);
     assert_eq!(out_a, out_b);
@@ -169,7 +165,7 @@ fn counted_sweep_matches_uncounted_and_tallies_hops() {
     use xtree_trees::generate;
 
     let x = XTree::new(3);
-    let net = Network::new(x.graph().clone()).unwrap();
+    let net = TableHost::new(x.graph().clone()).unwrap();
     let cases: Vec<_> = (0..4)
         .map(|i| {
             let t = generate::caterpillar(10 + i);

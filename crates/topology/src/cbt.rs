@@ -11,24 +11,6 @@ pub struct CompleteBinaryTree {
     graph: Csr,
 }
 
-/// Next hop from `a` toward `b` in a complete binary tree.
-///
-/// Tree shortest paths are unique — descend toward `b` when it sits in
-/// `a`'s subtree, otherwise climb to the parent — so this trivially agrees
-/// with any deterministic BFS routing table. Returns `a` when `a == b`.
-pub fn next_hop_towards(a: Address, b: Address) -> Address {
-    if a == b {
-        return a;
-    }
-    if a.is_ancestor_of(b) {
-        b.ancestor_at(a.level() + 1)
-            .expect("b is a strict descendant of a")
-    } else {
-        a.parent()
-            .expect("a is not an ancestor of b, so not the root")
-    }
-}
-
 impl CompleteBinaryTree {
     /// Builds `B_r`.
     pub fn new(height: u8) -> Self {
@@ -116,24 +98,6 @@ mod tests {
                 CompleteBinaryTree::new(r).graph().diameter(),
                 2 * u32::from(r)
             );
-        }
-    }
-
-    #[test]
-    fn next_hop_walks_the_unique_path() {
-        let t = CompleteBinaryTree::new(4);
-        for src in 0..t.node_count() {
-            for dst in 0..t.node_count() {
-                let (mut at, b) = (Address::from_heap_id(src), Address::from_heap_id(dst));
-                let mut hops = 0;
-                while at != b {
-                    let next = next_hop_towards(at, b);
-                    assert!(t.graph().has_edge(at.heap_id(), next.heap_id()));
-                    at = next;
-                    hops += 1;
-                }
-                assert_eq!(hops, t.distance(Address::from_heap_id(src), b));
-            }
         }
     }
 

@@ -37,9 +37,8 @@ pub use neighborhood::{in_neighborhood, inverse_only, neighborhood};
 pub use xtree::{analytic_distance, xtree_edge_count, xtree_node_count, XTree};
 
 /// Per-topology deterministic next-hop helpers (`O(1)` memory), re-exported
-/// under one namespace for the simulator's structured routers.
+/// under one namespace for the closed-form hosts of `xtree-host`.
 pub mod routing {
-    pub use crate::cbt::next_hop_towards as cbt_next_hop;
     pub use crate::hypercube::next_hop_towards as hypercube_next_hop;
     pub use crate::xtree::next_hop_towards as xtree_next_hop;
 }

@@ -12,8 +12,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use xtree::core::{baseline, evaluate, theorem1};
-use xtree::sim::{run_rounds, workload, Network};
-use xtree::topology::XTree;
+use xtree::sim::{run_rounds, workload, Host, XTreeHost};
 use xtree::trees::{theorem1_size, TreeFamily};
 
 fn main() {
@@ -24,9 +23,8 @@ fn main() {
     let tree = TreeFamily::RandomSplit.generate(n, &mut rng);
     println!("recursion tree: {n} nodes, height {}", tree.height());
 
-    let host = XTree::new(r);
-    let net = Network::xtree(&host);
-    println!("host: X({r}) with {} processors\n", net.len());
+    let net = XTreeHost::new(r);
+    println!("host: X({r}) with {} processors\n", net.node_count());
 
     let candidates = [
         ("theorem-1", theorem1::embed(&tree).emb),

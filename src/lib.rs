@@ -42,7 +42,9 @@ pub mod prelude {
         evaluate, hypercube::embed_theorem3, theorem1::embed as embed_theorem1,
         theorem2::injectivize, EmbeddingStats, QEmbedding, XEmbedding,
     };
-    pub use xtree_sim::{simulate_all, FaultPlan, FaultState, Network, SimError};
+    pub use xtree_sim::{
+        simulate_all, FaultPlan, FaultState, Host, HypercubeHost, SimError, TableHost, XTreeHost,
+    };
     pub use xtree_topology::{Address, Graph, Hypercube, XTree};
     pub use xtree_trees::{BinaryTree, NodeId, TreeFamily};
 }

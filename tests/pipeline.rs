@@ -4,8 +4,8 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use xtree::core::{evaluate, hypercube, theorem1};
-use xtree::sim::{run_rounds, simulate_all, workload, Network};
-use xtree::topology::{Hypercube, XTree};
+use xtree::sim::{run_rounds, simulate_all, workload, HypercubeHost, TableHost, XTreeHost};
+use xtree::topology::XTree;
 use xtree::trees::{theorem1_size, theorem3_size, TreeFamily};
 
 #[test]
@@ -16,7 +16,7 @@ fn exchange_cycles_bounded_by_dilation_times_congestion() {
     let emb = theorem1::embed(&tree).emb;
     let stats = evaluate(&tree, &emb);
     let host = XTree::new(r);
-    let net = Network::new(host.graph().clone()).unwrap();
+    let net = TableHost::new(host.graph().clone()).unwrap();
 
     let batch = run_rounds(&net, &[workload::exchange_round(&tree, &emb)]).unwrap();
     let ex = &batch[0];
@@ -40,7 +40,7 @@ fn broadcast_on_xtree_close_to_ideal() {
         let tree = family.generate(theorem1_size(4), &mut rng);
         let emb = theorem1::embed(&tree).emb;
         let host = XTree::new(4);
-        let net = Network::new(host.graph().clone()).unwrap();
+        let net = TableHost::new(host.graph().clone()).unwrap();
         let reports = simulate_all(&net, &tree, &emb).unwrap();
         let bc = reports.iter().find(|r| r.workload == "broadcast").unwrap();
         assert!(
@@ -58,11 +58,11 @@ fn same_guest_runs_on_both_hosts() {
     let tree = TreeFamily::Broom.generate(theorem3_size(5), &mut rng);
 
     let x = theorem1::embed(&tree).emb;
-    let xnet = Network::xtree(&XTree::new(x.height));
+    let xnet = XTreeHost::new(x.height);
     let xr = simulate_all(&xnet, &tree, &x).unwrap();
 
     let q = hypercube::embed_theorem3(&tree);
-    let qnet = Network::hypercube(&Hypercube::new(q.dim));
+    let qnet = HypercubeHost::new(q.dim);
     let qr = simulate_all(&qnet, &tree, &q).unwrap();
 
     for (a, b) in xr.iter().zip(qr.iter()) {
@@ -86,7 +86,7 @@ fn non_exact_guest_still_runs() {
     let mut rng = ChaCha8Rng::seed_from_u64(13);
     let tree = TreeFamily::RandomSplit.generate(500, &mut rng);
     let emb = theorem1::embed(&tree).emb;
-    let net = Network::xtree(&XTree::new(emb.height));
+    let net = XTreeHost::new(emb.height);
     let reports = simulate_all(&net, &tree, &emb).unwrap();
     assert_eq!(reports.len(), 4);
     for r in reports {
