@@ -2,17 +2,14 @@
 //! `results/BENCH_embed.json`.
 //!
 //! For each size on the curve X(6)–X(12) it builds the same seeded
-//! `random-bst` guest three ways:
+//! `random-bst` guest two ways:
 //!
 //! * **legacy** — the frozen pre-refactor builder
 //!   (`xtree_bench::legacy_theorem1`), timed as the reference;
-//! * **serial** — the rebuilt hot path (`embed_with_scratch`,
-//!   `Parallel::Off`) through one long-lived scratch, the serving-layer
-//!   cache-miss configuration;
-//! * **parallel** — the same with `Parallel::Force`, exercising the
-//!   two-phase ADJUST on worker threads.
+//! * **serial** — the rebuilt hot path (`embed_with_scratch`) through one
+//!   long-lived scratch, the serving-layer cache-miss configuration.
 //!
-//! Every rep asserts the three embeddings are identical (the refactor's
+//! Every rep asserts the two embeddings are identical (the refactor's
 //! byte-identical contract), reps are interleaved and summarised by their
 //! median, and a counting global allocator reports allocations per build —
 //! the number the refactor drives toward zero on the steady-state path.
@@ -32,7 +29,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 use xtree_bench::legacy_theorem1::embed_legacy;
-use xtree_core::theorem1::{embed_with_scratch, EmbedOptions, Parallel, Theorem1Scratch};
+use xtree_core::theorem1::{embed_with_scratch, EmbedOptions, Theorem1Scratch};
 use xtree_json::Value;
 use xtree_trees::generate::{theorem1_size, TreeFamily};
 use xtree_trees::BinaryTree;
@@ -90,10 +87,8 @@ struct SizeResult {
     nodes: usize,
     legacy_p50_us: f64,
     serial_p50_us: f64,
-    parallel_p50_us: f64,
     allocs_legacy: u64,
     allocs_serial: u64,
-    allocs_parallel: u64,
 }
 
 impl SizeResult {
@@ -107,15 +102,9 @@ impl SizeResult {
             .with("nodes", self.nodes)
             .with("legacy_p50_us", self.legacy_p50_us)
             .with("serial_p50_us", self.serial_p50_us)
-            .with("parallel_p50_us", self.parallel_p50_us)
             .with("speedup_serial", self.speedup_serial())
-            .with(
-                "speedup_parallel",
-                self.legacy_p50_us / self.parallel_p50_us,
-            )
             .with("allocs_legacy", self.allocs_legacy)
             .with("allocs_serial", self.allocs_serial)
-            .with("allocs_parallel", self.allocs_parallel)
     }
 }
 
@@ -128,70 +117,51 @@ fn serving_tree(r: u8, base_seed: u64) -> BinaryTree {
 fn bench_size(r: u8, reps: usize, base_seed: u64) -> SizeResult {
     let tree = serving_tree(r, base_seed);
     let nodes = tree.len();
-    let serial = EmbedOptions {
-        parallel: Parallel::Off,
-        ..Default::default()
-    };
-    let forced = EmbedOptions {
-        parallel: Parallel::Force,
-        ..Default::default()
-    };
-    // Long-lived scratches: the timed serial/parallel builds run in the
-    // steady state, exactly like a worker thread's cache misses.
-    let mut s1 = Theorem1Scratch::new();
-    let mut s2 = Theorem1Scratch::new();
-    let warm = embed_with_scratch(&tree, serial, &mut s1);
-    embed_with_scratch(&tree, forced, &mut s2);
+    let serial = EmbedOptions::default();
+    // A long-lived scratch: the timed serial builds run in the steady
+    // state, exactly like a worker thread's cache misses.
+    let mut scratch = Theorem1Scratch::new();
+    let warm = embed_with_scratch(&tree, serial, &mut scratch);
 
     let mut t_legacy = Vec::with_capacity(reps);
     let mut t_serial = Vec::with_capacity(reps);
-    let mut t_parallel = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t0 = Instant::now();
         let a = embed_legacy(&tree, EmbedOptions::default());
         t_legacy.push(t0.elapsed().as_secs_f64());
 
         let t0 = Instant::now();
-        let b = embed_with_scratch(&tree, serial, &mut s1);
+        let b = embed_with_scratch(&tree, serial, &mut scratch);
         t_serial.push(t0.elapsed().as_secs_f64());
-
-        let t0 = Instant::now();
-        let c = embed_with_scratch(&tree, forced, &mut s2);
-        t_parallel.push(t0.elapsed().as_secs_f64());
 
         // The byte-identical contract, checked on every rep.
         assert_eq!(a.emb, warm.emb, "X({r}): legacy embedding diverged");
         assert_eq!(b.emb, warm.emb, "X({r}): serial embedding diverged");
-        assert_eq!(c.emb, warm.emb, "X({r}): parallel embedding diverged");
         assert_eq!(a.log, b.log, "X({r}): build logs diverged");
     }
 
     let (allocs_legacy, _) = count_allocs(|| embed_legacy(&tree, EmbedOptions::default()));
-    let (allocs_serial, _) = count_allocs(|| embed_with_scratch(&tree, serial, &mut s1));
-    let (allocs_parallel, _) = count_allocs(|| embed_with_scratch(&tree, forced, &mut s2));
+    let (allocs_serial, _) = count_allocs(|| embed_with_scratch(&tree, serial, &mut scratch));
 
     SizeResult {
         r,
         nodes,
         legacy_p50_us: median(&mut t_legacy) * 1e6,
         serial_p50_us: median(&mut t_serial) * 1e6,
-        parallel_p50_us: median(&mut t_parallel) * 1e6,
         allocs_legacy,
         allocs_serial,
-        allocs_parallel,
     }
 }
 
 fn print_size(s: &SizeResult) {
     eprintln!(
-        "X({}): {} nodes — legacy {:.0}us, serial {:.0}us ({:.2}x), parallel {:.0}us, \
+        "X({}): {} nodes — legacy {:.0}us, serial {:.0}us ({:.2}x), \
          allocs {} -> {} per build",
         s.r,
         s.nodes,
         s.legacy_p50_us,
         s.serial_p50_us,
         s.speedup_serial(),
-        s.parallel_p50_us,
         s.allocs_legacy,
         s.allocs_serial,
     );
@@ -241,8 +211,8 @@ fn main() {
         .with(
             "workload",
             "seeded random-bst guests, one Theorem-1 build per rep; legacy (frozen pre-refactor \
-             builder) vs rebuilt serial (reused scratch) vs forced-parallel ADJUST; median over \
-             interleaved reps; allocation counts from a counting global allocator",
+             builder) vs rebuilt serial (reused scratch); median over interleaved reps; \
+             allocation counts from a counting global allocator",
         )
         .with("reps", reps)
         .with(

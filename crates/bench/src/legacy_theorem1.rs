@@ -675,7 +675,9 @@ pub fn embed_legacy(tree: &BinaryTree, opts: EmbedOptions) -> Theorem1Embedding 
     Theorem1Embedding {
         emb: XEmbedding {
             height: r,
-            map: b.assign,
+            // The embedding type stores heap ids; the frozen builder keeps
+            // its addresses and converts only here.
+            map: b.assign.iter().map(|a| a.heap_id() as u32).collect(),
         },
         trace: b.trace,
         log: b.log,

@@ -1,19 +1,19 @@
 //! Byte-identical contract of the rebuilt Theorem-1 hot path: the refactor
-//! (flat SoA interval storage, scratch reuse, two-phase parallel ADJUST)
-//! must emit *exactly* the embeddings of the frozen pre-refactor builder —
-//! same map, same Δ trace, same mechanism counters, same mass trace.
+//! (flat SoA interval storage, scratch reuse, two-phase ADJUST) must emit
+//! *exactly* the embeddings of the frozen pre-refactor builder — same map,
+//! same Δ trace, same mechanism counters, same mass trace.
 //!
 //! The reference lives in `xtree_bench::legacy_theorem1`, a verbatim copy
 //! of the builder as it stood before the rewrite. This test drives both
 //! over seeded trees at X(6)–X(10): every family at X(6), spot checks at
-//! the larger sizes, and — for the new builder — each of serial mode,
-//! forced-parallel mode, and a reused scratch, all of which must agree.
+//! the larger sizes, and — for the new builder — a fresh scratch and a
+//! reused one, both of which must agree.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use xtree_bench::legacy_theorem1::embed_legacy;
 use xtree_core::theorem1::{
-    embed_with, embed_with_scratch, EmbedOptions, Parallel, Theorem1Embedding, Theorem1Scratch,
+    embed_with, embed_with_scratch, EmbedOptions, Theorem1Embedding, Theorem1Scratch,
 };
 use xtree_trees::generate::{theorem1_size, TreeFamily};
 
@@ -54,21 +54,9 @@ fn new_builder_matches_legacy_in_every_mode() {
         let tree = family.generate(theorem1_size(r), &mut rng);
         let old = embed_legacy(&tree, EmbedOptions::default());
 
-        let serial = EmbedOptions {
-            parallel: Parallel::Off,
-            ..Default::default()
-        };
-        let forced = EmbedOptions {
-            parallel: Parallel::Force,
-            ..Default::default()
-        };
+        let serial = EmbedOptions::default();
         let label = format!("{family:?} X({r})");
         assert_same(&format!("{label} serial"), &embed_with(&tree, serial), &old);
-        assert_same(
-            &format!("{label} parallel"),
-            &embed_with(&tree, forced),
-            &old,
-        );
         assert_same(
             &format!("{label} reused scratch"),
             &embed_with_scratch(&tree, serial, &mut scratch),

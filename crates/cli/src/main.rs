@@ -33,7 +33,7 @@ use xtree_sim::{
     FaultSimReport, Host, HostMap, HypercubeHost, RecoveryPolicy, RecoveryTotals, Session,
     SessionStatus, SimReport, XTreeHost,
 };
-use xtree_topology::{Butterfly, Csr, CubeConnectedCycles, Graph, Mesh2D, XTree};
+use xtree_topology::{Address, Butterfly, Csr, CubeConnectedCycles, Graph, Mesh2D, XTree};
 use xtree_trees::{generate, BinaryTree, TreeFamily};
 
 /// What went wrong, carrying the process exit code: bad invocations exit
@@ -322,7 +322,7 @@ fn cmd_embed(a: &Args) -> Result<String, CliError> {
                         "map",
                         emb.map
                             .iter()
-                            .map(|addr| format!("{addr}"))
+                            .map(|&h| Address::from_heap_id(h as usize).to_string())
                             .collect::<Value>(),
                     );
                 }

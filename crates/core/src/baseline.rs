@@ -14,7 +14,6 @@
 use crate::embedding::XEmbedding;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use xtree_topology::Address;
 use xtree_trees::{BinaryTree, NodeId};
 
 /// Height of the optimal X-tree host for `n` guest nodes at load ≤ 16 —
@@ -28,7 +27,6 @@ pub fn optimal_height(n: usize) -> u8 {
 /// right, 16 guest nodes per host vertex.
 pub fn level_order(tree: &BinaryTree) -> XEmbedding {
     let r = optimal_height(tree.len());
-    let hosts: Vec<Address> = Address::all_up_to(r).collect();
     let mut order = Vec::with_capacity(tree.len());
     let mut queue = std::collections::VecDeque::from([tree.root()]);
     while let Some(v) = queue.pop_front() {
@@ -37,23 +35,23 @@ pub fn level_order(tree: &BinaryTree) -> XEmbedding {
             queue.push_back(c);
         }
     }
-    place_in_order(tree, &order, &hosts, r)
+    place_in_order(tree, &order, r)
 }
 
 /// Preorder the guest tree and fill host vertices in heap order, 16 guest
 /// nodes per host vertex.
 pub fn dfs_order(tree: &BinaryTree) -> XEmbedding {
     let r = optimal_height(tree.len());
-    let hosts: Vec<Address> = Address::all_up_to(r).collect();
     let order = tree.preorder();
-    place_in_order(tree, &order, &hosts, r)
+    place_in_order(tree, &order, r)
 }
 
 /// Uniformly random load-balanced placement (host slots shuffled).
 pub fn random_assignment<R: Rng + ?Sized>(tree: &BinaryTree, rng: &mut R) -> XEmbedding {
     let r = optimal_height(tree.len());
-    let mut slots: Vec<Address> = Address::all_up_to(r)
-        .flat_map(|a| std::iter::repeat_n(a, 16))
+    let host_len = (1u32 << (r + 1)) - 1;
+    let mut slots: Vec<u32> = (0..host_len)
+        .flat_map(|h| std::iter::repeat_n(h, 16))
         .collect();
     slots.shuffle(rng);
     slots.truncate(tree.len());
@@ -63,11 +61,12 @@ pub fn random_assignment<R: Rng + ?Sized>(tree: &BinaryTree, rng: &mut R) -> XEm
     }
 }
 
-fn place_in_order(tree: &BinaryTree, order: &[NodeId], hosts: &[Address], r: u8) -> XEmbedding {
+/// Fills host vertices in heap order, 16 guest nodes of `order` each.
+fn place_in_order(tree: &BinaryTree, order: &[NodeId], r: u8) -> XEmbedding {
     assert_eq!(order.len(), tree.len());
-    let mut map = vec![Address::ROOT; tree.len()];
+    let mut map = vec![0u32; tree.len()];
     for (i, &v) in order.iter().enumerate() {
-        map[v.index()] = hosts[i / 16];
+        map[v.index()] = (i / 16) as u32;
     }
     XEmbedding { height: r, map }
 }

@@ -18,15 +18,24 @@ use xtree_trees::{BinaryTree, NodeId};
 pub struct XEmbedding {
     /// Height of the host X-tree.
     pub height: u8,
-    /// Image of each guest node, indexed by [`NodeId`].
-    pub map: Vec<Address>,
+    /// Heap id ([`Address::heap_id`]) of each guest node's image, indexed
+    /// by [`NodeId`]; [`Self::image`] decodes one back to its address.
+    ///
+    /// Ids take 4 bytes per guest node where an [`Address`] takes 16, and
+    /// a cached embedding is mostly this vector. `X(r)` has ids below
+    /// `2^{r+1} − 1`, so they fit in `u32` for every `r ≤ 31`. No X-tree
+    /// here is taller than `X(24)`
+    /// ([`XTREE_MAX_HEIGHT`](xtree_topology::XTREE_MAX_HEIGHT), which
+    /// `XTree::new` asserts), and Theorem 2 adds 4 levels to a Theorem-1
+    /// host.
+    pub map: Vec<u32>,
 }
 
 impl XEmbedding {
     /// The image of `v`.
     #[inline]
     pub fn image(&self, v: NodeId) -> Address {
-        self.map[v.index()]
+        Address::from_heap_id(self.map[v.index()] as usize)
     }
 
     /// Number of guest nodes.
@@ -41,10 +50,12 @@ impl XEmbedding {
 
     /// Checks that every image fits inside the host; panics otherwise.
     pub fn validate(&self) {
-        for (i, a) in self.map.iter().enumerate() {
+        let host_len = self.host_len();
+        for (i, &id) in self.map.iter().enumerate() {
             assert!(
-                a.level() <= self.height,
-                "node {i} mapped to {a}, below X({})",
+                (id as usize) < host_len,
+                "node {i} mapped to {}, below X({})",
+                Address::from_heap_id(id as usize),
                 self.height
             );
         }
@@ -53,8 +64,8 @@ impl XEmbedding {
     /// Guest nodes per host vertex, indexed by heap id.
     pub fn load_vector(&self) -> Vec<u32> {
         let mut load = vec![0u32; self.host_len()];
-        for a in &self.map {
-            load[a.heap_id()] += 1;
+        for &id in &self.map {
+            load[id as usize] += 1;
         }
         load
     }
@@ -140,13 +151,12 @@ mod tests {
         // 3 nodes onto X(1): root at ε, children at 0 and 1.
         let e = XEmbedding {
             height: 1,
-            map: vec![
-                Address::ROOT,
-                Address::parse("0").unwrap(),
-                Address::parse("1").unwrap(),
-            ],
+            map: vec![0, 1, 2],
         };
         e.validate();
+        assert_eq!(e.image(NodeId(0)), Address::ROOT);
+        assert_eq!(e.image(NodeId(1)), Address::parse("0").unwrap());
+        assert_eq!(e.image(NodeId(2)), Address::parse("1").unwrap());
         assert_eq!(e.host_len(), 3);
         assert!(e.is_injective());
         assert_eq!(e.max_load(), 1);
@@ -156,9 +166,10 @@ mod tests {
     #[test]
     fn load_counts_multiplicity() {
         let a = Address::parse("0").unwrap();
+        let id = a.heap_id() as u32;
         let e = XEmbedding {
             height: 1,
-            map: vec![a, a, a, Address::ROOT],
+            map: vec![id, id, id, 0],
         };
         assert_eq!(e.max_load(), 3);
         assert!(!e.is_injective());
@@ -172,7 +183,7 @@ mod tests {
     fn validate_rejects_deep_addresses() {
         let e = XEmbedding {
             height: 1,
-            map: vec![Address::parse("00").unwrap()],
+            map: vec![Address::parse("00").unwrap().heap_id() as u32],
         };
         e.validate();
     }

@@ -13,6 +13,7 @@
 use crate::embedding::{QEmbedding, XEmbedding};
 use crate::hypercube::lemma3::lemma3_label;
 use crate::theorem1;
+use xtree_topology::Address;
 use xtree_trees::BinaryTree;
 
 /// Theorem 3 end to end: embeds a binary tree with `n = 16·(2^r − 1)`
@@ -38,7 +39,11 @@ pub fn compose_with_lemma3(emb: &XEmbedding) -> QEmbedding {
     let r = emb.height;
     QEmbedding {
         dim: r + 1,
-        map: emb.map.iter().map(|&a| lemma3_label(a, r)).collect(),
+        map: emb
+            .map
+            .iter()
+            .map(|&id| lemma3_label(Address::from_heap_id(id as usize), r))
+            .collect(),
     }
 }
 
@@ -69,16 +74,15 @@ pub fn injectivize_by_suffix(emb: &QEmbedding) -> QEmbedding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtree_topology::Address;
     use xtree_trees::generate;
 
     /// A hand-made load-16 X-tree embedding: nodes in heap-ish blocks.
     fn blocky_embedding(r: u8, n: usize) -> XEmbedding {
-        let host: Vec<Address> = Address::all_up_to(r).collect();
-        assert!(n <= host.len() * 16);
+        let host_len = (1usize << (r + 1)) - 1;
+        assert!(n <= host_len * 16);
         XEmbedding {
             height: r,
-            map: (0..n).map(|i| host[i / 16]).collect(),
+            map: (0..n).map(|i| (i / 16) as u32).collect(),
         }
     }
 

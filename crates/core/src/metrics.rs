@@ -6,7 +6,7 @@
 //! deeper image lies in the `N(a)` neighbourhood of the shallower one.
 
 use crate::embedding::XEmbedding;
-use xtree_topology::{neighborhood, Address, XTree};
+use xtree_topology::{neighborhood, XTree};
 use xtree_trees::BinaryTree;
 
 /// Summary statistics of an X-tree embedding.
@@ -152,7 +152,7 @@ pub fn heap_order_embedding(tree: &BinaryTree, height: u8) -> XEmbedding {
     assert!(tree.len() <= host_len, "guest does not fit");
     XEmbedding {
         height,
-        map: (0..tree.len()).map(Address::from_heap_id).collect(),
+        map: (0..tree.len() as u32).collect(),
     }
 }
 
@@ -207,15 +207,8 @@ mod tests {
         // A star-ish guest all mapped around the root: children edges all
         // cross the two root links.
         let t = generate::left_complete(7);
-        let map = vec![
-            Address::ROOT,
-            Address::parse("0").unwrap(),
-            Address::parse("1").unwrap(),
-            Address::parse("0").unwrap(),
-            Address::parse("0").unwrap(),
-            Address::parse("1").unwrap(),
-            Address::parse("1").unwrap(),
-        ];
+        // Heap ids: ε = 0, "0" = 1, "1" = 2.
+        let map = vec![0, 1, 2, 1, 1, 2, 2];
         let e = XEmbedding { height: 1, map };
         let host = XTree::new(1);
         // Edges 1-3, 1-4 stay on vertex "0" (no links); 0-1 and 0-2 use the
@@ -228,7 +221,7 @@ mod tests {
         let t = generate::path(5);
         let e = XEmbedding {
             height: 2,
-            map: vec![Address::ROOT; 5],
+            map: vec![0; 5],
         };
         let s = evaluate(&t, &e);
         assert_eq!(s.dilation, 0);

@@ -17,7 +17,7 @@
 
 use crate::embedding::XEmbedding;
 use std::fmt;
-use xtree_topology::{analytic_distance, Address, Graph, XTree};
+use xtree_topology::{analytic_distance, Graph, XTree};
 use xtree_trees::BinaryTree;
 
 /// Tunables of a repair pass.
@@ -131,7 +131,7 @@ pub struct Repaired {
 /// True when every guest image satisfies `alive` — the post-repair
 /// invariant. The simulator wraps this as `validate_against(&FaultState)`.
 pub fn all_alive<F: Fn(u32) -> bool>(emb: &XEmbedding, alive: F) -> bool {
-    emb.map.iter().all(|a| alive(a.heap_id() as u32))
+    emb.map.iter().all(|&id| alive(id))
 }
 
 fn dilation_of(tree: &BinaryTree, emb: &XEmbedding) -> u32 {
@@ -194,7 +194,7 @@ pub fn repair_in_place<F: Fn(u32, u32) -> bool>(
         alive[v as usize] = false;
     }
     let affected: Vec<usize> = (0..emb.map.len())
-        .filter(|&g| !alive[emb.map[g].heap_id()])
+        .filter(|&g| !alive[emb.map[g] as usize])
         .collect();
     if affected.is_empty() {
         return Ok(None);
@@ -209,11 +209,11 @@ pub fn repair_in_place<F: Fn(u32, u32) -> bool>(
     let mut relocations = Vec::with_capacity(affected.len());
 
     for &guest in &affected {
-        let from = emb.map[guest].heap_id() as u32;
+        let from = emb.map[guest];
         match find_home(graph, &alive, &load, from, cfg, &link_ok) {
             Some((to, radius)) => {
                 load[to as usize] += 1;
-                emb.map[guest] = Address::from_heap_id(to as usize);
+                emb.map[guest] = to;
                 relocations.push(Relocation {
                     guest,
                     from,
@@ -318,7 +318,7 @@ mod tests {
             .expect("guest 14 lives on vertex 14");
         assert_eq!(r.report.migrated, 1);
         assert_eq!(r.report.relocations[0].from, 14);
-        assert_ne!(r.emb.map[14].heap_id(), 14);
+        assert_ne!(r.emb.map[14], 14);
         assert!(all_alive(&r.emb, |v| !dead.contains(&v)));
         assert!(r.report.max_load <= RepairConfig::default().load_cap);
         assert!(r.report.dilation >= r.report.dilation_before);
@@ -334,10 +334,7 @@ mod tests {
         match (a, b) {
             (Some(x), Some(y)) => {
                 assert_eq!(x.report, y.report);
-                assert_eq!(
-                    x.emb.map.iter().map(|a| a.heap_id()).collect::<Vec<_>>(),
-                    y.emb.map.iter().map(|a| a.heap_id()).collect::<Vec<_>>()
-                );
+                assert_eq!(x.emb.map, y.emb.map);
             }
             (None, None) => {}
             _ => panic!("non-deterministic repair"),
@@ -350,7 +347,7 @@ mod tests {
         // guest, so a cap of 1 leaves nowhere to go.
         let t = generate::left_complete(15);
         let e = heap_order_embedding(&t, 3);
-        let before: Vec<usize> = e.map.iter().map(|a| a.heap_id()).collect();
+        let before = e.map.clone();
         let cfg = RepairConfig {
             load_cap: 1,
             max_radius: 8,
@@ -358,8 +355,7 @@ mod tests {
         let mut work = e.clone();
         let err = repair_in_place(&t, &mut work, &[5], &cfg, |_, _| true).unwrap_err();
         assert!(matches!(err, RepairError::Infeasible { from: 5, .. }));
-        let after: Vec<usize> = work.map.iter().map(|a| a.heap_id()).collect();
-        assert_eq!(before, after, "failed repair must restore the embedding");
+        assert_eq!(before, work.map, "failed repair must restore the embedding");
     }
 
     #[test]

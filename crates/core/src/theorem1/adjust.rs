@@ -20,28 +20,18 @@
 //!
 //! Execution model (DESIGN.md §13): every sweep runs in two phases. The
 //! **decide** phase computes, per sibling pair, which intervals to move
-//! and the (at most one) Lemma-2 separation — reading only that pair's
-//! disjoint region, so the decisions can be computed on worker threads.
-//! The **apply** phase commits the plans serially in pair order, which
-//! makes serial and parallel execution byte-identical. Leaf masses come
-//! from a per-sweep prefix-sum snapshot over a plain array (replacing the
-//! old Fenwick tree): within one sweep, another pair's moves stay inside
-//! its own index range, so the snapshot equals what live queries would
-//! return.
+//! and the (at most one) Lemma-2 separation, reading only that pair's
+//! region and a per-sweep snapshot of the leaf masses. The **apply**
+//! phase then commits the plans in pair order. The snapshot is a prefix
+//! sum over a plain array (replacing the old Fenwick tree): within one
+//! sweep, another pair's moves stay inside its own index range, so the
+//! snapshot equals what live queries would return, and the two phases
+//! reproduce the legacy decide-and-apply-per-pair order exactly.
 
-use super::state::{Builder, IntId, Parallel};
-use rayon::prelude::*;
+use super::state::{Builder, IntId};
 use smallvec::SmallVec;
 use xtree_topology::Address;
 use xtree_trees::{lemma2_with, Separation, SeparatorScratch};
-
-/// Auto-parallel gate: a sweep goes parallel only with at least this many
-/// sibling pairs (the workspace rayon spawns scoped threads per call, so
-/// tiny sweeps lose more to thread start-up than they gain) …
-const PAR_MIN_PAIRS: usize = 4;
-/// … and at least this much un-placed mass on the level (the decide cost
-/// is proportional to the mass the lemma calls traverse).
-const PAR_MIN_SWEEP_MASS: i64 = 1 << 16;
 
 /// What one sibling pair decided to do, computed read-only in phase one
 /// and committed in phase two.
@@ -83,32 +73,12 @@ pub(crate) fn adjust_phase(b: &mut Builder<'_>, i: u8) {
         }
         pairs.clear();
         pairs.extend(Address::level_iter(j));
-        let use_par = match b.opts.parallel {
-            Parallel::Off => false,
-            Parallel::Force => true,
-            Parallel::Auto => pairs.len() >= PAR_MIN_PAIRS && prefix[width] >= PAR_MIN_SWEEP_MASS,
-        };
-        let plans: Vec<Option<PairPlan>> = if use_par {
-            let bb: &Builder<'_> = b;
-            let prefix_ref: &[i64] = &prefix;
-            pairs
-                .par_iter()
-                .map(|&alpha| {
-                    let mut scr = bb.pop_par_scratch();
-                    let plan = decide(bb, prefix_ref, alpha, i, &mut scr);
-                    bb.push_par_scratch(scr);
-                    plan
-                })
-                .collect()
-        } else {
-            let mut scr = std::mem::take(&mut b.s.sep_scratch);
-            let v = pairs
-                .iter()
-                .map(|&alpha| decide(b, &prefix, alpha, i, &mut scr))
-                .collect();
-            b.s.sep_scratch = scr;
-            v
-        };
+        let mut scr = std::mem::take(&mut b.s.sep_scratch);
+        let plans: Vec<Option<PairPlan>> = pairs
+            .iter()
+            .map(|&alpha| decide(b, &prefix, alpha, i, &mut scr))
+            .collect();
+        b.s.sep_scratch = scr;
         #[cfg(debug_assertions)]
         assert_plans_disjoint(&plans);
         for plan in plans.into_iter().flatten() {
@@ -132,8 +102,8 @@ fn movable(b: &Builder<'_>, id: IntId, bd: Address) -> bool {
 }
 
 /// Phase one: decides what the pair under `alpha` moves, reading only
-/// state inside `alpha`'s region (plus the per-sweep mass snapshot), so
-/// concurrent decides of one sweep never observe each other.
+/// state inside `alpha`'s region plus the per-sweep mass snapshot, so no
+/// decide of one sweep depends on another's plan.
 fn decide(
     b: &Builder<'_>,
     prefix: &[i64],
@@ -265,9 +235,11 @@ fn apply_plan(b: &mut Builder<'_>, plan: PairPlan, mass: &mut [i64]) {
     }
 }
 
-/// Debug check of the disjointness argument the parallel decide rests on:
-/// no interval may be claimed by two pairs of the same sweep, and no two
-/// pairs may share a boundary leaf.
+/// Debug check of the disjointness argument the apply phase rests on.
+/// Every plan of a sweep was decided from the same snapshot, before any
+/// of them was applied; applying them one after another is the legacy
+/// per-pair order only if no interval is claimed by two pairs and no two
+/// pairs share a boundary leaf.
 #[cfg(debug_assertions)]
 fn assert_plans_disjoint(plans: &[Option<PairPlan>]) {
     let mut ids = std::collections::HashSet::new();

@@ -22,7 +22,7 @@ mod split;
 mod state;
 mod trace;
 
-pub use state::{BuildLog, EmbedOptions, Parallel, Theorem1Scratch};
+pub use state::{BuildLog, EmbedOptions, Theorem1Scratch};
 pub use trace::paper_bound;
 
 use crate::embedding::XEmbedding;
@@ -99,6 +99,9 @@ pub fn embed_with(tree: &BinaryTree, opts: EmbedOptions) -> Theorem1Embedding {
 /// allocation (the hot path of a serving cache miss); the produced
 /// embedding is byte-identical to a fresh-scratch build. The scratch is
 /// handed back ready for the next call, whatever tree size that is.
+/// The returned map holds exactly `tree.len()` ids with no spare
+/// capacity, padded build or not, since callers such as the serving cache
+/// keep it as it is.
 pub fn embed_with_scratch(
     tree: &BinaryTree,
     opts: EmbedOptions,
@@ -120,6 +123,7 @@ pub fn embed_with_scratch(
         }
         let mut res = embed_exact(&padded, opts, scratch);
         res.emb.map.truncate(n);
+        res.emb.map.shrink_to_fit();
         return res;
     }
     embed_exact(tree, opts, scratch)
@@ -283,6 +287,22 @@ mod tests {
             let s = evaluate(&t, &res.emb);
             assert!(s.max_load <= 16, "n={n}");
             assert_eq!(res.emb.map.len(), n);
+        }
+    }
+
+    #[test]
+    fn padded_builds_keep_no_spare_map_capacity() {
+        // 2032 is exact (X(6)); 2033 and 3000 pad to X(7)'s 4080 nodes
+        // and must not keep the padded capacity.
+        let mut scratch = Theorem1Scratch::new();
+        for n in [2032usize, 2033, 3000] {
+            let t = generate::path(n);
+            let map = embed_with_scratch(&t, EmbedOptions::default(), &mut scratch)
+                .emb
+                .map;
+            assert_eq!(map.len(), n);
+            assert_eq!(map.capacity(), n, "n={n}: spare capacity kept");
+            assert_eq!(std::mem::size_of_val(map.as_slice()), 4 * n);
         }
     }
 

@@ -23,7 +23,6 @@
 //! per worker thread); the algorithm's outputs are invariant under reuse.
 
 use smallvec::SmallVec;
-use std::sync::Mutex;
 use xtree_topology::Address;
 use xtree_trees::{BinaryTree, NodeId, Separation, SeparatorScratch};
 
@@ -66,25 +65,6 @@ impl Interval {
     }
 }
 
-/// Whether ADJUST decides its sibling pairs on worker threads.
-///
-/// The pair decisions of one sweep touch disjoint subtree regions (the
-/// disjointness argument in DESIGN.md §13), so they can be computed
-/// concurrently and applied serially without changing a single output
-/// byte. Parallelism only pays once a sweep carries real work — the
-/// workspace rayon spawns scoped threads per call — hence the default is
-/// size-gated rather than unconditional.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Parallel {
-    /// Parallel decide above the size thresholds (the default).
-    #[default]
-    Auto,
-    /// Always decide serially.
-    Off,
-    /// Parallel decide on every sweep regardless of size (tests/benches).
-    Force,
-}
-
 /// Tunable switches of the construction, used by the ablation experiments
 /// to quantify how much each mechanism of algorithm X-TREE contributes.
 /// The default enables everything (the paper's algorithm).
@@ -100,8 +80,6 @@ pub struct EmbedOptions {
     /// 4 SPLIT slots + 8 forced children); the capacity ablation (A2)
     /// sweeps it to show where the slack stops mattering.
     pub capacity: u16,
-    /// Parallel ADJUST decide phase (outputs are identical either way).
-    pub parallel: Parallel,
 }
 
 impl Default for EmbedOptions {
@@ -111,7 +89,6 @@ impl Default for EmbedOptions {
             whole_moves: true,
             fine_balance: true,
             capacity: 16,
-            parallel: Parallel::Auto,
         }
     }
 }
@@ -170,12 +147,8 @@ pub struct Theorem1Scratch {
     /// Epoch-stamped part-2 membership for `apply_separation`.
     part2_mark: Vec<u32>,
     part2_epoch: u32,
-    /// Orientation buffers reused by every serial separator-lemma call.
+    /// Orientation buffers reused by every separator-lemma call.
     pub(crate) sep_scratch: SeparatorScratch,
-    /// Extra orientation buffers for the parallel ADJUST decide phase;
-    /// workers pop one and push it back (the workspace rayon has no
-    /// per-thread init hook).
-    par_pool: Mutex<Vec<SeparatorScratch>>,
     /// Flat CSR adjacency of the guest tree, in exact
     /// [`BinaryTree::neighbors`] order (parent first, then children):
     /// flood sweeps — the build's hottest loop — walk two contiguous
@@ -232,9 +205,10 @@ impl Theorem1Scratch {
 pub(crate) struct Builder<'t> {
     pub tree: &'t BinaryTree,
     pub opts: EmbedOptions,
-    /// The output map being built (moved into the result, so it is the
+    /// The output map being built, as image heap ids (moved into the
+    /// result as [`XEmbedding::map`](crate::XEmbedding::map), so it is the
     /// one per-build allocation that cannot be recycled).
-    pub assign: Vec<Address>,
+    pub assign: Vec<u32>,
     /// All recyclable state (placement, counts, slab, attachments, arenas).
     pub s: Theorem1Scratch,
     pub log: BuildLog,
@@ -282,7 +256,7 @@ impl<'t> Builder<'t> {
         Builder {
             tree,
             opts,
-            assign: vec![Address::ROOT; n],
+            assign: vec![0; n],
             s,
             log: BuildLog::default(),
             trace: Vec::new(),
@@ -295,7 +269,7 @@ impl<'t> Builder<'t> {
     pub fn finish(
         self,
         scratch: &mut Theorem1Scratch,
-    ) -> (Vec<Address>, BuildLog, Vec<Vec<u64>>, Vec<(u64, u64)>) {
+    ) -> (Vec<u32>, BuildLog, Vec<Vec<u64>>, Vec<(u64, u64)>) {
         let Builder {
             assign,
             s,
@@ -329,15 +303,18 @@ impl<'t> Builder<'t> {
     }
 
     /// Places one guest node; panics if the vertex is full (callers check).
+    ///
+    /// The only place a build turns an address into a map entry: heap ids
+    /// fit in `u32` up to `X(31)`, far above any buildable host, and debug
+    /// builds check it so a truncation can never be silent.
     pub fn place(&mut self, v: NodeId, at: Address) {
         debug_assert!(!self.s.placed[v.index()], "{v:?} placed twice");
-        assert!(
-            self.s.count[at.heap_id()] < self.cap(),
-            "capacity exceeded at {at}"
-        );
+        let h = at.heap_id();
+        debug_assert!(u32::try_from(h).is_ok(), "heap id of {at} overflows u32");
+        assert!(self.s.count[h] < self.cap(), "capacity exceeded at {at}");
         self.s.placed[v.index()] = true;
-        self.assign[v.index()] = at;
-        self.s.count[at.heap_id()] += 1;
+        self.assign[v.index()] = h as u32;
+        self.s.count[h] += 1;
     }
 
     /// Total attached interval mass at a vertex — O(1) from the SoA cache.
@@ -412,24 +389,6 @@ impl<'t> Builder<'t> {
         }
     }
 
-    /// One `SeparatorScratch` for a parallel ADJUST worker.
-    pub fn pop_par_scratch(&self) -> SeparatorScratch {
-        self.s
-            .par_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    pub fn push_par_scratch(&self, scr: SeparatorScratch) {
-        self.s
-            .par_pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(scr);
-    }
-
     /// Floods the un-placed component containing `start` (using the current
     /// sweep epoch so components are visited once per sweep) into `nodes`,
     /// returning the designated nodes with anchors.
@@ -452,7 +411,7 @@ impl<'t> Builder<'t> {
             for k in lo..hi {
                 let w = NodeId(self.s.adj[k]);
                 if self.s.placed[w.index()] {
-                    let a = self.assign[w.index()];
+                    let a = Address::from_heap_id(self.assign[w.index()] as usize);
                     // Prefer the shallowest anchor: its deadline is tightest.
                     anchor = Some(match anchor {
                         Some(b) if b.level() <= a.level() => b,
@@ -694,7 +653,8 @@ impl<'t> Builder<'t> {
                         self.tree
                             .neighbors(d)
                             .iter()
-                            .any(|w| self.s.placed[w.index()] && self.assign[w.index()] == anchor),
+                            .any(|w| self.s.placed[w.index()]
+                                && self.assign[w.index()] as usize == anchor.heap_id()),
                         "anchor {anchor} of {d:?} has no placed neighbour"
                     );
                     assert!(

@@ -10,6 +10,7 @@
 //! becomes an injective embedding into `X(r+4)` with dilation ≤ `d + 8`.
 
 use crate::embedding::XEmbedding;
+use xtree_topology::Address;
 
 /// Blows up each host vertex of a load-≤16 embedding into the 16 depth-4
 /// descendants, yielding an injective embedding into `X(height + 4)`.
@@ -21,16 +22,17 @@ pub fn injectivize(emb: &XEmbedding) -> XEmbedding {
     let map = emb
         .map
         .iter()
-        .map(|&a| {
-            let slot = used[a.heap_id()];
+        .map(|&id| {
+            let a = Address::from_heap_id(id as usize);
+            let slot = used[id as usize];
             assert!(slot < 16, "load exceeds 16 at vertex {a}");
-            used[a.heap_id()] += 1;
+            used[id as usize] += 1;
             // Append the 4-bit suffix: two levels of child(bit) twice.
             let mut b = a;
             for k in (0..4).rev() {
                 b = b.child((slot >> k) & 1);
             }
-            b
+            b.heap_id() as u32
         })
         .collect();
     XEmbedding {
@@ -43,15 +45,14 @@ pub fn injectivize(emb: &XEmbedding) -> XEmbedding {
 mod tests {
     use super::*;
     use crate::metrics::{evaluate, heap_order_embedding};
-    use xtree_topology::Address;
-    use xtree_trees::generate;
+    use xtree_trees::{generate, NodeId};
 
     #[test]
     fn becomes_injective() {
         // All 32 nodes of a path on one X(1) vertex pair, load 16.
         let _ = generate::path(32);
-        let a0 = Address::parse("0").unwrap();
-        let a1 = Address::parse("1").unwrap();
+        let a0 = Address::parse("0").unwrap().heap_id() as u32;
+        let a1 = Address::parse("1").unwrap().heap_id() as u32;
         let mut map = vec![a0; 16];
         map.extend(vec![a1; 16]);
         let e = XEmbedding { height: 1, map };
@@ -66,8 +67,8 @@ mod tests {
         let t = generate::left_complete(15);
         let e = heap_order_embedding(&t, 3);
         let inj = injectivize(&e);
-        for (i, &b) in inj.map.iter().enumerate() {
-            let a = e.map[i];
+        for v in t.nodes() {
+            let (a, b) = (e.image(v), inj.image(v));
             assert_eq!(b.level(), a.level() + 4);
             assert!(a.is_ancestor_of(b), "{a} not an ancestor of {b}");
         }
@@ -93,10 +94,12 @@ mod tests {
 
     #[test]
     fn distinct_suffixes_per_vertex() {
-        let map = vec![Address::ROOT; 16];
+        let map = vec![0; 16];
         let e = XEmbedding { height: 0, map };
         let inj = injectivize(&e);
-        let mut suffixes: Vec<u64> = inj.map.iter().map(|b| b.index() & 0xf).collect();
+        let mut suffixes: Vec<u64> = (0..16)
+            .map(|v| inj.image(NodeId(v)).index() & 0xf)
+            .collect();
         suffixes.sort_unstable();
         assert_eq!(suffixes, (0..16).collect::<Vec<u64>>());
     }
@@ -106,7 +109,7 @@ mod tests {
     fn rejects_load_17() {
         let e = XEmbedding {
             height: 0,
-            map: vec![Address::ROOT; 17],
+            map: vec![0; 17],
         };
         let _ = injectivize(&e);
     }

@@ -98,16 +98,7 @@ impl UniversalGraph {
             universal_node_count(self.height),
             "guest must have exactly 2^{{r+5}} − 16 nodes"
         );
-        let mut used = vec![0usize; emb.host_len()];
-        emb.map
-            .iter()
-            .map(|&a| {
-                let s = used[a.heap_id()];
-                assert!(s < 16, "load exceeds 16 at {a}");
-                used[a.heap_id()] += 1;
-                (a.heap_id() * 16 + s) as u32
-            })
-            .collect()
+        slot_ids(emb)
     }
 
     /// The paper's closing conjecture ("we have no doubt that one could
@@ -132,16 +123,7 @@ impl UniversalGraph {
         );
         // Deepen short addresses not needed: X(r') is a sub-X-tree of X(r)
         // sharing addresses, and N(a) within X(r') ⊆ N(a) within X(r).
-        let mut used = vec![0usize; (1usize << (self.height + 1)) - 1];
-        emb.map
-            .iter()
-            .map(|&a| {
-                let s = used[a.heap_id()];
-                assert!(s < 16, "load exceeds 16 at {a}");
-                used[a.heap_id()] += 1;
-                (a.heap_id() * 16 + s) as u32
-            })
-            .collect()
+        slot_ids(&emb)
     }
 
     /// Checks the spanning-subgraph property: every guest edge must map to
@@ -162,6 +144,30 @@ impl UniversalGraph {
             })
             .collect()
     }
+}
+
+/// Theorem 4's slot assignment for a load-≤16 X-tree embedding: the
+/// guests sharing an X-tree vertex `h` take its slots in guest order, so
+/// each lands on its own slot vertex `16·h + s` of `G_n`.
+///
+/// # Panics
+/// Panics if some X-tree vertex carries more than 16 guest nodes.
+pub fn slot_ids(emb: &XEmbedding) -> Vec<u32> {
+    let mut used = vec![0u32; emb.host_len()];
+    emb.map
+        .iter()
+        .map(|&h| {
+            let s = &mut used[h as usize];
+            assert!(
+                *s < 16,
+                "load exceeds 16 at {}",
+                Address::from_heap_id(h as usize)
+            );
+            let slot = h * 16 + *s;
+            *s += 1;
+            slot
+        })
+        .collect()
 }
 
 #[cfg(test)]

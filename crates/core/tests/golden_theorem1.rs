@@ -1,7 +1,7 @@
 //! Golden-output pinning of the Theorem-1 builder.
 //!
 //! The perf rebuild of the builder interior (SoA attachments, interval
-//! free-list, scratch reuse, parallel ADJUST) promises **byte-identical**
+//! free-list, scratch reuse, heap-id maps) promises **byte-identical**
 //! results. These fingerprints were generated from the pre-refactor
 //! builder; any behavioural drift — a different embedding, trace row,
 //! mass trace, or mechanism counter — changes the FNV hash and fails.
@@ -13,6 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use xtree_core::theorem1::{self, Theorem1Embedding};
 use xtree_trees::generate::{theorem1_size, TreeFamily};
+use xtree_trees::NodeId;
 
 /// FNV-1a over a stream of u64 words.
 struct Fnv(u64);
@@ -32,11 +33,14 @@ impl Fnv {
 
 /// One hash covering everything the golden contract pins: the embedding
 /// map, the convergence trace, the mass trace, and every BuildLog counter.
+/// Each image is hashed as its `(level, index)` address, whatever the
+/// map stores, so the constants outlive changes of representation.
 fn fingerprint(res: &Theorem1Embedding) -> u64 {
     let mut h = Fnv::new();
     h.word(u64::from(res.emb.height));
-    h.word(res.emb.map.len() as u64);
-    for a in &res.emb.map {
+    h.word(res.emb.guest_len() as u64);
+    for v in 0..res.emb.guest_len() {
+        let a = res.emb.image(NodeId(v as u32));
         h.word(u64::from(a.level()));
         h.word(a.index());
     }

@@ -24,7 +24,7 @@
 
 use std::fmt;
 use xtree_core::hypercube::lemma3_label;
-use xtree_core::universal::UniversalGraph;
+use xtree_core::universal::{slot_ids, UniversalGraph};
 use xtree_core::XEmbedding;
 use xtree_topology::routing::{hypercube_next_hop, xtree_next_hop};
 use xtree_topology::{analytic_distance, Address, Csr, Graph, Hypercube, XTree};
@@ -591,9 +591,10 @@ impl Host for AnyHost {
     }
 }
 
-/// Guest map onto the X-tree backend: heap ids of the embedding images.
+/// Guest map onto the X-tree backend: heap ids of the embedding images,
+/// which is what the embedding stores.
 pub fn xtree_guest_map(emb: &XEmbedding) -> Vec<u32> {
-    emb.map.iter().map(|a| a.heap_id() as u32).collect()
+    emb.map.clone()
 }
 
 /// Guest map onto the hypercube backend: Lemma-3 labels of the images
@@ -602,8 +603,8 @@ pub fn hypercube_guest_map(emb: &XEmbedding) -> Vec<u32> {
     let r = emb.height;
     emb.map
         .iter()
-        .map(|&a| {
-            let label = lemma3_label(a, r);
+        .map(|&h| {
+            let label = lemma3_label(Address::from_heap_id(h as usize), r);
             debug_assert!(label <= u64::from(u32::MAX));
             label as u32
         })
@@ -612,24 +613,14 @@ pub fn hypercube_guest_map(emb: &XEmbedding) -> Vec<u32> {
 
 /// Guest map onto the universal backend: each of the ≤ 16 guests sharing
 /// an X-tree vertex takes a distinct slot in that vertex's 16-clique —
-/// Theorem 4's subgraph assignment, reconstructed from the cached
-/// embedding without re-running Theorem 1.
+/// Theorem 4's subgraph assignment ([`slot_ids`]), reconstructed from
+/// the cached embedding without re-running Theorem 1.
 ///
 /// # Panics
 /// Panics if some X-tree vertex carries more than 16 guests (a load-16
 /// embedding never does).
 pub fn universal_guest_map(emb: &XEmbedding) -> Vec<u32> {
-    let mut used = vec![0u32; emb.host_len()];
-    emb.map
-        .iter()
-        .map(|a| {
-            let h = a.heap_id();
-            let slot = used[h];
-            assert!(slot < 16, "load exceeds 16 at X-tree vertex {h}");
-            used[h] += 1;
-            (h as u32) * 16 + slot
-        })
-        .collect()
+    slot_ids(emb)
 }
 
 /// The guest map for any backend tag. `None` for unknown tags.

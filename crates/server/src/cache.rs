@@ -216,7 +216,6 @@ impl EmbeddingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xtree_topology::Address;
 
     fn key(seed: u64) -> EmbeddingKey {
         EmbeddingKey {
@@ -231,7 +230,7 @@ mod tests {
     fn emb(height: u8) -> Arc<XEmbedding> {
         Arc::new(XEmbedding {
             height,
-            map: vec![Address::ROOT],
+            map: vec![0],
         })
     }
 

@@ -23,7 +23,7 @@ use crate::error::SimError;
 use crate::session::SessionSnapshot;
 use xtree_core::XEmbedding;
 use xtree_telemetry::varint::{decode_u64, encode_u64};
-use xtree_topology::Address;
+use xtree_topology::XTREE_MAX_HEIGHT;
 
 /// File magic; the trailing digit is the format version.
 pub const MAGIC: &[u8; 7] = b"XCKPT1\n";
@@ -71,8 +71,8 @@ pub fn encode_checkpoint(c: &Checkpoint) -> Vec<u8> {
     buf.extend_from_slice(c.session.bytes());
     encode_u64(&mut buf, u64::from(c.embedding.height));
     encode_u64(&mut buf, c.embedding.map.len() as u64);
-    for a in &c.embedding.map {
-        encode_u64(&mut buf, a.heap_id() as u64);
+    for &id in &c.embedding.map {
+        encode_u64(&mut buf, u64::from(id));
     }
     encode_u64(&mut buf, c.config.len() as u64);
     buf.extend_from_slice(c.config.as_bytes());
@@ -86,7 +86,8 @@ pub fn encode_checkpoint(c: &Checkpoint) -> Vec<u8> {
 ///
 /// # Errors
 /// [`SimError::BadCheckpoint`] on a wrong magic, truncation, trailing
-/// bytes, an out-of-host heap id, or non-UTF-8 config.
+/// bytes, an X-tree taller than [`XTREE_MAX_HEIGHT`], an out-of-host heap
+/// id, or non-UTF-8 config.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, SimError> {
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(bad("missing XCKPT1 magic (not a checkpoint file?)"));
@@ -95,21 +96,27 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, SimError> {
     let session_len = word(bytes, &mut pos)? as usize;
     let session = SessionSnapshot::from_bytes(take(bytes, &mut pos, session_len)?.to_vec());
     let height = word(bytes, &mut pos)?;
+    // No X-tree is taller than XTree::new builds, and the bound keeps
+    // every heap id inside the embedding's u32 map.
     let height = u8::try_from(height)
         .ok()
-        .filter(|&h| h <= 60)
-        .ok_or_else(|| bad(format!("implausible X-tree height {height}")))?;
-    let host_len = (1usize << (height + 1)) - 1;
-    let n = word(bytes, &mut pos)? as usize;
+        .filter(|&h| h <= XTREE_MAX_HEIGHT)
+        .ok_or_else(|| {
+            bad(format!(
+                "X-tree height {height} exceeds the maximum {XTREE_MAX_HEIGHT}"
+            ))
+        })?;
+    let host_len = (1u32 << (height + 1)) - 1;
+    let n = word(bytes, &mut pos)?;
     let mut map = Vec::new();
     for i in 0..n {
-        let id = word(bytes, &mut pos)? as usize;
-        if id >= host_len {
+        let id = word(bytes, &mut pos)?;
+        if id >= u64::from(host_len) {
             return Err(bad(format!(
                 "guest {i} mapped to heap id {id}, outside X({height})"
             )));
         }
-        map.push(Address::from_heap_id(id));
+        map.push(id as u32);
     }
     let embedding = XEmbedding { height, map };
     let config_len = word(bytes, &mut pos)? as usize;
@@ -138,7 +145,7 @@ mod tests {
             session: SessionSnapshot::from_bytes(vec![1, 2, 3, 42]),
             embedding: XEmbedding {
                 height: 2,
-                map: (0..7usize).map(Address::from_heap_id).collect(),
+                map: (0..7).collect(),
             },
             config: r#"{"tree":"complete","nodes":7}"#.into(),
             trace: b"XTRACE1\n-pretend-trace".to_vec(),
@@ -176,9 +183,25 @@ mod tests {
     #[test]
     fn rejects_out_of_host_images() {
         let mut c = sample();
-        c.embedding.map[3] = Address::from_heap_id(7); // X(2) has ids 0..7
+        c.embedding.map[3] = 7; // X(2) has ids 0..7
         let bytes = encode_checkpoint(&c);
         let err = decode_checkpoint(&bytes).unwrap_err();
         assert!(err.to_string().contains("outside X(2)"), "{err}");
+    }
+
+    #[test]
+    fn rejects_heights_above_the_tallest_xtree() {
+        let mut c = sample();
+        c.embedding.height = XTREE_MAX_HEIGHT;
+        assert_eq!(decode_checkpoint(&encode_checkpoint(&c)).unwrap(), c);
+        for height in [XTREE_MAX_HEIGHT + 1, 40, 60, 255] {
+            c.embedding.height = height;
+            let err = decode_checkpoint(&encode_checkpoint(&c)).unwrap_err();
+            assert!(
+                matches!(err, SimError::BadCheckpoint { .. }),
+                "height {height}: {err}"
+            );
+            assert!(err.to_string().contains("exceeds the maximum"), "{err}");
+        }
     }
 }

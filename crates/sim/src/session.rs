@@ -32,6 +32,7 @@ use xtree_core::XEmbedding;
 use xtree_host::Host;
 use xtree_telemetry::varint::{decode_u64, encode_u64};
 use xtree_telemetry::Sink;
+use xtree_topology::XTREE_MAX_HEIGHT;
 use xtree_trees::BinaryTree;
 
 /// Cross-round recovery totals of one session.
@@ -266,6 +267,38 @@ impl SessionSnapshot {
     }
 }
 
+/// Why `emb` cannot drive a session of `tree` on `net`, if it cannot: a
+/// checkpoint carries the embedding, while the CLI regenerates the tree
+/// from the stored config, so the two can disagree.
+fn check_fit<H: Host>(net: &H, tree: &BinaryTree, emb: &XEmbedding) -> Result<(), SimError> {
+    let bad = |reason: String| Err(SimError::BadCheckpoint { reason });
+    if emb.guest_len() != tree.len() {
+        return bad(format!(
+            "embedding maps {} guest nodes, the tree has {}",
+            emb.guest_len(),
+            tree.len()
+        ));
+    }
+    let vertices = net.node_count();
+    if emb.height > XTREE_MAX_HEIGHT || emb.host_len() != vertices {
+        return bad(format!(
+            "embedding is for X({}), the host has {vertices} vertices",
+            emb.height
+        ));
+    }
+    if let Some((v, id)) = emb
+        .map
+        .iter()
+        .enumerate()
+        .find(|&(_, &id)| id as usize >= vertices)
+    {
+        return bad(format!(
+            "guest {v} mapped to vertex {id}, outside the {vertices}-vertex host"
+        ));
+    }
+    Ok(())
+}
+
 fn snap_word(bytes: &[u8], pos: &mut usize) -> Result<u64, SimError> {
     decode_u64(bytes, pos).ok_or_else(|| SimError::BadCheckpoint {
         reason: "session snapshot truncated".into(),
@@ -339,8 +372,10 @@ impl<'a, H: Host> Session<'a, H, XEmbedding> {
     /// session continues exactly where the snapshot was taken.
     ///
     /// # Errors
-    /// [`SimError::BadCheckpoint`] on truncated or corrupt bytes, or when
-    /// the workload cursor disagrees with the banked reports;
+    /// [`SimError::BadCheckpoint`] on truncated or corrupt bytes, when the
+    /// workload cursor disagrees with the banked reports, or when `emb`
+    /// does not fit the run: it must hold one image per node of `tree`,
+    /// name an X-tree the size of `net`, and map only to vertices of `net`;
     /// [`SimError::InvalidFault`] when the embedded plan does not fit
     /// `net`.
     pub fn resume(
@@ -350,6 +385,7 @@ impl<'a, H: Host> Session<'a, H, XEmbedding> {
         policy: Option<RecoveryPolicy>,
         snap: &SessionSnapshot,
     ) -> Result<Self, SimError> {
+        check_fit(net, tree, &emb)?;
         let bytes = &snap.data;
         let mut pos = 0usize;
         let engine_clock = snap_word(bytes, &mut pos)?;
@@ -574,5 +610,54 @@ mod tests {
                 "cursor {cursor}: {err:?}"
             );
         }
+    }
+
+    /// A paused session's snapshot and a resume of it with `emb`.
+    fn resume_with(emb: XEmbedding) -> Result<(), SimError> {
+        let (net, tree, good) = setup(2);
+        let mut s = Session::new(&net, &tree, good, FaultPlan::new(), None);
+        s.run_with(1, &mut NopSink).unwrap();
+        let snap = s.snapshot();
+        Session::resume(&net, &tree, emb, None, &snap).map(|_| ())
+    }
+
+    fn assert_bad_checkpoint(res: Result<(), SimError>, what: &str) {
+        match res {
+            Err(SimError::BadCheckpoint { reason }) => {
+                assert!(reason.contains(what), "{reason}")
+            }
+            other => panic!("expected BadCheckpoint ({what}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resume_rejects_an_embedding_of_another_tree_size() {
+        let (_, _, emb) = setup(2);
+        assert!(resume_with(emb.clone()).is_ok());
+        let mut short = emb.clone();
+        short.map.pop();
+        assert_bad_checkpoint(resume_with(short), "guest nodes, the tree has");
+        let mut long = emb;
+        long.map.push(0);
+        assert_bad_checkpoint(resume_with(long), "guest nodes, the tree has");
+    }
+
+    #[test]
+    fn resume_rejects_an_embedding_for_another_host() {
+        let (_, _, emb) = setup(2);
+        for height in [1, 3, XTREE_MAX_HEIGHT + 1, u8::MAX] {
+            let other = XEmbedding {
+                height,
+                ..emb.clone()
+            };
+            assert_bad_checkpoint(resume_with(other), "the host has 7 vertices");
+        }
+    }
+
+    #[test]
+    fn resume_rejects_images_outside_the_host() {
+        let (_, _, mut emb) = setup(2);
+        emb.map[4] = 7; // X(2) has vertices 0..7
+        assert_bad_checkpoint(resume_with(emb), "guest 4 mapped to vertex 7");
     }
 }

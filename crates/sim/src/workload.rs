@@ -24,7 +24,7 @@ pub trait HostMap {
 
 impl HostMap for XEmbedding {
     fn host_of(&self, v: NodeId) -> u32 {
-        self.image(v).heap_id() as u32
+        self.map[v.index()]
     }
 }
 

@@ -34,7 +34,7 @@ pub use graph::{Csr, Graph};
 pub use hypercube::Hypercube;
 pub use mesh::Mesh2D;
 pub use neighborhood::{in_neighborhood, inverse_only, neighborhood};
-pub use xtree::{analytic_distance, xtree_edge_count, xtree_node_count, XTree};
+pub use xtree::{analytic_distance, xtree_edge_count, xtree_node_count, XTree, XTREE_MAX_HEIGHT};
 
 /// Per-topology deterministic next-hop helpers (`O(1)` memory), re-exported
 /// under one namespace for the closed-form hosts of `xtree-host`.

@@ -18,6 +18,10 @@ pub struct XTree {
     graph: Csr,
 }
 
+/// The tallest X-tree [`XTree::new`] builds. Its heap ids stay below
+/// `2^25`, so they fit in a `u32` with room to spare.
+pub const XTREE_MAX_HEIGHT: u8 = 24;
+
 /// Number of vertices of `X(r)`: `2^{r+1} − 1`.
 pub const fn xtree_node_count(r: u8) -> usize {
     (1usize << (r + 1)) - 1
@@ -141,7 +145,7 @@ impl XTree {
     /// Builds `X(r)`.
     pub fn new(height: u8) -> Self {
         assert!(
-            height <= 24,
+            height <= XTREE_MAX_HEIGHT,
             "X-tree of height {height} would not fit in memory"
         );
         let n = xtree_node_count(height);

@@ -21,7 +21,6 @@ fn every_switch_combination_is_valid() {
                     whole_moves,
                     fine_balance,
                     capacity: 16,
-                    ..Default::default()
                 };
                 let res = embed_with(&tree, opts);
                 let s = evaluate(&tree, &res.emb);

@@ -60,9 +60,10 @@ proptest! {
         let s = evaluate(&tree, &inj);
         prop_assert!(s.dilation <= 11, "dilation {}", s.dilation);
         // Every image sits exactly four levels below its base image.
-        for (i, &b) in inj.map.iter().enumerate() {
-            prop_assert_eq!(b.level(), base.map[i].level() + 4);
-            prop_assert!(base.map[i].is_ancestor_of(b));
+        for v in tree.nodes() {
+            let (a, b) = (base.image(v), inj.image(v));
+            prop_assert_eq!(b.level(), a.level() + 4);
+            prop_assert!(a.is_ancestor_of(b));
         }
     }
 
