@@ -31,7 +31,7 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use xtree_json::Value;
-use xtree_server::wire::{decode_response, read_frame, write_request_budget};
+use xtree_server::wire::{decode_response, read_frame, write_request_host};
 use xtree_server::{
     ChaosPlan, ChaosProfile, Client, ReconnectPolicy, Request, Response, Router, RouterConfig,
     Server, ServerConfig, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_EXHAUSTED, ERR_SHUTTING_DOWN,
@@ -176,7 +176,7 @@ fn phase_zero_budget(requests: usize) -> Value {
     let mut deadline_rejected = 0usize;
     let mut other = 0usize;
     for req in requests_for(0, requests) {
-        write_request_budget(&mut writer, &req, Some(0)).expect("write spent frame");
+        write_request_host(&mut writer, &req, Some(0), None).expect("write spent frame");
         let bytes = read_frame(&mut reader)
             .expect("read response")
             .expect("server must answer, not hang");
@@ -232,7 +232,7 @@ fn phase_client_chaos(plan: ChaosPlan, conns: usize, requests: usize) -> Value {
             }
         };
         for req in requests_for(conn, requests) {
-            let resync = tally.classify(client.call_retrying(&req, &policy), true);
+            let resync = tally.classify(client.call_retrying(&req, &policy, None, None), true);
             if resync {
                 while client.reconnect().is_err() {}
             }
@@ -305,7 +305,7 @@ fn phase_server_chaos_cluster(plan: ChaosPlan, conns: usize, requests: usize) ->
                     let mut client = Client::connect(addr).expect("connect to router");
                     let policy = ReconnectPolicy::default();
                     for req in requests_for(conn, requests) {
-                        let result = client.call_retrying_deadline(&req, &policy, Some(budget));
+                        let result = client.call_retrying(&req, &policy, Some(budget), None);
                         if tally.classify(result, true) {
                             while client.reconnect().is_err() {}
                         }
@@ -347,7 +347,7 @@ fn phase_server_chaos_cluster(plan: ChaosPlan, conns: usize, requests: usize) ->
     // chaos the acknowledgement itself can be eaten, so fall back to
     // dropping the processes directly.
     if let Ok(mut client) = Client::connect(addr) {
-        let _ = client.call_retrying(&Request::Shutdown, &ReconnectPolicy::default());
+        let _ = client.call_retrying(&Request::Shutdown, &ReconnectPolicy::default(), None, None);
     }
     router.wait();
     for s in &mut servers {

@@ -417,7 +417,7 @@ fn drive_conn(
     let mut latencies = Vec::with_capacity(reqs.len());
     for req in reqs {
         let sent = Instant::now();
-        let result = client.call_retrying_deadline_host(&req, &policy, resil.deadline, resil.host);
+        let result = client.call_retrying(&req, &policy, resil.deadline, resil.host);
         latencies.push(sent.elapsed().as_micros() as u64);
         if !resil.tolerant {
             match result.expect("call") {
@@ -523,7 +523,7 @@ fn fetch_stats(addr: SocketAddr, resil: &Resilience) -> WireStats {
         let Ok(mut client) = Client::connect(addr) else {
             continue;
         };
-        match client.call_retrying(&Request::Stats, &ReconnectPolicy::default()) {
+        match client.call_retrying(&Request::Stats, &ReconnectPolicy::default(), None, None) {
             Ok(Response::StatsOk(stats)) => return stats,
             Ok(other) if !resil.tolerant => panic!("expected StatsOk, got {other:?}"),
             Err(e) if !resil.tolerant => panic!("stats call: {e}"),

@@ -22,10 +22,11 @@
 //! Failures *before* the frame was on the wire (refused at connect, reset
 //! mid-write) replay like everything else.
 //!
-//! Deadline budgets ride the same calls: [`Client::call_deadline`] sets
-//! `SO_RCVTIMEO`/`SO_SNDTIMEO` from the remaining budget and stamps it
-//! into the frame's trailing field, so the server, the router, and every
-//! hop downstream inherit how much patience this client has left.
+//! Deadline budgets ride the same calls: [`Client::call_host`] and
+//! [`Client::call_retrying`] set `SO_RCVTIMEO`/`SO_SNDTIMEO` from the
+//! remaining budget and stamp it into the frame's trailing field, so the
+//! server, the router, and every hop downstream inherit how much patience
+//! this client has left.
 
 use crate::chaos::{ChaosConn, ChaosStream};
 use crate::wire::{read_frame, write_request_host, Request, Response, WireError};
@@ -51,17 +52,6 @@ impl Default for ReconnectPolicy {
         ReconnectPolicy {
             max_retries: 5,
             backoff: Backoff::Exponential { base: 25, cap: 400 },
-        }
-    }
-}
-
-impl ReconnectPolicy {
-    /// A policy that never reconnects: `call_retrying` degenerates to
-    /// `call`.
-    pub fn none() -> Self {
-        ReconnectPolicy {
-            max_retries: 0,
-            backoff: Backoff::Fixed(0),
         }
     }
 }
@@ -155,34 +145,22 @@ impl Client {
     /// hangs up without answering and the typed [`WireError::Refused`] /
     /// [`WireError::Reset`] transport classes.
     pub fn call(&mut self, req: &Request) -> Result<Response, WireError> {
-        self.call_deadline(req, None)
+        self.call_host(req, None, None)
     }
 
-    /// [`Client::call`] under a deadline budget: the socket's read and
-    /// write timeouts are set from the remaining budget (so a wedged peer
-    /// surfaces as [`WireError::TimedOut`] instead of hanging forever)
-    /// and the remaining microseconds ride the frame's trailing field for
-    /// the server and router to deduct from.
+    /// [`Client::call`] with the frame's optional trailing fields.
+    ///
+    /// * `budget`: the socket's read and write timeouts are set from the
+    ///   remaining budget (so a wedged peer surfaces as
+    ///   [`WireError::TimedOut`] instead of hanging forever), and the
+    ///   remaining microseconds ride the frame for the server and router
+    ///   to deduct from.
+    /// * `host`: a host-topology tag (`xtree_host::HOST_HYPERCUBE`, …).
+    ///   `None` leaves the choice to the server's default.
     ///
     /// # Errors
     /// [`WireError::TimedOut`] when the budget runs out, or any other
     /// wire error.
-    pub fn call_deadline(
-        &mut self,
-        req: &Request,
-        budget: Option<Duration>,
-    ) -> Result<Response, WireError> {
-        self.call_classified(req, budget.map(|b| Instant::now() + b), None)
-            .map_err(|(e, _)| e)
-    }
-
-    /// [`Client::call_deadline`] with an explicit host-topology tag
-    /// (`xtree_host::HOST_HYPERCUBE`, …) stamped into the frame's
-    /// trailing host field. `None` sends the pre-host encoding byte for
-    /// byte, and the server applies its own default.
-    ///
-    /// # Errors
-    /// As [`Client::call_deadline`].
     pub fn call_host(
         &mut self,
         req: &Request,
@@ -213,7 +191,9 @@ impl Client {
                 let t = Some(remaining.max(Duration::from_millis(1)));
                 self.writer.set_read_timeout(t).ok();
                 self.writer.set_write_timeout(t).ok();
-                Some(remaining.as_micros() as u64)
+                // Saturate: `as` would wrap a budget past 2^64 µs to a
+                // nearly spent one.
+                Some(u64::try_from(remaining.as_micros()).unwrap_or(u64::MAX))
             }
         };
         let sent = write_request_host(&mut self.writer, req, budget_us, host);
@@ -245,51 +225,25 @@ impl Client {
         Ok(())
     }
 
-    /// [`Client::call`], but transport failures (refused / reset / timed
-    /// out / closed / raw socket errors) trigger reconnect-and-resend
+    /// [`Client::call_host`], but transport failures (refused / reset /
+    /// timed out / closed / raw socket errors) trigger reconnect-and-resend
     /// under `policy` instead of failing the first request after a peer
     /// restart. Protocol-level errors (malformed frames, bad fields) are
     /// returned immediately — replaying them would fail identically — and
     /// a `Shutdown` whose frame was fully written is never replayed (see
     /// the module docs).
     ///
-    /// # Errors
-    /// The last transport error once the retry budget is spent, or any
-    /// non-transport wire error as soon as it occurs.
-    pub fn call_retrying(
-        &mut self,
-        req: &Request,
-        policy: &ReconnectPolicy,
-    ) -> Result<Response, WireError> {
-        self.call_retrying_deadline(req, policy, None)
-    }
-
-    /// [`Client::call_retrying`] under a deadline budget shared by *all*
-    /// attempts: backoff sleeps are clamped to the remaining budget, a
-    /// spent budget fails with [`WireError::TimedOut`] instead of
-    /// starting another attempt, and each attempt's frame carries the
-    /// budget left at that moment.
+    /// The deadline `budget` is shared by *all* attempts: backoff sleeps
+    /// are clamped to the remaining budget, a spent budget fails with
+    /// [`WireError::TimedOut`] instead of starting another attempt, and
+    /// each attempt's frame carries the budget left at that moment. The
+    /// `host` tag rides every attempt's frame verbatim.
     ///
     /// # Errors
     /// [`WireError::TimedOut`] when the budget ran out, the last
     /// transport error once the retry budget is spent, or any
     /// non-transport wire error as soon as it occurs.
-    pub fn call_retrying_deadline(
-        &mut self,
-        req: &Request,
-        policy: &ReconnectPolicy,
-        budget: Option<Duration>,
-    ) -> Result<Response, WireError> {
-        self.call_retrying_deadline_host(req, policy, budget, None)
-    }
-
-    /// [`Client::call_retrying_deadline`] with an explicit host-topology
-    /// tag riding every attempt's frame (replays re-send it verbatim —
-    /// the request stays a pure function of its fields plus the tag).
-    ///
-    /// # Errors
-    /// As [`Client::call_retrying_deadline`].
-    pub fn call_retrying_deadline_host(
+    pub fn call_retrying(
         &mut self,
         req: &Request,
         policy: &ReconnectPolicy,

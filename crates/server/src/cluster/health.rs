@@ -26,7 +26,7 @@
 //! per-shard generation counter; handlers that cache connections compare
 //! generations and re-dial instead of talking to a dead socket.
 
-use crate::wire::{read_frame, write_request, HealthInfo, Request, Response, WireError};
+use crate::wire::{read_frame, write_request_host, HealthInfo, Request, Response, WireError};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering::Relaxed};
@@ -231,7 +231,7 @@ pub fn probe(addr: SocketAddr, timeout: Duration) -> Result<Option<HealthInfo>, 
     stream.set_write_timeout(Some(timeout))?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    write_request(&mut writer, &Request::Health)?;
+    write_request_host(&mut writer, &Request::Health, None, None)?;
     match read_frame(&mut reader)? {
         Some(bytes) => match crate::wire::decode_response(&bytes)? {
             Response::HealthOk { info } => Ok(info),

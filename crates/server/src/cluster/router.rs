@@ -48,7 +48,7 @@ use crate::cache::EmbeddingKey;
 use crate::client::ReconnectPolicy;
 use crate::service::deadline_reject;
 use crate::wire::{
-    decode_request_host, decode_response, encode_request_host, frame, read_frame, write_request,
+    decode_request_host, decode_response, encode_request_host, frame, read_frame,
     write_request_host, write_response, HealthInfo, Request, Response, WireError, WireStats,
     ERR_BAD_REQUEST, ERR_EXHAUSTED, ERR_SHUTTING_DOWN, ERR_UNREACHABLE,
 };
@@ -308,7 +308,7 @@ fn begin_cluster_shutdown(shared: &RouterShared, addr: SocketAddr) {
             stream.set_read_timeout(Some(Duration::from_secs(5)))?;
             let mut writer = stream.try_clone()?;
             let mut reader = BufReader::new(stream);
-            write_request(&mut writer, &Request::Shutdown)?;
+            write_request_host(&mut writer, &Request::Shutdown, None, None)?;
             read_frame(&mut reader)?;
             Ok(())
         })();
@@ -619,7 +619,7 @@ fn aggregate_stats(shared: &RouterShared) -> WireStats {
             stream.set_write_timeout(Some(STATS_TIMEOUT))?;
             let mut writer = stream.try_clone()?;
             let mut reader = BufReader::new(stream);
-            write_request(&mut writer, &Request::Stats)?;
+            write_request_host(&mut writer, &Request::Stats, None, None)?;
             match read_frame(&mut reader)? {
                 Some(bytes) => match decode_response(&bytes)? {
                     Response::StatsOk(s) => Ok(s),

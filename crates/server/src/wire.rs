@@ -363,8 +363,31 @@ fn string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
     Ok(s.to_owned())
 }
 
-/// Encodes a request payload (no frame header).
-pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
+/// Sentinel for "no deadline budget" in the two-word trailer that
+/// [`encode_request_host`] writes for a host-tagged request: trailing
+/// fields decode positionally, so the host word can only follow a budget
+/// word, and a request without a budget carries this in the budget slot.
+/// Never a meaningful budget — a real `u64::MAX`-microsecond deadline is
+/// ~585 millennia, and the encoder clamps one word below.
+pub const NO_BUDGET: u64 = u64::MAX;
+
+/// Encodes a request payload (no frame header): the tag, the body's
+/// LEB128 fields, then the optional trailing fields, one word each:
+///
+/// * no budget, no host → no trailing words (the pre-deadline frame);
+/// * budget only → one word, the budget in microseconds;
+/// * host set → two words: the budget (or [`NO_BUDGET`]), then the host
+///   tag. A budget beside a host tag is clamped below the sentinel.
+///
+/// Each shape extends the bare encoding of the same request, so a peer
+/// that stops reading after the body sees the added fields as trailing
+/// bytes, never as a different request.
+pub fn encode_request_host(
+    req: &Request,
+    deadline_us: Option<u64>,
+    host: Option<u8>,
+    buf: &mut Vec<u8>,
+) {
     match req {
         Request::Embed {
             family,
@@ -396,147 +419,53 @@ pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
         Request::Health => buf.push(TAG_HEALTH),
         Request::Shutdown => buf.push(TAG_SHUTDOWN),
     }
-}
-
-/// Encodes a request payload with an optional deadline budget: the
-/// caller's remaining budget in microseconds, appended as one trailing
-/// LEB128 word. `None` produces bytes identical to [`encode_request`] —
-/// budget-free traffic stays on the pre-deadline encoding.
-pub fn encode_request_budget(req: &Request, deadline_us: Option<u64>, buf: &mut Vec<u8>) {
-    encode_request(req, buf);
-    if let Some(us) = deadline_us {
-        encode_u64(buf, us);
-    }
-}
-
-/// Sentinel for "no deadline budget" in the two-word trailing encoding
-/// produced by [`encode_request_host`]: the host field can only be
-/// appended *after* a budget word (trailing fields decode positionally),
-/// so a host-tagged request without a budget carries this in the budget
-/// slot. Never a meaningful budget — a real `u64::MAX`-microsecond
-/// deadline is ~585 millennia, and the encoder clamps one word below.
-pub const NO_BUDGET: u64 = u64::MAX;
-
-/// Encodes a request payload with optional deadline-budget and host-tag
-/// trailing fields. The trailing encoding is positional, one word each:
-///
-/// * no budget, no host → the bare pre-deadline bytes ([`encode_request`]);
-/// * budget only → one trailing word (the PR-9 shape,
-///   [`encode_request_budget`]);
-/// * host set → two trailing words: the budget (or [`NO_BUDGET`]) then
-///   the host tag.
-///
-/// So every old frame stays byte-identical and every old decoder keeps
-/// working on host-free traffic.
-pub fn encode_request_host(
-    req: &Request,
-    deadline_us: Option<u64>,
-    host: Option<u8>,
-    buf: &mut Vec<u8>,
-) {
-    match host {
-        None => encode_request_budget(req, deadline_us, buf),
-        Some(h) => {
-            encode_request(req, buf);
-            let budget = match deadline_us {
-                None => NO_BUDGET,
-                // Clamp below the sentinel; a real u64::MAX budget is not
-                // representable (and not meaningful either).
-                Some(us) => us.min(NO_BUDGET - 1),
-            };
-            encode_u64(buf, budget);
+    match (deadline_us, host) {
+        (None, None) => {}
+        (Some(us), None) => encode_u64(buf, us),
+        (budget, Some(h)) => {
+            encode_u64(buf, budget.map_or(NO_BUDGET, |us| us.min(NO_BUDGET - 1)));
             encode_u64(buf, u64::from(h));
         }
     }
 }
 
-/// Parses the request body after the tag byte, advancing `pos`.
-fn request_body(tag: u8, rest: &[u8], pos: &mut usize) -> Result<Request, WireError> {
-    Ok(match tag {
+/// Decodes a request payload and its optional trailing budget and host
+/// fields (see [`encode_request_host`] for the four shapes), returning
+/// `None` for each field the peer did not send. The whole slice must be
+/// consumed. Servers and routers decode every request with this.
+///
+/// # Errors
+/// [`WireError`] on truncation, an unknown tag, a field beyond its
+/// domain (a host tag beyond `u8`), or bytes beyond the host field.
+pub fn decode_request_host(bytes: &[u8]) -> Result<(Request, Option<u64>, Option<u8>), WireError> {
+    let (&tag, rest) = bytes.split_first().ok_or(WireError::Truncated)?;
+    let mut pos = 0usize;
+    let req = match tag {
         TAG_EMBED => Request::Embed {
-            family: byte_field(rest, pos, "family")?,
-            nodes: word(rest, pos)?,
-            seed: word(rest, pos)?,
-            theorem: byte_field(rest, pos, "theorem")?,
+            family: byte_field(rest, &mut pos, "family")?,
+            nodes: word(rest, &mut pos)?,
+            seed: word(rest, &mut pos)?,
+            theorem: byte_field(rest, &mut pos, "theorem")?,
         },
         TAG_SIMULATE => Request::Simulate {
-            family: byte_field(rest, pos, "family")?,
-            nodes: word(rest, pos)?,
-            seed: word(rest, pos)?,
-            theorem: byte_field(rest, pos, "theorem")?,
-            workload: byte_field(rest, pos, "workload")?,
+            family: byte_field(rest, &mut pos, "family")?,
+            nodes: word(rest, &mut pos)?,
+            seed: word(rest, &mut pos)?,
+            theorem: byte_field(rest, &mut pos, "theorem")?,
+            workload: byte_field(rest, &mut pos, "workload")?,
         },
         TAG_STATS => Request::Stats,
         TAG_HEALTH => Request::Health,
         TAG_SHUTDOWN => Request::Shutdown,
         tag => return Err(WireError::BadTag { tag }),
-    })
-}
-
-/// Decodes a request payload. The whole slice must be consumed.
-///
-/// This is the strict, pre-deadline shape: a frame carrying the trailing
-/// deadline field is rejected as [`WireError::Trailing`] here. Servers
-/// and routers use [`decode_request_budget`], which accepts both shapes.
-///
-/// # Errors
-/// [`WireError`] on truncation, an unknown tag, or trailing bytes.
-pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
-    let (&tag, rest) = bytes.split_first().ok_or(WireError::Truncated)?;
-    let mut pos = 0usize;
-    let req = request_body(tag, rest, &mut pos)?;
-    if pos != rest.len() {
-        return Err(WireError::Trailing {
-            extra: rest.len() - pos,
-        });
-    }
-    Ok(req)
-}
-
-/// Decodes a request payload that may carry the optional trailing
-/// deadline field: the client's remaining budget in microseconds at send
-/// time. A bare request (every encoding before deadlines existed, and
-/// every current encoding with no budget set) decodes to `None` — the two
-/// shapes are one protocol, like [`HealthInfo`] on `HealthOk`.
-///
-/// # Errors
-/// [`WireError`] on truncation, an unknown tag, or bytes beyond the
-/// deadline field.
-pub fn decode_request_budget(bytes: &[u8]) -> Result<(Request, Option<u64>), WireError> {
-    let (&tag, rest) = bytes.split_first().ok_or(WireError::Truncated)?;
-    let mut pos = 0usize;
-    let req = request_body(tag, rest, &mut pos)?;
-    if pos == rest.len() {
-        return Ok((req, None));
-    }
-    let deadline_us = word(rest, &mut pos)?;
-    if pos != rest.len() {
-        return Err(WireError::Trailing {
-            extra: rest.len() - pos,
-        });
-    }
-    Ok((req, Some(deadline_us)))
-}
-
-/// Decodes a request payload that may carry the optional trailing budget
-/// and host fields (see [`encode_request_host`] for the three shapes).
-/// This is the decoder servers and routers run: it accepts every XWIRE1
-/// request encoding ever produced, returning `None` for fields the peer
-/// did not send.
-///
-/// # Errors
-/// [`WireError`] on truncation, an unknown tag, a host tag beyond `u8`,
-/// or bytes beyond the host field.
-pub fn decode_request_host(bytes: &[u8]) -> Result<(Request, Option<u64>, Option<u8>), WireError> {
-    let (&tag, rest) = bytes.split_first().ok_or(WireError::Truncated)?;
-    let mut pos = 0usize;
-    let req = request_body(tag, rest, &mut pos)?;
+    };
     if pos == rest.len() {
         return Ok((req, None, None));
     }
     let budget = word(rest, &mut pos)?;
     if pos == rest.len() {
-        // One-word shape: a plain PR-9 deadline budget, no host.
+        // One-word shape: a budget and no host, so even `u64::MAX` is a
+        // real budget here.
         return Ok((req, Some(budget), None));
     }
     let host = byte_field(rest, &mut pos, "host")?;
@@ -655,7 +584,9 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, WireError> {
             if count > MAX_PAYLOAD {
                 return Err(WireError::TooLarge { len: count });
             }
-            let mut reports = Vec::with_capacity(count as usize);
+            // A report takes at least four bytes, so the rest of the
+            // payload bounds how many can follow whatever `count` claims.
+            let mut reports = Vec::with_capacity((count as usize).min((rest.len() - pos) / 4));
             for _ in 0..count {
                 reports.push(WireReport {
                     workload: byte_field(rest, &mut pos, "workload")?,
@@ -738,39 +669,8 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Writes one framed request to `w`.
-///
-/// # Errors
-/// [`WireError::Io`] on socket failure.
-pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<(), WireError> {
-    let mut payload = Vec::new();
-    encode_request(req, &mut payload);
-    w.write_all(&frame(&payload))?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes one framed request carrying an optional deadline budget
-/// (remaining microseconds at send time) to `w`. `None` writes the exact
-/// bytes [`write_request`] would.
-///
-/// # Errors
-/// [`WireError::Io`] on socket failure.
-pub fn write_request_budget<W: Write>(
-    w: &mut W,
-    req: &Request,
-    deadline_us: Option<u64>,
-) -> Result<(), WireError> {
-    let mut payload = Vec::new();
-    encode_request_budget(req, deadline_us, &mut payload);
-    w.write_all(&frame(&payload))?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes one framed request carrying optional deadline-budget and host
-/// fields to `w`. With both `None` this writes the exact bytes
-/// [`write_request`] would.
+/// Writes one framed request with its optional deadline-budget and host
+/// fields (see [`encode_request_host`]) to `w`.
 ///
 /// # Errors
 /// [`WireError::Io`] on socket failure.
@@ -861,8 +761,8 @@ mod tests {
 
     fn round_trip_request(req: Request) {
         let mut buf = Vec::new();
-        encode_request(&req, &mut buf);
-        assert_eq!(decode_request(&buf).unwrap(), req);
+        encode_request_host(&req, None, None, &mut buf);
+        assert_eq!(decode_request_host(&buf).unwrap(), (req, None, None));
     }
 
     fn round_trip_response(resp: Response) {
@@ -944,7 +844,7 @@ mod tests {
     #[test]
     fn frames_round_trip_through_a_stream() {
         let mut payload = Vec::new();
-        encode_request(&Request::Health, &mut payload);
+        encode_request_host(&Request::Health, None, None, &mut payload);
         let bytes = frame(&payload);
         assert_eq!(&bytes[..7], MAGIC);
         let mut cursor = std::io::Cursor::new(&bytes);
@@ -959,7 +859,7 @@ mod tests {
         let mut garbage = std::io::Cursor::new(b"GARBAGE-NOT-A-FRAME".to_vec());
         assert!(matches!(read_frame(&mut garbage), Err(WireError::BadMagic)));
         let mut payload = Vec::new();
-        encode_request(&Request::Stats, &mut payload);
+        encode_request_host(&Request::Stats, None, None, &mut payload);
         let bytes = frame(&payload);
         for cut in 1..bytes.len() {
             let mut cursor = std::io::Cursor::new(&bytes[..cut]);
@@ -984,15 +884,20 @@ mod tests {
     #[test]
     fn decoders_reject_unknown_tags_and_trailing_bytes() {
         assert!(matches!(
-            decode_request(&[200]),
+            decode_request_host(&[200]),
             Err(WireError::BadTag { tag: 200 })
         ));
-        assert!(matches!(decode_request(&[]), Err(WireError::Truncated)));
+        assert!(matches!(
+            decode_request_host(&[]),
+            Err(WireError::Truncated)
+        ));
+        // Two trailing words are the budget and host fields; a third is
+        // one too many.
         let mut buf = Vec::new();
-        encode_request(&Request::Health, &mut buf);
+        encode_request_host(&Request::Health, Some(0), Some(0), &mut buf);
         buf.push(0);
         assert!(matches!(
-            decode_request(&buf),
+            decode_request_host(&buf),
             Err(WireError::Trailing { extra: 1 })
         ));
         assert!(matches!(
@@ -1015,113 +920,80 @@ mod tests {
         assert!(matches!(decode_response(&buf), Err(WireError::Truncated)));
     }
 
+    /// The request both trailing-field tests extend, and its payload with
+    /// the given trailing fields.
+    const TRAILER_REQ: Request = Request::Embed {
+        family: 4,
+        nodes: 2032,
+        seed: 11,
+        theorem: 1,
+    };
+
+    fn encoded(budget: Option<u64>, host: Option<u8>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_request_host(&TRAILER_REQ, budget, host, &mut buf);
+        buf
+    }
+
+    /// `bare` followed by `words`, one LEB128 word each.
+    fn with_words(bare: &[u8], words: &[u64]) -> Vec<u8> {
+        let mut buf = bare.to_vec();
+        for &w in words {
+            encode_u64(&mut buf, w);
+        }
+        buf
+    }
+
     #[test]
     fn deadline_budget_is_an_optional_trailing_field() {
-        let req = Request::Embed {
-            family: 4,
-            nodes: 2032,
-            seed: 11,
-            theorem: 1,
-        };
-        // No budget: byte-identical to the pre-deadline encoding, and the
-        // strict decoder still accepts it.
-        let mut bare = Vec::new();
-        encode_request(&req, &mut bare);
-        let mut none = Vec::new();
-        encode_request_budget(&req, None, &mut none);
-        assert_eq!(bare, none);
-        assert_eq!(decode_request_budget(&bare).unwrap(), (req.clone(), None));
-        // With a budget: round-trips through the lenient decoder, while
-        // the strict decoder reports exactly the trailing bytes.
-        let mut budgeted = Vec::new();
-        encode_request_budget(&req, Some(250_000), &mut budgeted);
+        // No budget: the pre-deadline encoding, decoding with no fields.
+        let bare = encoded(None, None);
         assert_eq!(
-            decode_request_budget(&budgeted).unwrap(),
-            (req.clone(), Some(250_000))
+            decode_request_host(&bare).unwrap(),
+            (TRAILER_REQ, None, None)
         );
-        assert!(matches!(
-            decode_request(&budgeted),
-            Err(WireError::Trailing { .. })
-        ));
-        // A zero budget (already expired at send time) is representable.
-        let mut expired = Vec::new();
-        encode_request_budget(&Request::Stats, Some(0), &mut expired);
-        assert_eq!(
-            decode_request_budget(&expired).unwrap(),
-            (Request::Stats, Some(0))
-        );
-        // Bytes after the deadline word are still a protocol violation.
-        budgeted.push(9);
-        assert!(matches!(
-            decode_request_budget(&budgeted),
-            Err(WireError::Trailing { extra: 1 })
-        ));
+        // A budget is one word after the bare request. A zero budget
+        // (already expired at send time) is representable, and in this
+        // one-word shape even u64::MAX is a real budget: the sentinel
+        // exists only beside a host tag.
+        for budget in [250_000, 0, u64::MAX] {
+            let expected = with_words(&bare, &[budget]);
+            assert_eq!(encoded(Some(budget), None), expected, "{budget}");
+            assert_eq!(
+                decode_request_host(&expected).unwrap(),
+                (TRAILER_REQ, Some(budget), None)
+            );
+        }
     }
 
     #[test]
     fn host_is_an_optional_trailing_field() {
-        let req = Request::Embed {
-            family: 4,
-            nodes: 2032,
-            seed: 11,
-            theorem: 1,
-        };
-        // No host: byte-identical to the budget-only encodings, whatever
-        // the budget, so host-free traffic never changes on the wire.
-        for budget in [None, Some(250_000)] {
-            let mut old = Vec::new();
-            encode_request_budget(&req, budget, &mut old);
-            let mut new = Vec::new();
-            encode_request_host(&req, budget, None, &mut new);
-            assert_eq!(old, new);
+        let bare = encoded(None, None);
+        // A host tag is two words after the bare request: the budget, or
+        // the sentinel when there is none, then the tag.
+        for (budget, host, words) in [(None, 1, [NO_BUDGET, 1]), (Some(250_000), 2, [250_000, 2])] {
+            let expected = with_words(&bare, &words);
+            assert_eq!(encoded(budget, Some(host)), expected, "{budget:?}");
             assert_eq!(
-                decode_request_host(&old).unwrap(),
-                (req.clone(), budget, None)
+                decode_request_host(&expected).unwrap(),
+                (TRAILER_REQ, budget, Some(host))
             );
         }
-        // Budget + host: both round-trip; older decoders reject cleanly.
-        let mut both = Vec::new();
-        encode_request_host(&req, Some(250_000), Some(2), &mut both);
+        // A u64::MAX budget beside a host is clamped rather than misread
+        // as "no budget".
         assert_eq!(
-            decode_request_host(&both).unwrap(),
-            (req.clone(), Some(250_000), Some(2))
+            encoded(Some(u64::MAX), Some(0)),
+            with_words(&bare, &[NO_BUDGET - 1, 0])
         );
+        assert_eq!(
+            decode_request_host(&encoded(Some(u64::MAX), Some(0))).unwrap(),
+            (TRAILER_REQ, Some(u64::MAX - 1), Some(0))
+        );
+        // A host tag beyond u8 is malformed.
         assert!(matches!(
-            decode_request(&both),
-            Err(WireError::Trailing { .. })
+            decode_request_host(&with_words(&bare, &[5, 256])),
+            Err(WireError::BadField { field: "host" })
         ));
-        assert!(matches!(
-            decode_request_budget(&both),
-            Err(WireError::Trailing { .. })
-        ));
-        // Host without a budget: the sentinel word keeps the positions.
-        let mut host_only = Vec::new();
-        encode_request_host(&req, None, Some(1), &mut host_only);
-        assert_eq!(
-            decode_request_host(&host_only).unwrap(),
-            (req.clone(), None, Some(1))
-        );
-        // A genuine u64::MAX budget is clamped rather than misread as
-        // "no budget".
-        let mut clamped = Vec::new();
-        encode_request_host(&req, Some(u64::MAX), Some(0), &mut clamped);
-        assert_eq!(
-            decode_request_host(&clamped).unwrap(),
-            (req.clone(), Some(u64::MAX - 1), Some(0))
-        );
-        // Bytes after the host word are still a protocol violation.
-        both.push(7);
-        assert!(matches!(
-            decode_request_host(&both),
-            Err(WireError::Trailing { extra: 1 })
-        ));
-        // A lone budget of u64::MAX (one-word shape) stays a real budget.
-        let mut max_budget = Vec::new();
-        encode_request_budget(&Request::Stats, Some(u64::MAX), &mut max_budget);
-        assert_eq!(
-            decode_request_host(&max_budget).unwrap(),
-            (Request::Stats, Some(u64::MAX), None)
-        );
     }
 
     #[test]
@@ -1184,7 +1056,7 @@ mod tests {
             encode_u64(&mut buf, v);
         }
         assert!(matches!(
-            decode_request(&buf),
+            decode_request_host(&buf),
             Err(WireError::BadField { field: "family" })
         ));
     }

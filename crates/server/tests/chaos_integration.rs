@@ -99,11 +99,8 @@ fn drive_chaotic_cluster(conns: usize, count: usize) -> Outcomes {
                     let mut client = Client::connect(addr).expect("connect to router");
                     let policy = ReconnectPolicy::default();
                     for req in request_stream(conn, count) {
-                        let result = client.call_retrying_deadline(
-                            &req,
-                            &policy,
-                            Some(Duration::from_secs(5)),
-                        );
+                        let result =
+                            client.call_retrying(&req, &policy, Some(Duration::from_secs(5)), None);
                         match result {
                             Ok(Response::EmbedOk { .. } | Response::SimulateOk { .. }) => {
                                 out.ok += 1;
@@ -146,7 +143,7 @@ fn drive_chaotic_cluster(conns: usize, count: usize) -> Outcomes {
     // eaten mid-frame, so tolerate a failed call and fall back to the
     // owned handles, which kill outright.
     if let Ok(mut client) = Client::connect(addr) {
-        let _ = client.call_retrying(&Request::Shutdown, &ReconnectPolicy::default());
+        let _ = client.call_retrying(&Request::Shutdown, &ReconnectPolicy::default(), None, None);
     }
     router.wait();
     for s in &mut shards {
@@ -204,7 +201,7 @@ fn spent_budgets_bounce_typed_at_every_hop() {
     // fails a spent budget locally (TimedOut) without touching the wire.
     use std::io::BufReader;
     use std::net::TcpStream;
-    use xtree_server::wire::{decode_response, read_frame, write_request_budget};
+    use xtree_server::wire::{decode_response, read_frame, write_request_host};
 
     let shard_config = ServerConfig {
         workers: 1,
@@ -229,7 +226,7 @@ fn spent_budgets_bounce_typed_at_every_hop() {
             seed: 7100,
             theorem: 1,
         };
-        write_request_budget(&mut writer, &req, Some(0)).expect("write");
+        write_request_host(&mut writer, &req, Some(0), None).expect("write");
         let bytes = read_frame(&mut reader)
             .expect("read")
             .expect("a spent budget is answered, not hung up on");

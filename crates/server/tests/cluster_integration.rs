@@ -11,6 +11,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+use xtree_host::{HOST_HYPERCUBE, HOST_UNIVERSAL};
 use xtree_server::cluster::{Router, RouterConfig};
 use xtree_server::{
     Client, ReconnectPolicy, Request, Response, Server, ServerConfig, WireError, ERR_UNREACHABLE,
@@ -95,22 +96,32 @@ fn router_agrees_with_single_server_reference_byte_for_byte() {
 
     let mut via_router = Client::connect(router.local_addr()).unwrap();
     let mut direct = Client::connect(reference.local_addr()).unwrap();
+    // Every trailer shape goes through the router, which re-encodes each
+    // forwarded frame: none, a budget, a host tag, and both. NODES = 496
+    // is X(4), inside the universal host's height cap.
+    let budget = Some(Duration::from_secs(60));
+    let shapes = [
+        (None, None),
+        (budget, None),
+        (None, Some(HOST_HYPERCUBE)),
+        (budget, Some(HOST_UNIVERSAL)),
+    ];
     for seed in 0..24 {
-        let a = via_router.call(&embed_req(seed)).unwrap();
-        let b = direct.call(&embed_req(seed)).unwrap();
-        assert!(matches!(a, Response::EmbedOk { .. }), "seed {seed}: {a:?}");
-        assert_eq!(
-            wire_bytes(a),
-            wire_bytes(b),
-            "embed disagreement at seed {seed}"
-        );
-        let a = via_router.call(&simulate_req(seed)).unwrap();
-        let b = direct.call(&simulate_req(seed)).unwrap();
-        assert_eq!(
-            wire_bytes(a),
-            wire_bytes(b),
-            "simulate disagreement at seed {seed}"
-        );
+        for req in [embed_req(seed), simulate_req(seed)] {
+            for (budget, host) in shapes {
+                let a = via_router.call_host(&req, budget, host).unwrap();
+                let b = direct.call_host(&req, budget, host).unwrap();
+                assert!(
+                    matches!(a, Response::EmbedOk { .. } | Response::SimulateOk { .. }),
+                    "{req:?} {budget:?} {host:?}: {a:?}"
+                );
+                assert_eq!(
+                    wire_bytes(a),
+                    wire_bytes(b),
+                    "disagreement on {req:?} with budget {budget:?}, host {host:?}"
+                );
+            }
+        }
     }
 
     // The router's Health carries its own load signal (dead-shard count
@@ -126,7 +137,7 @@ fn router_agrees_with_single_server_reference_byte_for_byte() {
     };
     assert_eq!(
         stats.embeds + stats.simulates,
-        48,
+        24 * 2 * 4,
         "aggregate stats must see all forwarded compute: {stats:?}"
     );
 
@@ -296,7 +307,9 @@ fn client_reconnects_across_a_server_restart() {
         max_retries: 5,
         backoff: Backoff::Fixed(20),
     };
-    let resp = client.call_retrying(&embed_req(7), &policy).unwrap();
+    let resp = client
+        .call_retrying(&embed_req(7), &policy, None, None)
+        .unwrap();
     assert!(matches!(resp, Response::EmbedOk { .. }), "{resp:?}");
     assert!(client.replays() >= 1, "the replay must be accounted");
 

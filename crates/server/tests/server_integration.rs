@@ -291,14 +291,14 @@ fn deadline_budgets_succeed_generous_and_fail_typed_when_spent() {
     // A generous budget rides the trailing field end to end and the
     // request completes normally.
     let resp = client
-        .call_deadline(&embed_req(), Some(Duration::from_secs(10)))
+        .call_host(&embed_req(), Some(Duration::from_secs(10)), None)
         .unwrap();
     assert!(matches!(resp, Response::EmbedOk { .. }));
 
     // A spent budget fails fast and typed — locally, before the frame
     // ever reaches the wire.
     let err = client
-        .call_deadline(&embed_req(), Some(Duration::ZERO))
+        .call_host(&embed_req(), Some(Duration::ZERO), None)
         .unwrap_err();
     assert!(
         matches!(err, WireError::TimedOut),
@@ -312,4 +312,44 @@ fn deadline_budgets_succeed_generous_and_fail_typed_when_spent() {
 
     client.call(&Request::Shutdown).unwrap();
     server.wait();
+}
+
+#[test]
+fn budgets_past_u64_microseconds_saturate_instead_of_wrapping() {
+    use std::io::BufReader;
+    use std::net::TcpListener;
+    use std::time::Duration;
+    use xtree_server::wire::{decode_request_host, read_frame, write_response, NO_BUDGET};
+
+    // The test owns the peer, so it sees the frame exactly as sent.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut seen = Vec::new();
+        while let Some(bytes) = read_frame(&mut reader).unwrap() {
+            seen.push(decode_request_host(&bytes).unwrap());
+            write_response(&mut writer, &Response::ShutdownOk { pending: 0 }).unwrap();
+        }
+        seen
+    });
+
+    // 2^64 µs is about 18 446 744 073 709 552 ms: this budget is just
+    // past what the budget word can carry.
+    let huge = Some(Duration::from_millis(18_446_744_073_709_552));
+    let mut client = Client::connect(addr).unwrap();
+    client.call_host(&embed_req(), huge, None).unwrap();
+    client.call_host(&embed_req(), huge, Some(2)).unwrap();
+    drop(client);
+
+    assert_eq!(
+        peer.join().unwrap(),
+        vec![
+            (embed_req(), Some(u64::MAX), None),
+            // Beside a host tag the encoder clamps below the sentinel.
+            (embed_req(), Some(NO_BUDGET - 1), Some(2)),
+        ]
+    );
 }
