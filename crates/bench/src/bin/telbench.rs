@@ -4,9 +4,10 @@
 //! For each X-tree host it delivers the same seeded random batches through
 //! five configurations of the cycle loop:
 //!
-//! * **baseline** — the pre-instrumentation flat-buffer loop, reproduced
-//!   verbatim below (the same way `simbench` keeps `run_batch_legacy`), so
-//!   the comparison is against code with no `Sink` parameter at all;
+//! * **baseline** — the engine's flat-buffer loop with the
+//!   instrumentation taken out, reproduced below (the same way `simbench`
+//!   keeps `run_batch_legacy`), so the comparison is against code with no
+//!   `Sink` parameter at all;
 //! * **noop** — `Engine::run_batch`, i.e. the instrumented loop with
 //!   [`NopSink`](xtree_sim::telemetry::NopSink): the number that must
 //!   stay within ~2% of baseline,
@@ -28,12 +29,13 @@ use xtree_sim::{Engine, Host, Message, SimError, XTreeHost};
 use xtree_topology::Csr;
 
 /// Acceptance threshold for the no-op sink: the instrumented loop may cost
-/// at most this much over the pre-instrumentation baseline.
+/// at most this much over the sink-free baseline loop.
 const NOOP_THRESHOLD_PCT: f64 = 2.0;
 
-/// The fault-free engine exactly as it was before telemetry existed: the
-/// same flat scratch buffers, epoch-stamped claims, and in-place
-/// compaction, with no sink parameter anywhere.
+/// The fault-free engine loop with no sink parameter anywhere: the same
+/// flat scratch buffers, released link claims (0 = free, cleared from the
+/// cycle's list of claimed links), and in-place compaction as
+/// `Engine::run_batch`, so the comparison measures only the sink.
 #[derive(Default)]
 struct Baseline {
     at: Vec<u32>,
@@ -41,9 +43,8 @@ struct Baseline {
     active: Vec<u32>,
     hop_to: Vec<u32>,
     hop_edge: Vec<u32>,
-    claim_msg: Vec<u32>,
-    claim_epoch: Vec<u64>,
-    epoch: u64,
+    claim: Vec<u32>,
+    claimed: Vec<u32>,
     traffic: Vec<u32>,
     touched: Vec<u32>,
 }
@@ -60,19 +61,25 @@ impl Baseline {
     fn run_batch(&mut self, net: &XTreeHost, messages: &[Message]) -> Result<(u32, u64), SimError> {
         let graph: &Csr = net.csr();
         let links = graph.directed_edge_count();
-        if self.claim_epoch.len() < links {
-            self.claim_msg.resize(links, 0);
-            self.claim_epoch.resize(links, 0);
-            self.traffic.resize(links, 0);
+        if self.claim.len() < links {
+            self.claim = Vec::new();
+            self.traffic = Vec::new();
+            self.claim = vec![0; links];
+            self.traffic = vec![0; links];
         }
         self.at.clear();
         self.dst.clear();
         self.active.clear();
+        self.at.reserve(messages.len());
+        self.dst.reserve(messages.len());
+        self.active.reserve(messages.len());
+        self.claimed.reserve(messages.len().min(links));
         if self.hop_to.len() < messages.len() {
             self.hop_to.resize(messages.len(), 0);
             self.hop_edge.resize(messages.len(), 0);
         }
         let mut ideal_cycles = 0u32;
+        let mut route_hops = 0usize;
         for (i, m) in messages.iter().enumerate() {
             self.at.push(m.src);
             self.dst.push(m.dst);
@@ -84,37 +91,33 @@ impl Baseline {
                     .directed_edge_index(m.src, to)
                     .ok_or(SimError::RouterInvariant { at: m.src, to })?;
             }
-            ideal_cycles = ideal_cycles.max(net.distance(m.src, m.dst));
+            let d = net.distance(m.src, m.dst);
+            ideal_cycles = ideal_cycles.max(d);
+            route_hops += d as usize;
         }
+        self.touched.reserve(route_hops.min(links));
         let mut cycles = 0u32;
         let mut total_hops = 0u64;
         while !self.active.is_empty() {
             cycles += 1;
             if cycles > 4 * (ideal_cycles + 1) * (messages.len() as u32 + 1) {
-                let undelivered = self.active.len();
-                self.active.clear();
-                for &e in &self.touched {
-                    self.traffic[e as usize] = 0;
-                }
-                self.touched.clear();
                 return Err(SimError::Diverged {
                     cycle: cycles,
-                    undelivered,
+                    undelivered: self.active.len(),
                 });
             }
-            self.epoch += 1;
             for &i in &self.active {
                 let e = self.hop_edge[i as usize] as usize;
-                if self.claim_epoch[e] != self.epoch {
-                    self.claim_epoch[e] = self.epoch;
-                    self.claim_msg[e] = i;
+                if self.claim[e] == 0 {
+                    self.claim[e] = i + 1;
+                    self.claimed.push(e as u32);
                 }
             }
             let mut w = 0usize;
             for k in 0..self.active.len() {
                 let i = self.active[k];
                 let e = self.hop_edge[i as usize] as usize;
-                if self.claim_msg[e] == i {
+                if self.claim[e] == i + 1 {
                     let to = self.hop_to[i as usize];
                     self.at[i as usize] = to;
                     total_hops += 1;
@@ -136,6 +139,10 @@ impl Baseline {
                 w += 1;
             }
             self.active.truncate(w);
+            for &e in &self.claimed {
+                self.claim[e as usize] = 0;
+            }
+            self.claimed.clear();
         }
         for &e in &self.touched {
             self.traffic[e as usize] = 0;

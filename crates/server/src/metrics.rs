@@ -4,11 +4,11 @@
 //! Request counters are relaxed atomics (handlers on many threads bump
 //! them lock-free); request latency and queue depth go into
 //! [`Histogram`]s behind short-lived mutexes; and the engine events of
-//! every worker-run simulation land in one shared
-//! [`AtomicCounters`] (`&AtomicCounters` is a `Sink`, so the workers pass
-//! it straight into `simulate_*_with`). Exports reuse the telemetry
-//! crate's exposition helpers, so `xtree_server_*` series render exactly
-//! like the established `xtree_sim_*` ones.
+//! every worker-run simulation land in one shared [`AtomicCounters`]. A
+//! worker tallies a request's events into a plain `Counters` and adds
+//! them once, so the engine's cycle loop makes no atomic adds. Exports
+//! reuse the telemetry crate's exposition helpers, so `xtree_server_*`
+//! series render exactly like the established `xtree_sim_*` ones.
 
 use crate::cache::EmbeddingCache;
 use crate::wire::WireStats;

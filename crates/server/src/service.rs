@@ -28,9 +28,9 @@ use xtree_core::{evaluate, metrics::edge_congestion, theorem1, theorem2, XEmbedd
 use xtree_host::{guest_map, host_label, AnyHost, Host, HOST_LABELS};
 use xtree_sim::workload::{HostMap, WORKLOADS};
 use xtree_sim::{
-    compute_load, congestion, simulate_all_with, simulate_one_with, SimError, SimReport,
+    compute_load, congestion, simulate_all_in, simulate_one_in, Engine, SimError, SimReport,
 };
-use xtree_telemetry::Sink;
+use xtree_telemetry::{Counters, Sink};
 use xtree_trees::{BinaryTree, TreeFamily};
 
 /// Largest guest a single request may ask for: a million-node tree embeds
@@ -78,6 +78,11 @@ thread_local! {
     /// a worker reuses the previous build's buffers (DESIGN.md §13), so
     /// steady-state misses allocate only the result itself.
     static SCRATCH: RefCell<Theorem1Scratch> = RefCell::new(Theorem1Scratch::new());
+    /// One simulation engine per worker thread: its per-link buffers grow
+    /// to the largest host the worker has simulated on and stay (DESIGN.md
+    /// §12 has the bound), so a `Simulate` pays for its hops, not for the
+    /// host's link count.
+    static ENGINE: RefCell<Engine> = RefCell::new(Engine::new());
 }
 
 fn micros(d: Duration) -> u64 {
@@ -237,7 +242,7 @@ fn embed(
 }
 
 /// A `Simulate` reply: the guest is always generated, since the
-/// simulation walks it.
+/// simulation walks it, and the simulation runs on this worker's engine.
 fn simulate(
     key: EmbeddingKey,
     workload: u8,
@@ -257,7 +262,11 @@ fn simulate(
     let (emb, cached) = embedding(cache, key, found, t0.elapsed(), &tree, metrics)?;
     let net = host_net(key.host, emb.height)?;
     let map = guest_map(key.host, &emb).expect("tag validated by host_net");
-    let reports = run_workloads(net, &tree, &map, workload, &mut &metrics.sim);
+    // Engine events are tallied locally and reach the shared counters
+    // once per request, failed simulations included.
+    let mut events = Counters::default();
+    let reports = run_workloads(net, &tree, &map, workload, &mut events);
+    metrics.sim.add(&events);
     let reports = reports.map_err(|e| Response::Error {
         code: ERR_INTERNAL,
         message: format!("simulation failed: {e}"),
@@ -268,19 +277,23 @@ fn simulate(
     })
 }
 
-/// One workload's report, or all four for [`WORKLOAD_ALL`].
-fn run_workloads<H: Host, M: HostMap + Sync, S: Sink>(
+/// One workload's report, or all four for [`WORKLOAD_ALL`], run on this
+/// thread's engine.
+fn run_workloads<H: Host, M: HostMap, S: Sink>(
     net: &H,
     tree: &BinaryTree,
     map: &M,
     workload: u8,
     sink: &mut S,
 ) -> Result<Vec<SimReport>, SimError> {
-    if workload == WORKLOAD_ALL {
-        simulate_all_with(net, tree, map, sink)
-    } else {
-        simulate_one_with(net, tree, map, usize::from(workload), sink).map(|r| vec![r])
-    }
+    ENGINE.with(|engine| {
+        let engine = &mut *engine.borrow_mut();
+        if workload == WORKLOAD_ALL {
+            simulate_all_in(engine, net, tree, map, sink)
+        } else {
+            simulate_one_in(engine, net, tree, map, usize::from(workload), sink).map(|r| vec![r])
+        }
+    })
 }
 
 /// Executes one pooled request against the shared cache, reporting engine

@@ -1,5 +1,7 @@
 //! A scored warm `Embed` hit is a cache lookup: `handle_compute` answers
-//! it without a single heap allocation, on every host and theorem.
+//! it without a single heap allocation, on every host and theorem. And a
+//! warm `Simulate` runs on its worker's engine, so it makes no
+//! allocation the size of the host's link table.
 //!
 //! Allocation counts do not depend on the machine, so this gate holds on
 //! any CI runner. The counting allocator tallies per thread, so the test
@@ -15,16 +17,29 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations of at least [`BIG`] bytes.
+    static BIG_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// What counts as a big allocation: 1 MiB.
+const BIG: usize = 1 << 20;
+
+fn count(size: usize) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    if size >= BIG {
+        let _ = BIG_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -32,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,6 +60,13 @@ fn allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Allocations of at least [`BIG`] bytes this thread makes in `f`.
+fn big_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = BIG_ALLOCS.with(Cell::get);
+    let out = f();
+    (BIG_ALLOCS.with(Cell::get) - before, out)
 }
 
 #[test]
@@ -98,4 +120,43 @@ fn the_counter_sees_a_cold_request() {
     };
     let (n, _) = allocs(|| handle_compute(&req, HOST_XTREE, &cache, &ServerMetrics::new()));
     assert!(n > 0, "a cold build allocates");
+}
+
+#[test]
+fn warm_simulates_reuse_the_worker_engine() {
+    // Theorem 1's largest X(6) guest: the universal host there has
+    // 504 080 directed links, 2 MB per 4-byte link buffer.
+    let cache = EmbeddingCache::new(8);
+    let metrics = ServerMetrics::new();
+    let req = Request::Simulate {
+        family: 4,
+        nodes: 2032,
+        seed: 13,
+        theorem: 1,
+        workload: 255,
+    };
+    let (first, cold) = big_allocs(|| handle_compute(&req, HOST_UNIVERSAL, &cache, &metrics));
+    assert!(
+        first > 0,
+        "the first request builds the host and grows the engine"
+    );
+    let (n, warm) = big_allocs(|| handle_compute(&req, HOST_UNIVERSAL, &cache, &metrics));
+    assert!(
+        matches!(warm, Response::SimulateOk { cached: true, .. }),
+        "{warm:?}"
+    );
+    let Response::SimulateOk { reports, .. } = cold else {
+        panic!("expected SimulateOk, got {cold:?}");
+    };
+    assert_eq!(
+        warm,
+        Response::SimulateOk {
+            cached: true,
+            reports
+        }
+    );
+    assert_eq!(
+        n, 0,
+        "a warm Simulate made {n} allocations of 1 MiB or more"
+    );
 }

@@ -13,12 +13,18 @@
 //! engine measures rather than assumes away.
 //!
 //! The cycle loop is allocation-free: per-message and per-link state live
-//! in flat scratch buffers inside [`Engine`] (links are addressed by
-//! [`Csr::directed_edge_index`], link claims are epoch-stamped so they
-//! never need clearing, and finished messages are compacted out of the
-//! active list in id order). [`run_batch`] is a convenience wrapper that
-//! spins up a fresh engine; sweeps should hold one `Engine` and reuse it
-//! across batches so the buffers warm up once.
+//! in flat scratch buffers inside [`Engine`], and finished messages are
+//! compacted out of the active list in id order. Links are addressed by
+//! [`Csr::directed_edge_index`], and each one costs 8 bytes: a claim slot
+//! (0 = free) and a traffic counter. A cycle releases exactly the claims
+//! it made, from a list of claimed links, and a batch resets exactly the
+//! counters it raised, so between batches every slot is zero, on error
+//! exits too. A larger host therefore gets freshly zeroed buffers instead
+//! of a copy: the allocator's zero pages stay virtual until a link carries
+//! traffic. [`run_batch`] is a convenience wrapper that spins up a fresh
+//! engine; sweeps (and each server worker) hold one `Engine` and reuse it
+//! across batches, so the buffers grow once and a batch costs its hops,
+//! not the host's link count.
 //!
 //! **Faults.** [`Engine::run_batch_faulted`] delivers a batch while a
 //! [`FaultState`] kills and repairs links/nodes mid-flight. Routing then
@@ -161,17 +167,17 @@ pub struct Engine {
     hop_to: Vec<u32>,
     /// Directed-edge index of that hop ([`UNROUTABLE`] = waiting).
     hop_edge: Vec<u32>,
-    /// Lowest message id that claimed each directed link this cycle …
-    claim_msg: Vec<u32>,
-    /// … valid only when the link's stamp equals the current epoch, which
-    /// removes the per-cycle `O(links)` clear.
-    claim_epoch: Vec<u64>,
-    /// Monotone cycle counter across all batches run on this engine.
-    epoch: u64,
+    /// Per directed link: one more than the lowest id that claimed it this
+    /// cycle, or 0 when the link is free.
+    claim: Vec<u32>,
+    /// Links claimed this cycle, released when the cycle ends.
+    claimed: Vec<u32>,
     /// Messages that crossed each directed link in the current batch.
     traffic: Vec<u32>,
     /// Links with non-zero traffic, for `O(touched)` reset.
     touched: Vec<u32>,
+    /// Delivery cycles across all batches run on this engine.
+    clock: u64,
 }
 
 impl Engine {
@@ -184,28 +190,43 @@ impl Engine {
     /// batch run on this engine. Checkpoints store it so a resumed run
     /// reports the same cumulative timeline.
     pub fn clock(&self) -> u64 {
-        self.epoch
+        self.clock
     }
 
     /// Fast-forwards the clock to at least `clock` (it never moves
-    /// backwards: the link-claim stamps rely on the epoch being monotone).
+    /// backwards).
     pub fn restore_clock(&mut self, clock: u64) {
-        self.epoch = self.epoch.max(clock);
+        self.clock = self.clock.max(clock);
     }
 
     fn reserve(&mut self, links: usize, messages: usize) {
-        if self.claim_epoch.len() < links {
-            self.claim_msg.resize(links, 0);
-            self.claim_epoch.resize(links, 0);
-            self.traffic.resize(links, 0);
+        if self.claim.len() < links {
+            // Every slot is zero between batches, so nothing needs copying:
+            // free the old buffers first, then take zeroed ones.
+            self.claim = Vec::new();
+            self.traffic = Vec::new();
+            self.claim = vec![0; links];
+            self.traffic = vec![0; links];
         }
         self.at.clear();
         self.dst.clear();
         self.active.clear();
+        self.at.reserve(messages);
+        self.dst.reserve(messages);
+        self.active.reserve(messages);
+        self.claimed.reserve(messages.min(links));
         if self.hop_to.len() < messages {
             self.hop_to.resize(messages, 0);
             self.hop_edge.resize(messages, 0);
         }
+    }
+
+    /// Releases this cycle's link claims.
+    fn release_claims(&mut self) {
+        for &e in &self.claimed {
+            self.claim[e as usize] = 0;
+        }
+        self.claimed.clear();
     }
 
     /// Folds the per-link traffic counters into the batch congestion and
@@ -218,6 +239,14 @@ impl Engine {
         }
         self.touched.clear();
         max_link_traffic
+    }
+
+    /// Restores the between-batch state after a batch that ended in an
+    /// error, so the next batch on this engine starts clean.
+    fn abandon(&mut self) {
+        self.release_claims();
+        self.drain_traffic();
+        self.active.clear();
     }
 
     /// Delivers `messages` on `net`, one hop per free link per cycle.
@@ -247,6 +276,21 @@ impl Engine {
         messages: &[Message],
         sink: &mut S,
     ) -> Result<BatchStats, SimError> {
+        let out = self.deliver(net, messages, sink);
+        if out.is_err() {
+            self.abandon();
+        }
+        out
+    }
+
+    /// The fault-free cycle loop behind [`Engine::run_batch_with`], which
+    /// cleans up after its errors.
+    fn deliver<H: Host, S: Sink>(
+        &mut self,
+        net: &H,
+        messages: &[Message],
+        sink: &mut S,
+    ) -> Result<BatchStats, SimError> {
         let graph: &Csr = net.csr();
         self.reserve(graph.directed_edge_count(), messages.len());
         if S::ACTIVE {
@@ -255,6 +299,7 @@ impl Engine {
             });
         }
         let mut ideal_cycles = 0u32;
+        let mut route_hops = 0usize;
         for (i, m) in messages.iter().enumerate() {
             self.at.push(m.src);
             self.dst.push(m.dst);
@@ -266,30 +311,33 @@ impl Engine {
                     .directed_edge_index(m.src, to)
                     .ok_or(SimError::RouterInvariant { at: m.src, to })?;
             }
-            ideal_cycles = ideal_cycles.max(net.distance(m.src, m.dst));
+            let d = net.distance(m.src, m.dst);
+            ideal_cycles = ideal_cycles.max(d);
+            route_hops += d as usize;
         }
+        // Every message walks a shortest route, so the batch crosses at
+        // most this many distinct links.
+        self.touched
+            .reserve(route_hops.min(graph.directed_edge_count()));
         let mut cycles = 0u32;
         let mut total_hops = 0u64;
         while !self.active.is_empty() {
             cycles += 1;
             if cycles > 4 * (ideal_cycles + 1) * (messages.len() as u32 + 1) {
-                let undelivered = self.active.len();
-                self.active.clear();
-                self.drain_traffic();
                 return Err(SimError::Diverged {
                     cycle: cycles,
-                    undelivered,
+                    undelivered: self.active.len(),
                 });
             }
-            self.epoch += 1;
+            self.clock += 1;
             // Pass 1: the lowest id claims each link (active ids are
             // ascending, so first writer wins). Hops were routed when the
             // message last moved.
             for &i in &self.active {
                 let e = self.hop_edge[i as usize] as usize;
-                if self.claim_epoch[e] != self.epoch {
-                    self.claim_epoch[e] = self.epoch;
-                    self.claim_msg[e] = i;
+                if self.claim[e] == 0 {
+                    self.claim[e] = i + 1;
+                    self.claimed.push(e as u32);
                 }
             }
             // Pass 2: advance claim winners and route their next hop;
@@ -298,7 +346,7 @@ impl Engine {
             for k in 0..self.active.len() {
                 let i = self.active[k];
                 let e = self.hop_edge[i as usize] as usize;
-                if self.claim_msg[e] == i {
+                if self.claim[e] == i + 1 {
                     let to = self.hop_to[i as usize];
                     if S::ACTIVE {
                         sink.record(Event::HopTaken {
@@ -336,13 +384,14 @@ impl Engine {
                         cycle: u64::from(cycles),
                         edge: e as u32,
                         msg: i,
-                        winner: self.claim_msg[e],
+                        winner: self.claim[e] - 1,
                     });
                 }
                 self.active[w] = i;
                 w += 1;
             }
             self.active.truncate(w);
+            self.release_claims();
         }
         Ok(BatchStats {
             cycles,
@@ -435,6 +484,22 @@ impl Engine {
                 self.run_batch_with(net, messages, sink)?,
             ));
         }
+        let out = self.deliver_faulted(net, messages, faults, sink);
+        if out.is_err() {
+            self.abandon();
+        }
+        out
+    }
+
+    /// The faulted cycle loop behind [`Engine::run_batch_faulted_with`],
+    /// which cleans up after its errors.
+    fn deliver_faulted<H: Host, S: Sink>(
+        &mut self,
+        net: &H,
+        messages: &[Message],
+        faults: &mut FaultState,
+        sink: &mut S,
+    ) -> Result<BatchOutcome, SimError> {
         enum End {
             Delivered,
             Stranded,
@@ -528,7 +593,7 @@ impl Engine {
             if cycles > hard_limit {
                 break End::Stalled(None);
             }
-            self.epoch += 1;
+            self.clock += 1;
             // Pass 1: claims, exactly as in the fault-free loop — waiting
             // messages do not claim, and routes are never stale here (they
             // are rebuilt on every topology change), so a claimed link is
@@ -539,9 +604,9 @@ impl Engine {
                     continue;
                 }
                 let e = e as usize;
-                if self.claim_epoch[e] != self.epoch {
-                    self.claim_epoch[e] = self.epoch;
-                    self.claim_msg[e] = i;
+                if self.claim[e] == 0 {
+                    self.claim[e] = i + 1;
+                    self.claimed.push(e as u32);
                 }
             }
             // Pass 2: advance winners, re-route them on the survivor graph.
@@ -549,7 +614,7 @@ impl Engine {
             for k in 0..self.active.len() {
                 let i = self.active[k];
                 let e = self.hop_edge[i as usize];
-                if e != UNROUTABLE && self.claim_msg[e as usize] == i {
+                if e != UNROUTABLE && self.claim[e as usize] == i + 1 {
                     let e = e as usize;
                     let to = self.hop_to[i as usize];
                     if S::ACTIVE {
@@ -583,13 +648,14 @@ impl Engine {
                         cycle: cycles,
                         edge: e,
                         msg: i,
-                        winner: self.claim_msg[e as usize],
+                        winner: self.claim[e as usize] - 1,
                     });
                 }
                 self.active[w] = i;
                 w += 1;
             }
             self.active.truncate(w);
+            self.release_claims();
         };
         let undelivered: Vec<u32> = std::mem::take(&mut self.active);
         let stats = BatchStats {
@@ -857,6 +923,70 @@ mod tests {
             assert_eq!(warmed.run_batch(&net, &msgs).unwrap(), first);
         }
         assert_eq!(Engine::new().run_batch(&net, &msgs).unwrap(), first);
+    }
+
+    /// A path host whose router answers `(v, dst)` with `bad(v, dst)`
+    /// where that is `Some`: a routing bug on demand.
+    struct Miswired<F>(TableHost, F);
+
+    impl<F: Fn(u32, u32) -> Option<u32>> Host for Miswired<F> {
+        fn csr(&self) -> &Csr {
+            self.0.csr()
+        }
+        fn label(&self) -> &'static str {
+            "miswired"
+        }
+        fn degree_bound(&self) -> u32 {
+            self.0.degree_bound()
+        }
+        fn next_hop(&self, v: u32, dst: u32) -> u32 {
+            (self.1)(v, dst).unwrap_or_else(|| self.0.next_hop(v, dst))
+        }
+        fn distance(&self, v: u32, dst: u32) -> u32 {
+            self.0.distance(v, dst)
+        }
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_the_engine_clean() {
+        // Vertex 3 sends mail for 5 back to 0, which is no neighbour: the
+        // batch fails in pass 2 with claims set and traffic counted.
+        let net = Miswired(path_net(8), |v, dst| ((v, dst) == (3, 5)).then_some(0));
+        let mut engine = Engine::new();
+        let err = engine
+            .run_batch(&net, &[Message { src: 0, dst: 5 }; 3])
+            .unwrap_err();
+        assert_eq!(err, SimError::RouterInvariant { at: 3, to: 0 });
+        let next = [Message { src: 6, dst: 7 }];
+        let fresh = Engine::new().run_batch(&net, &next).unwrap();
+        assert_eq!(fresh.max_link_traffic, 1);
+        assert_eq!(engine.run_batch(&net, &next).unwrap(), fresh);
+        // The links the failed batch claimed and crossed are free again.
+        let over = [Message { src: 0, dst: 4 }, Message { src: 1, dst: 3 }];
+        assert_eq!(
+            engine.run_batch(&net, &over).unwrap(),
+            Engine::new().run_batch(&net, &over).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_diverged_batch_leaves_the_engine_clean() {
+        // 2 and 3 hand mail for 5 back and forth until the bound trips.
+        let net = Miswired(path_net(8), |v, dst| match (v, dst) {
+            (3, 5) => Some(2),
+            (2, 5) => Some(3),
+            _ => None,
+        });
+        let mut engine = Engine::new();
+        let err = engine
+            .run_batch(&net, &[Message { src: 0, dst: 5 }; 2])
+            .unwrap_err();
+        assert!(matches!(err, SimError::Diverged { .. }), "{err:?}");
+        let next = [Message { src: 6, dst: 7 }, Message { src: 2, dst: 3 }];
+        assert_eq!(
+            engine.run_batch(&net, &next).unwrap(),
+            Engine::new().run_batch(&net, &next).unwrap()
+        );
     }
 
     // ---- faults ---------------------------------------------------------

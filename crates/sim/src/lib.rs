@@ -9,7 +9,8 @@
 //!   quotient table, and [`TableHost`] on dense BFS tables for any other
 //!   connected graph;
 //! * [`workload`] — broadcast / reduce / exchange / divide-and-conquer
-//!   message rounds derived from a guest tree and an embedding;
+//!   message rounds derived from a guest tree and an embedding, built
+//!   once per guest as flat arrays;
 //! * [`engine`] — cycle-accurate delivery with per-link contention, with
 //!   reusable allocation-free scratch state in [`engine::Engine`];
 //! * [`fault`] — deterministic link/node failure schedules and the cached
@@ -51,8 +52,8 @@ pub use recovery::{
 pub use session::{RecoveryTotals, Session, SessionSnapshot, SessionStatus};
 pub use stats::{
     compute_load, congestion, simulate_all, simulate_all_faulted, simulate_all_faulted_with,
-    simulate_all_with, simulate_one_with, simulate_step, sweep, sweep_counted, weighted_congestion,
-    FaultSimReport, SimReport, StepReport,
+    simulate_all_in, simulate_all_with, simulate_one_in, simulate_one_with, simulate_step, sweep,
+    sweep_counted, weighted_congestion, FaultSimReport, SimReport, StepReport,
 };
 pub use workload::HostMap;
 pub use xtree_host as host;

@@ -27,7 +27,7 @@ use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::recovery::{recover_batch_with, RecoveryEnd, RecoveryPolicy, RepairableHost};
 use crate::stats::FaultSimReport;
-use crate::workload::{rounds_for, WORKLOADS};
+use crate::workload::{Rounds, WORKLOADS};
 use xtree_core::XEmbedding;
 use xtree_host::Host;
 use xtree_telemetry::varint::{decode_u64, encode_u64};
@@ -150,8 +150,8 @@ impl<'a, H: Host, M: RepairableHost> Session<'a, H, M> {
     ) -> Result<SessionStatus, SimError> {
         let mut done = 0usize;
         while self.workload_idx < WORKLOADS.len() {
-            let mut rounds = rounds_for(self.tree, &self.emb, self.workload_idx);
-            if self.partial.stalled || self.round_idx >= rounds.len() {
+            let rounds = Rounds::new(self.tree, &self.emb, Some(self.workload_idx));
+            if self.partial.stalled || self.round_idx >= rounds.count(self.workload_idx) {
                 // Workload finished (or cut short): bank its report.
                 let next = self.workload_idx + 1;
                 self.completed
@@ -164,8 +164,7 @@ impl<'a, H: Host, M: RepairableHost> Session<'a, H, M> {
             if done >= budget {
                 return Ok(SessionStatus::Paused);
             }
-            let batch = std::mem::take(&mut rounds[self.round_idx]);
-            drop(rounds);
+            let batch = rounds.round(self.workload_idx, self.round_idx);
             if self.faults.is_none() {
                 // Each workload replays the damage schedule from cycle 0,
                 // matching `simulate_all_faulted_with`.
@@ -176,7 +175,7 @@ impl<'a, H: Host, M: RepairableHost> Session<'a, H, M> {
                 None => {
                     let out = self
                         .engine
-                        .run_batch_faulted_with(self.net, &batch, faults, sink)?;
+                        .run_batch_faulted_with(self.net, batch, faults, sink)?;
                     let s = out.stats();
                     self.partial.cycles += s.cycles;
                     self.partial.ideal_cycles += s.ideal_cycles;
@@ -193,7 +192,7 @@ impl<'a, H: Host, M: RepairableHost> Session<'a, H, M> {
                         self.net,
                         self.tree,
                         &mut self.emb,
-                        &batch,
+                        batch,
                         faults,
                         policy,
                         sink,

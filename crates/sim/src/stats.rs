@@ -2,10 +2,10 @@
 //! rayon-parallel sweep driver for running many (tree, embedding) pairs
 //! and a fault-injection variant that reports degraded delivery.
 
-use crate::engine::{BatchOutcome, BatchStats, Engine};
+use crate::engine::{BatchOutcome, Engine};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
-use crate::workload;
+use crate::workload::{self, Rounds, WORKLOADS};
 use rayon::prelude::*;
 use xtree_host::Host;
 use xtree_telemetry::{AtomicCounters, NopSink, Sink};
@@ -25,23 +25,6 @@ pub struct SimReport {
     pub worst_round_slowdown: f64,
     /// Maximum traffic over a single directed link in any round.
     pub max_link_traffic: u32,
-}
-
-fn summarise(workload: &'static str, stats: &[BatchStats]) -> SimReport {
-    let cycles = stats.iter().map(|s| s.cycles).sum();
-    let ideal_cycles = stats.iter().map(|s| s.ideal_cycles).sum();
-    let worst_round_slowdown = stats
-        .iter()
-        .filter(|s| s.ideal_cycles > 0)
-        .map(|s| s.cycles as f64 / s.ideal_cycles as f64)
-        .fold(1.0f64, f64::max);
-    SimReport {
-        workload,
-        cycles,
-        ideal_cycles,
-        worst_round_slowdown,
-        max_link_traffic: stats.iter().map(|s| s.max_link_traffic).max().unwrap_or(0),
-    }
 }
 
 /// Edge congestion of an embedding on an arbitrary host: route every guest
@@ -165,14 +148,6 @@ pub fn simulate_step<H: Host, M: workload::HostMap>(
     })
 }
 
-/// The four canonical workloads, each as a round sequence.
-fn workload_rounds<M: workload::HostMap>(
-    tree: &BinaryTree,
-    emb: &M,
-) -> [(&'static str, Vec<Vec<crate::engine::Message>>); 4] {
-    std::array::from_fn(|i| (workload::WORKLOADS[i], workload::rounds_for(tree, emb, i)))
-}
-
 /// Runs the canonical tree workloads of one embedding.
 ///
 /// # Errors
@@ -187,7 +162,8 @@ pub fn simulate_all<H: Host, M: workload::HostMap + Sync>(
 
 /// [`simulate_all`] with telemetry: every batch of every workload reports
 /// its events to `sink` (workloads run in their fixed order on one shared
-/// engine, so the event stream is deterministic).
+/// engine, so the event stream is deterministic). A fresh engine runs
+/// them; [`simulate_all_in`] reuses one.
 ///
 /// # Errors
 /// See [`crate::engine::run_batch`].
@@ -197,25 +173,16 @@ pub fn simulate_all_with<H: Host, M: workload::HostMap + Sync, S: Sink>(
     emb: &M,
     sink: &mut S,
 ) -> Result<Vec<SimReport>, SimError> {
-    let mut engine = Engine::new();
-    workload_rounds(tree, emb)
-        .iter()
-        .map(|(name, rounds)| {
-            let stats = rounds
-                .iter()
-                .map(|r| engine.run_batch_with(net, r, sink))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(summarise(name, &stats))
-        })
-        .collect()
+    simulate_all_in(&mut Engine::new(), net, tree, emb, sink)
 }
 
 /// Runs one canonical workload (an index into
-/// [`workload::WORKLOADS`]) on its own engine, reporting to `sink`.
+/// [`workload::WORKLOADS`]) on a fresh engine, reporting to `sink`.
 /// Produces the same report as the matching entry of
 /// [`simulate_all_with`] — the engine is pure scratch state, so sharing
 /// one across workloads or not cannot change results. The serving layer
-/// uses this to run exactly the workload a request asked for.
+/// uses [`simulate_one_in`] to run exactly the workload a request asked
+/// for on its worker's engine.
 ///
 /// # Panics
 /// If `idx` is not a valid workload index (`0..4`).
@@ -229,12 +196,74 @@ pub fn simulate_one_with<H: Host, M: workload::HostMap + Sync, S: Sink>(
     idx: usize,
     sink: &mut S,
 ) -> Result<SimReport, SimError> {
-    let mut engine = Engine::new();
-    let stats = workload::rounds_for(tree, emb, idx)
-        .iter()
-        .map(|r| engine.run_batch_with(net, r, sink))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(summarise(workload::WORKLOADS[idx], &stats))
+    simulate_one_in(&mut Engine::new(), net, tree, emb, idx, sink)
+}
+
+/// [`simulate_all_with`] on `engine`: the guest's rounds are built once
+/// for all four workloads, and a warm engine allocates nothing per batch.
+///
+/// # Errors
+/// See [`crate::engine::run_batch`].
+pub fn simulate_all_in<H: Host, M: workload::HostMap, S: Sink>(
+    engine: &mut Engine,
+    net: &H,
+    tree: &BinaryTree,
+    emb: &M,
+    sink: &mut S,
+) -> Result<Vec<SimReport>, SimError> {
+    let rounds = Rounds::new(tree, emb, None);
+    (0..WORKLOADS.len())
+        .map(|idx| run_workload(engine, net, &rounds, idx, sink))
+        .collect()
+}
+
+/// [`simulate_one_with`] on `engine`, building only the rounds workload
+/// `idx` reads.
+///
+/// # Panics
+/// If `idx` is not a valid workload index (`0..4`).
+///
+/// # Errors
+/// See [`crate::engine::run_batch`].
+pub fn simulate_one_in<H: Host, M: workload::HostMap, S: Sink>(
+    engine: &mut Engine,
+    net: &H,
+    tree: &BinaryTree,
+    emb: &M,
+    idx: usize,
+    sink: &mut S,
+) -> Result<SimReport, SimError> {
+    let rounds = Rounds::new(tree, emb, Some(idx));
+    run_workload(engine, net, &rounds, idx, sink)
+}
+
+/// Runs every round of workload `idx` in order, folding each batch into
+/// the report as it finishes.
+fn run_workload<H: Host, S: Sink>(
+    engine: &mut Engine,
+    net: &H,
+    rounds: &Rounds,
+    idx: usize,
+    sink: &mut S,
+) -> Result<SimReport, SimError> {
+    let mut report = SimReport {
+        workload: WORKLOADS[idx],
+        cycles: 0,
+        ideal_cycles: 0,
+        worst_round_slowdown: 1.0,
+        max_link_traffic: 0,
+    };
+    for round in rounds.workload(idx) {
+        let s = engine.run_batch_with(net, round, sink)?;
+        report.cycles += s.cycles;
+        report.ideal_cycles += s.ideal_cycles;
+        if s.ideal_cycles > 0 {
+            let slowdown = s.cycles as f64 / s.ideal_cycles as f64;
+            report.worst_round_slowdown = report.worst_round_slowdown.max(slowdown);
+        }
+        report.max_link_traffic = report.max_link_traffic.max(s.max_link_traffic);
+    }
+    Ok(report)
 }
 
 /// Cycle-and-delivery summary of one workload run under fault injection.
@@ -301,9 +330,11 @@ pub fn simulate_all_faulted_with<H: Host, M: workload::HostMap + Sync, S: Sink>(
     sink: &mut S,
 ) -> Result<Vec<FaultSimReport>, SimError> {
     let mut engine = Engine::new();
-    workload_rounds(tree, emb)
+    let rounds = Rounds::new(tree, emb, None);
+    WORKLOADS
         .iter()
-        .map(|(name, rounds)| {
+        .enumerate()
+        .map(|(idx, &name)| {
             let mut faults = FaultState::new(net.csr(), plan.clone())?;
             let mut rep = FaultSimReport {
                 workload: name,
@@ -314,7 +345,7 @@ pub fn simulate_all_faulted_with<H: Host, M: workload::HostMap + Sync, S: Sink>(
                 stranded: 0,
                 stalled: false,
             };
-            for round in rounds {
+            for round in rounds.workload(idx) {
                 let out = engine.run_batch_faulted_with(net, round, &mut faults, sink)?;
                 let s = out.stats();
                 rep.cycles += s.cycles;

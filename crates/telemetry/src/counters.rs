@@ -1,11 +1,17 @@
-//! Lock-free event counters for concurrent sweeps.
+//! Event counters: plain ones for one thread, lock-free ones for many.
 //!
 //! [`AtomicCounters`] tallies events with relaxed atomic adds — no locks,
 //! no contention beyond the cache line — and `&AtomicCounters` implements
 //! [`Sink`], so a rayon sweep can hand every worker a shared reference to
 //! one instance and read a consistent total afterwards ([`snapshot`]).
 //!
+//! [`Counters`] is a [`Sink`] too, with plain adds. A thread that runs a
+//! whole simulation on its own tallies into one and folds it into the
+//! shared block with a single [`add`], instead of one atomic add per
+//! event on cache lines other threads write.
+//!
 //! [`snapshot`]: AtomicCounters::snapshot
+//! [`add`]: AtomicCounters::add
 
 use crate::event::Event;
 use crate::sink::Sink;
@@ -89,6 +95,24 @@ impl AtomicCounters {
         c.fetch_add(1, Relaxed);
     }
 
+    /// Adds every field of `c`, e.g. one request's locally tallied events.
+    pub fn add(&self, c: &Counters) {
+        self.batches.fetch_add(c.batches, Relaxed);
+        self.hops.fetch_add(c.hops, Relaxed);
+        self.contentions.fetch_add(c.contentions, Relaxed);
+        self.delivered.fetch_add(c.delivered, Relaxed);
+        self.faults_applied.fetch_add(c.faults_applied, Relaxed);
+        self.reroutes.fetch_add(c.reroutes, Relaxed);
+        self.idle_jumps.fetch_add(c.idle_jumps, Relaxed);
+        self.idle_cycles_skipped
+            .fetch_add(c.idle_cycles_skipped, Relaxed);
+        self.recovery_attempts
+            .fetch_add(c.recovery_attempts, Relaxed);
+        self.requeues.fetch_add(c.requeues, Relaxed);
+        self.repairs.fetch_add(c.repairs, Relaxed);
+        self.checkpoints.fetch_add(c.checkpoints, Relaxed);
+    }
+
     /// A consistent-enough copy: exact once all writers are done.
     pub fn snapshot(&self) -> Counters {
         Counters {
@@ -105,6 +129,30 @@ impl AtomicCounters {
             repairs: self.repairs.load(Relaxed),
             checkpoints: self.checkpoints.load(Relaxed),
         }
+    }
+}
+
+/// Plain counting: the single-threaded twin of [`AtomicCounters::record`].
+impl Sink for Counters {
+    #[inline]
+    fn record(&mut self, ev: Event) {
+        let c = match ev {
+            Event::BatchStarted { .. } => &mut self.batches,
+            Event::HopTaken { .. } => &mut self.hops,
+            Event::LinkContended { .. } => &mut self.contentions,
+            Event::MessageDelivered { .. } => &mut self.delivered,
+            Event::FaultApplied { .. } => &mut self.faults_applied,
+            Event::RerouteComputed { .. } => &mut self.reroutes,
+            Event::WatchdogIdle { skipped, .. } => {
+                self.idle_cycles_skipped += skipped;
+                &mut self.idle_jumps
+            }
+            Event::RecoveryAttempt { .. } => &mut self.recovery_attempts,
+            Event::MessageRequeued { .. } => &mut self.requeues,
+            Event::EmbeddingRepaired { .. } => &mut self.repairs,
+            Event::CheckpointWritten { .. } => &mut self.checkpoints,
+        };
+        *c += 1;
     }
 }
 
@@ -162,6 +210,88 @@ mod tests {
         assert_eq!(s.idle_jumps, 1);
         assert_eq!(s.idle_cycles_skipped, 9);
         assert_eq!(s.events(), 4);
+    }
+
+    /// One event of every kind, with distinct payloads.
+    fn every_kind() -> [Event; 11] {
+        [
+            Event::BatchStarted { messages: 2 },
+            Event::HopTaken {
+                cycle: 1,
+                msg: 0,
+                from: 0,
+                to: 1,
+                edge: 0,
+            },
+            Event::LinkContended {
+                cycle: 1,
+                edge: 0,
+                msg: 1,
+                winner: 0,
+            },
+            Event::MessageDelivered {
+                cycle: 1,
+                msg: 0,
+                at: 1,
+            },
+            Event::FaultApplied {
+                cycle: 2,
+                down_links: 1,
+                down_nodes: 0,
+            },
+            Event::RerouteComputed {
+                cycle: 2,
+                messages: 1,
+            },
+            Event::WatchdogIdle {
+                cycle: 10,
+                skipped: 7,
+            },
+            Event::RecoveryAttempt {
+                attempt: 1,
+                backoff: 4,
+                requeued: 1,
+            },
+            Event::MessageRequeued {
+                attempt: 1,
+                msg: 1,
+                src: 2,
+                dst: 3,
+            },
+            Event::EmbeddingRepaired {
+                migrated: 3,
+                max_load: 2,
+                dilation: 4,
+            },
+            Event::CheckpointWritten { bytes: 99 },
+        ]
+    }
+
+    #[test]
+    fn local_tally_added_once_equals_atomic_recording() {
+        // Every kind, each a different number of times, so a counter that
+        // lands in the wrong field shows.
+        let stream: Vec<Event> = every_kind()
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &ev)| std::iter::repeat_n(ev, k + 1))
+            .collect();
+        let shared = AtomicCounters::new();
+        let mut local = Counters::default();
+        for &ev in &stream {
+            via_sink(&shared, ev);
+            via_sink(&mut local, ev);
+        }
+        let added = AtomicCounters::new();
+        added.add(&local);
+        assert_eq!(added.snapshot(), shared.snapshot());
+        assert_eq!(local, shared.snapshot());
+        assert_eq!(local.idle_cycles_skipped, 7 * 7);
+        assert_eq!(local.events(), stream.len() as u64);
+        // Adding accumulates onto what is already there.
+        added.add(&local);
+        assert_eq!(added.snapshot().hops, 2 * local.hops);
+        assert_eq!(added.snapshot().checkpoints, 2 * local.checkpoints);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   Prometheus text;
 //! * [`AtomicCounters`] — lock-free relaxed counters; `&AtomicCounters`
 //!   is itself a [`Sink`], so one instance aggregates across rayon
-//!   threads;
+//!   threads. [`Counters`], their plain copy, is a [`Sink`] too: a thread
+//!   tallies locally and adds the total once ([`AtomicCounters::add`]);
 //! * [`Tee`] — fans one event stream out to two sinks.
 
 pub mod counters;
