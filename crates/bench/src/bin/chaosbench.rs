@@ -34,8 +34,8 @@ use xtree_json::Value;
 use xtree_server::wire::{decode_response, read_frame, write_request_host};
 use xtree_server::{
     ChaosPlan, ChaosProfile, Client, ReconnectPolicy, Request, Response, Router, RouterConfig,
-    Server, ServerConfig, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_EXHAUSTED, ERR_SHUTTING_DOWN,
-    ERR_UNREACHABLE,
+    Server, ServerConfig, ShardCount, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_EXHAUSTED,
+    ERR_SHUTTING_DOWN, ERR_UNREACHABLE,
 };
 
 /// `random-bst` in `TreeFamily::ALL`.
@@ -338,9 +338,9 @@ fn phase_server_chaos_cluster(plan: ChaosPlan, conns: usize, requests: usize) ->
         tally.unavailable,
         tally.transport,
         tally.corrupted,
-        metrics.routed_total(),
-        metrics.failed_total(),
-        metrics.replayed_total(),
+        metrics.total(ShardCount::Routed),
+        metrics.total(ShardCount::Failed),
+        metrics.total(ShardCount::Replayed),
     );
 
     // Drain: the router forwards Shutdown to every shard; under server

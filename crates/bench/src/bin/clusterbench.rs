@@ -24,7 +24,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use xtree_json::Value;
 use xtree_server::{
-    Client, ReconnectPolicy, Request, Response, Router, RouterConfig, Server, ServerConfig,
+    Client, ClusterCount, ReconnectPolicy, Request, Response, Router, RouterConfig, Server,
+    ServerConfig, ShardCount,
 };
 use xtree_sim::Backoff;
 
@@ -227,8 +228,8 @@ fn scaling_point(shards: usize, conns: usize, count: usize, seed: u64) -> Value 
         .with("latency_p50_us", run.p50_us)
         .with("latency_p95_us", run.p95_us)
         .with("latency_p99_us", run.p99_us)
-        .with("routed", metrics.routed_total())
-        .with("replayed", metrics.replayed_total());
+        .with("routed", metrics.total(ShardCount::Routed))
+        .with("replayed", metrics.total(ShardCount::Replayed));
     drain_cluster(servers, router);
     point
 }
@@ -263,14 +264,14 @@ fn failover_probe(conns: usize, count: usize, seed: u64) -> Value {
     let metrics = router.metrics();
     let shard_set = router.shard_set();
     assert_eq!(shard_set.live_count(), 1, "the victim must be ejected");
-    assert_eq!(metrics.unreachable_total(), 0);
-    assert_eq!(metrics.exhausted_total(), 0);
+    assert_eq!(metrics.get(ClusterCount::Unreachable), 0);
+    assert_eq!(metrics.get(ClusterCount::Exhausted), 0);
     let (failover_p99_us, failovers) = metrics.failover_quantile_us(0.99);
     eprintln!(
         "failover: {} reqs, {} replayed, {} transport failures, {} failovers, p99 {}us",
         run.requests,
-        metrics.replayed_total(),
-        metrics.failed_total(),
+        metrics.total(ShardCount::Replayed),
+        metrics.total(ShardCount::Failed),
         failovers,
         failover_p99_us
     );
@@ -281,10 +282,10 @@ fn failover_probe(conns: usize, count: usize, seed: u64) -> Value {
         .with("wall_s", run.wall_s)
         .with("throughput_rps", run.throughput_rps())
         .with("latency_p99_us", run.p99_us)
-        .with("failed", metrics.failed_total())
-        .with("replayed", metrics.replayed_total())
-        .with("unreachable", metrics.unreachable_total())
-        .with("exhausted", metrics.exhausted_total())
+        .with("failed", metrics.total(ShardCount::Failed))
+        .with("replayed", metrics.total(ShardCount::Replayed))
+        .with("unreachable", metrics.get(ClusterCount::Unreachable))
+        .with("exhausted", metrics.get(ClusterCount::Exhausted))
         .with("failovers", failovers)
         .with("failover_p99_us", failover_p99_us);
     drain_cluster(servers, router);

@@ -51,9 +51,9 @@ use xtree_host::parse_host_label;
 use xtree_json::Value;
 use xtree_scenario::TrafficModel;
 use xtree_server::{
-    ChaosPlan, ChaosProfile, Client, ReconnectPolicy, Request, Response, Router, RouterConfig,
-    Server, ServerConfig, WireStats, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_EXHAUSTED,
-    ERR_SHUTTING_DOWN, ERR_UNREACHABLE,
+    ChaosPlan, ChaosProfile, Client, ClusterCount, ReconnectPolicy, Request, Response, Router,
+    RouterConfig, Server, ServerConfig, ShardCount, WireStats, ERR_BAD_REQUEST, ERR_DEADLINE,
+    ERR_EXHAUSTED, ERR_SHUTTING_DOWN, ERR_UNREACHABLE,
 };
 
 /// Key pool: `random-bst` in `TreeFamily::ALL`.
@@ -580,15 +580,18 @@ fn spawn_cluster_and_drive(
     let (failover_p99_us, failovers) = metrics.failover_quantile_us(0.99);
     let column = Value::object()
         .with("shards", shards)
-        .with("routed", metrics.routed_total())
-        .with("failed", metrics.failed_total())
-        .with("timeouts", metrics.timeouts_total())
-        .with("replayed", metrics.replayed_total())
-        .with("unreachable", metrics.unreachable_total())
-        .with("exhausted", metrics.exhausted_total())
-        .with("deadline_rejects", metrics.deadline_rejects_total())
-        .with("restarts", metrics.restarts_total())
-        .with("warmup_keys", metrics.warmup_keys_total())
+        .with("routed", metrics.total(ShardCount::Routed))
+        .with("failed", metrics.total(ShardCount::Failed))
+        .with("timeouts", metrics.total(ShardCount::Timeouts))
+        .with("replayed", metrics.total(ShardCount::Replayed))
+        .with("unreachable", metrics.get(ClusterCount::Unreachable))
+        .with("exhausted", metrics.get(ClusterCount::Exhausted))
+        .with(
+            "deadline_rejects",
+            metrics.get(ClusterCount::DeadlineRejects),
+        )
+        .with("restarts", metrics.get(ClusterCount::Restarts))
+        .with("warmup_keys", metrics.get(ClusterCount::WarmupKeys))
         .with("failovers", failovers)
         .with("failover_p99_us", failover_p99_us);
     let mut client = Client::connect(router.local_addr()).expect("connect for shutdown");

@@ -21,11 +21,11 @@ use xtree_json::Value;
 use xtree_scenario::TrafficModel;
 use xtree_server::cluster::{spawn_shard, ShardCommand};
 use xtree_server::{
-    Client, HashRing, ReconnectPolicy, Request, Response, Router, RouterConfig, Server,
-    ServerConfig, Supervisor,
+    Client, ClusterCount, ClusterMetrics, HashRing, ReconnectPolicy, Request, Response, Router,
+    RouterConfig, Server, ServerConfig, ShardCount, Supervisor,
 };
 use xtree_sim::host::{guest_map, parse_host_label, HOST_LABELS, HOST_XTREE};
-use xtree_sim::telemetry::{Event, MetricsSink, NopSink, Sink, Tee, TraceRecorder};
+use xtree_sim::telemetry::{Event, Format, MetricsSink, NopSink, Sink, Tee, TraceRecorder};
 use xtree_sim::workload::WORKLOADS;
 use xtree_sim::{
     compute_load, congestion, decode_checkpoint, encode_checkpoint, simulate_all_faulted_with,
@@ -502,30 +502,50 @@ fn backoff_str(b: Backoff) -> String {
     }
 }
 
+/// `--metrics FILE --metrics-format jsonl|prom`: the metrics file that
+/// `simulate`, `resume`, `serve` and `cluster` write when they finish.
+struct MetricsOut<'a> {
+    path: Option<&'a str>,
+    format: Format,
+}
+
+impl<'a> MetricsOut<'a> {
+    fn parse(a: &'a Args) -> Result<Self, String> {
+        let format = a.get_or("metrics-format", "jsonl").parse();
+        let format = format.map_err(|e| format!("--metrics-format: {e}"))?;
+        Ok(MetricsOut {
+            path: a.get("metrics"),
+            format,
+        })
+    }
+
+    /// Writes the metrics `render` produces in the chosen format, if a
+    /// file was asked for.
+    fn write(&self, render: impl FnOnce(Format) -> String) -> Result<(), CliError> {
+        let Some(path) = self.path else {
+            return Ok(());
+        };
+        std::fs::write(path, render(self.format))
+            .map_err(|e| CliError::Io(format!("--metrics {path}: {e}")))
+    }
+}
+
 /// Telemetry outputs of `simulate`, `None` when no telemetry flag was
 /// given (the zero-overhead `NopSink` path).
 struct TelemetryArgs<'a> {
     trace: Option<&'a str>,
-    metrics: Option<&'a str>,
-    format: &'a str,
+    metrics: MetricsOut<'a>,
     verify: Option<&'a str>,
 }
 
 impl<'a> TelemetryArgs<'a> {
     fn parse(a: &'a Args) -> Result<Option<Self>, String> {
-        let format = a.get_or("metrics-format", "jsonl");
-        if !["jsonl", "prom"].contains(&format) {
-            return Err(format!(
-                "--metrics-format: `{format}` is not one of jsonl|prom"
-            ));
-        }
         let t = TelemetryArgs {
             trace: a.get("trace"),
-            metrics: a.get("metrics"),
-            format,
+            metrics: MetricsOut::parse(a)?,
             verify: a.get("verify-trace"),
         };
-        Ok((t.trace.is_some() || t.metrics.is_some() || t.verify.is_some()).then_some(t))
+        Ok((t.trace.is_some() || t.metrics.path.is_some() || t.verify.is_some()).then_some(t))
     }
 }
 
@@ -663,13 +683,8 @@ fn finish_telemetry<H: Host>(
         }
         verified = true;
     }
-    if let Some(path) = t.metrics {
-        let body = match t.format {
-            "prom" => met.to_prometheus(),
-            _ => met.to_jsonl(),
-        };
-        std::fs::write(path, body).map_err(|e| CliError::Io(format!("--metrics {path}: {e}")))?;
-    }
+    t.metrics
+        .write(|f| f.render(MetricsSink::PREFIX, &met.families()))?;
     // Resolve the hottest directed edge indices back to endpoint pairs.
     let graph = net.csr();
     let mut ends = vec![(0u32, 0u32); graph.directed_edge_count()];
@@ -1307,11 +1322,7 @@ fn cmd_serve(a: &Args) -> Result<String, CliError> {
     if config.queue_cap == 0 {
         return Err("--queue-cap must be ≥ 1".into());
     }
-    let format = a.get_or("metrics-format", "jsonl");
-    if !["jsonl", "prom"].contains(&format) {
-        return Err(format!("--metrics-format: `{format}` is not one of jsonl|prom").into());
-    }
-    let metrics_path = a.get("metrics");
+    let metrics_out = MetricsOut::parse(a)?;
     let mut server = Server::spawn(&config)
         .map_err(|e| CliError::Io(format!("serve: bind {}: {e}", config.addr)))?;
     {
@@ -1328,13 +1339,7 @@ fn cmd_serve(a: &Args) -> Result<String, CliError> {
         let _ = stdout.flush();
     }
     server.wait();
-    if let Some(path) = metrics_path {
-        let body = match format {
-            "prom" => server.prometheus(),
-            _ => server.jsonl(),
-        };
-        std::fs::write(path, body).map_err(|e| CliError::Io(format!("--metrics {path}: {e}")))?;
-    }
+    metrics_out.write(|f| server.metrics(f))?;
     Ok(format!(
         "xtree-server drained and stopped ({} requests bounced overloaded)",
         server.overloaded()
@@ -1374,11 +1379,7 @@ fn cmd_cluster(a: &Args) -> Result<String, CliError> {
         backoff: parse_backoff(a.get_or("backoff", "exp:25:800"))?,
     };
     let restart_backoff = parse_backoff(a.get_or("restart-backoff", "fixed:100"))?;
-    let format = a.get_or("metrics-format", "jsonl");
-    if !["jsonl", "prom"].contains(&format) {
-        return Err(format!("--metrics-format: `{format}` is not one of jsonl|prom").into());
-    }
-    let metrics_path = a.get("metrics");
+    let metrics_out = MetricsOut::parse(a)?;
 
     // Validate the chaos/timeout flags up front, then forward them
     // verbatim into every shard child: the *shards'* transports misbehave
@@ -1472,18 +1473,12 @@ fn cmd_cluster(a: &Args) -> Result<String, CliError> {
     }
     let metrics = router.metrics();
     router.wait();
-    if let Some(path) = metrics_path {
-        let body = match format {
-            "prom" => metrics.to_prometheus(),
-            _ => metrics.to_jsonl(),
-        };
-        std::fs::write(path, body).map_err(|e| CliError::Io(format!("--metrics {path}: {e}")))?;
-    }
+    metrics_out.write(|f| f.render(ClusterMetrics::PREFIX, &metrics.families()))?;
     Ok(format!(
         "xtree-cluster drained and stopped ({} replayed, {} restarts, {} unreachable)",
-        metrics.replayed_total(),
-        metrics.restarts_total(),
-        metrics.unreachable_total()
+        metrics.total(ShardCount::Replayed),
+        metrics.get(ClusterCount::Restarts),
+        metrics.get(ClusterCount::Unreachable)
     ))
 }
 

@@ -1,120 +1,121 @@
 //! Router-side observability: who got routed where, what failed, what
 //! was replayed, and how long failovers cost.
 //!
-//! Per-shard counters are plain `Vec<AtomicU64>` indexed by shard id
-//! (the roster is fixed at spawn, so no locking). The failover histogram
-//! records end-to-end latency *only* for requests that needed at least
-//! one replay — the tail the kill-a-shard bench probe reads back.
-//! Exports reuse the telemetry crate's exposition helpers with a
-//! `shard="i"` label, so `xtree_cluster_*` series sit next to the
-//! established `xtree_server_*` ones in the same scrape.
+//! Router-wide counters are one block of relaxed atomics indexed by
+//! [`ClusterCount`]; per-shard counters are one such block per shard,
+//! indexed by [`ShardCount`] (the roster is fixed at spawn, so no
+//! locking). The failover histogram records end-to-end latency *only* for
+//! requests that needed at least one replay — the tail the kill-a-shard
+//! bench probe reads back. [`ClusterMetrics::families`] lists them for the
+//! telemetry crate's one writer, with a `shard` label on the per-shard
+//! families, so `xtree_cluster_*` series sit next to the `xtree_server_*`
+//! ones in the same scrape.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
-use xtree_json::Value;
-use xtree_telemetry::{histogram_jsonl, histogram_prometheus, Histogram};
+use xtree_telemetry::{Family, Histogram};
 
 /// Failover-latency buckets: pow-2 microseconds up to ~134 s.
 const FAILOVER_BUCKETS: u32 = 28;
 
-/// All metrics one router accumulates over its lifetime.
-pub struct ClusterMetrics {
-    /// Forward attempts dispatched to each shard.
-    routed: Vec<AtomicU64>,
-    /// Transport failures observed talking to each shard.
-    failed: Vec<AtomicU64>,
-    /// The subset of failures that were socket deadlines (the shard held
-    /// the connection but outran the budget) rather than disconnects.
-    timeouts: Vec<AtomicU64>,
-    /// Re-dispatches after a failure, by the shard that *received* the
-    /// replay.
-    replayed: Vec<AtomicU64>,
+/// The router's own counters, one slot each in [`ClusterMetrics`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClusterCount {
+    /// Client requests accepted by the router, of any type.
+    Requests,
     /// Requests failed with `Unreachable` (no live shard at any attempt).
-    unreachable: AtomicU64,
+    Unreachable,
     /// Requests failed with `Exhausted` (replay budget spent).
-    exhausted: AtomicU64,
+    Exhausted,
     /// Requests rejected with `ERR_DEADLINE` (client budget spent before
     /// a shard answered).
-    deadline_rejects: AtomicU64,
+    DeadlineRejects,
     /// Shard processes the supervisor restarted.
-    restarts: AtomicU64,
+    Restarts,
     /// Hot keys replayed into freshly restarted shards (cache warmup).
-    warmup_keys: AtomicU64,
-    /// Client requests accepted by the router, of any type.
-    requests: AtomicU64,
+    WarmupKeys,
+}
+
+impl ClusterCount {
+    /// Export names, in slot order.
+    const NAMES: [&'static str; 6] = [
+        "requests",
+        "unreachable",
+        "exhausted",
+        "deadline_rejects",
+        "restarts",
+        "warmup_keys",
+    ];
+}
+
+/// The counters the router keeps once per shard.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ShardCount {
+    /// Forward attempts dispatched to the shard.
+    Routed,
+    /// Transport failures observed talking to the shard.
+    Failed,
+    /// The subset of failures that were socket deadlines (the shard held
+    /// the connection but outran the budget) rather than disconnects.
+    Timeouts,
+    /// Re-dispatches after a failure, counted at the shard that
+    /// *received* the replay.
+    Replayed,
+}
+
+impl ShardCount {
+    /// Export names, in slot order.
+    const NAMES: [&'static str; 4] = ["routed", "failed", "timeouts", "replayed"];
+}
+
+/// All metrics one router accumulates over its lifetime.
+pub struct ClusterMetrics {
+    counts: [AtomicU64; ClusterCount::NAMES.len()],
+    /// One counter block per shard.
+    shards: Vec<[AtomicU64; ShardCount::NAMES.len()]>,
     /// End-to-end latency of requests that needed ≥ 1 replay.
     failover_us: Mutex<Histogram>,
 }
 
 impl ClusterMetrics {
+    /// The start of every Prometheus series name the router exports.
+    pub const PREFIX: &'static str = "xtree_cluster_";
+
     /// Fresh, zeroed metrics for a roster of `shards` shards.
     pub fn new(shards: usize) -> Self {
         ClusterMetrics {
-            routed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            failed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            timeouts: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            replayed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            unreachable: AtomicU64::new(0),
-            exhausted: AtomicU64::new(0),
-            deadline_rejects: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            warmup_keys: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
+            counts: Default::default(),
+            shards: (0..shards).map(|_| Default::default()).collect(),
             failover_us: Mutex::new(Histogram::pow2(FAILOVER_BUCKETS)),
         }
     }
 
-    /// Counts one client request of any type.
-    pub fn count_request(&self) {
-        self.requests.fetch_add(1, Relaxed);
+    /// Adds one to counter `c`.
+    pub fn count(&self, c: ClusterCount) {
+        self.add(c, 1);
     }
 
-    /// Counts one forward attempt dispatched to `shard`.
-    pub fn count_routed(&self, shard: u16) {
-        self.routed[usize::from(shard)].fetch_add(1, Relaxed);
+    /// Adds `n` to counter `c`: a relaxed add on a fixed slot.
+    pub fn add(&self, c: ClusterCount, n: u64) {
+        self.counts[c as usize].fetch_add(n, Relaxed);
     }
 
-    /// Counts one transport failure observed talking to `shard`.
-    pub fn count_failed(&self, shard: u16) {
-        self.failed[usize::from(shard)].fetch_add(1, Relaxed);
+    /// Counter `c`'s value so far.
+    pub fn get(&self, c: ClusterCount) -> u64 {
+        self.counts[c as usize].load(Relaxed)
     }
 
-    /// Counts one socket-deadline expiry talking to `shard` (also counted
-    /// as a failure by the caller).
-    pub fn count_timeout(&self, shard: u16) {
-        self.timeouts[usize::from(shard)].fetch_add(1, Relaxed);
+    /// Adds one to `shard`'s counter `c`.
+    pub fn count_shard(&self, c: ShardCount, shard: u16) {
+        self.shards[usize::from(shard)][c as usize].fetch_add(1, Relaxed);
     }
 
-    /// Counts one replay re-dispatched to `shard` after a failure
-    /// elsewhere (or a reconnect to the same shard).
-    pub fn count_replayed(&self, shard: u16) {
-        self.replayed[usize::from(shard)].fetch_add(1, Relaxed);
-    }
-
-    /// Counts one request abandoned because no shard was live.
-    pub fn count_unreachable(&self) {
-        self.unreachable.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one request abandoned with the replay budget spent.
-    pub fn count_exhausted(&self) {
-        self.exhausted.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one request rejected because its deadline budget expired
-    /// before any shard answered.
-    pub fn count_deadline_reject(&self) {
-        self.deadline_rejects.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one supervisor restart of a crashed shard.
-    pub fn count_restart(&self) {
-        self.restarts.fetch_add(1, Relaxed);
-    }
-
-    /// Counts `n` hot keys replayed into a freshly restarted shard.
-    pub fn count_warmup_keys(&self, n: u64) {
-        self.warmup_keys.fetch_add(n, Relaxed);
+    /// Counter `c` summed over every shard.
+    pub fn total(&self, c: ShardCount) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s[c as usize].load(Relaxed))
+            .sum()
     }
 
     /// Records the end-to-end latency of a request that needed at least
@@ -126,56 +127,6 @@ impl ClusterMetrics {
             .observe(us);
     }
 
-    /// Total forward attempts across all shards.
-    pub fn routed_total(&self) -> u64 {
-        self.routed.iter().map(|c| c.load(Relaxed)).sum()
-    }
-
-    /// Total transport failures across all shards.
-    pub fn failed_total(&self) -> u64 {
-        self.failed.iter().map(|c| c.load(Relaxed)).sum()
-    }
-
-    /// Total socket-deadline expiries across all shards.
-    pub fn timeouts_total(&self) -> u64 {
-        self.timeouts.iter().map(|c| c.load(Relaxed)).sum()
-    }
-
-    /// Total replays across all shards.
-    pub fn replayed_total(&self) -> u64 {
-        self.replayed.iter().map(|c| c.load(Relaxed)).sum()
-    }
-
-    /// Requests abandoned as `Unreachable`.
-    pub fn unreachable_total(&self) -> u64 {
-        self.unreachable.load(Relaxed)
-    }
-
-    /// Requests abandoned as `Exhausted`.
-    pub fn exhausted_total(&self) -> u64 {
-        self.exhausted.load(Relaxed)
-    }
-
-    /// Requests rejected with an expired deadline budget.
-    pub fn deadline_rejects_total(&self) -> u64 {
-        self.deadline_rejects.load(Relaxed)
-    }
-
-    /// Shard restarts the supervisor performed.
-    pub fn restarts_total(&self) -> u64 {
-        self.restarts.load(Relaxed)
-    }
-
-    /// Hot keys replayed into restarted shards.
-    pub fn warmup_keys_total(&self) -> u64 {
-        self.warmup_keys.load(Relaxed)
-    }
-
-    /// Client requests accepted.
-    pub fn requests_total(&self) -> u64 {
-        self.requests.load(Relaxed)
-    }
-
     /// A quantile (upper bucket bound, microseconds) of the
     /// failover-latency histogram, and how many failovers it summarises.
     pub fn failover_quantile_us(&self, q: f64) -> (u64, u64) {
@@ -183,99 +134,55 @@ impl ClusterMetrics {
         (h.quantile(q), h.count())
     }
 
-    /// Prometheus text exposition: per-shard labelled counters, the
-    /// cluster-level outcome counters, and the failover-latency
-    /// histogram.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, per_shard) in [
-            ("routed", &self.routed),
-            ("failed", &self.failed),
-            ("timeouts", &self.timeouts),
-            ("replayed", &self.replayed),
-        ] {
-            out.push_str(&format!("# TYPE xtree_cluster_{name}_total counter\n"));
-            for (shard, c) in per_shard.iter().enumerate() {
-                out.push_str(&format!(
-                    "xtree_cluster_{name}_total{{shard=\"{shard}\"}} {}\n",
-                    c.load(Relaxed)
-                ));
-            }
-        }
-        for (name, v) in [
-            ("requests", self.requests.load(Relaxed)),
-            ("unreachable", self.unreachable.load(Relaxed)),
-            ("exhausted", self.exhausted.load(Relaxed)),
-            ("deadline_rejects", self.deadline_rejects.load(Relaxed)),
-            ("restarts", self.restarts.load(Relaxed)),
-            ("warmup_keys", self.warmup_keys.load(Relaxed)),
-        ] {
-            out.push_str(&format!(
-                "# TYPE xtree_cluster_{name}_total counter\nxtree_cluster_{name}_total {v}\n"
-            ));
-        }
-        histogram_prometheus(
-            &mut out,
-            "xtree_cluster_failover_latency_us",
-            &self.failover_us.lock().expect("failover poisoned"),
-        );
-        out
-    }
-
-    /// JSONL export: one counters object (per-shard arrays), then the
-    /// failover histogram in the workspace's standard record shape.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let loads = |v: &[AtomicU64]| v.iter().map(|c| c.load(Relaxed)).collect::<Value>();
-        let counters = Value::object()
-            .with("type", "cluster_counters")
-            .with("requests", self.requests.load(Relaxed))
-            .with("routed", loads(&self.routed))
-            .with("failed", loads(&self.failed))
-            .with("timeouts", loads(&self.timeouts))
-            .with("replayed", loads(&self.replayed))
-            .with("unreachable", self.unreachable.load(Relaxed))
-            .with("exhausted", self.exhausted.load(Relaxed))
-            .with("deadline_rejects", self.deadline_rejects.load(Relaxed))
-            .with("restarts", self.restarts.load(Relaxed))
-            .with("warmup_keys", self.warmup_keys.load(Relaxed));
-        out.push_str(&xtree_json::to_string(&counters));
-        out.push('\n');
-        let h = self.failover_us.lock().expect("failover poisoned");
-        out.push_str(&xtree_json::to_string(&histogram_jsonl(
-            "failover_latency_us",
-            &h,
-        )));
-        out.push('\n');
-        out
+    /// The router's metric families: each [`ShardCount`] labelled by
+    /// shard, every [`ClusterCount`], and the failover-latency histogram.
+    pub fn families(&self) -> Vec<Family> {
+        let per_shard = ShardCount::NAMES.iter().enumerate().map(|(i, &name)| {
+            let values = self.shards.iter().map(|s| s[i].load(Relaxed));
+            Family::Labelled(name, "shard", (0..).zip(values).collect())
+        });
+        let counts = ClusterCount::NAMES
+            .iter()
+            .zip(&self.counts)
+            .map(|(&name, c)| Family::Counter(name, c.load(Relaxed)));
+        let failover = self.failover_us.lock().expect("failover poisoned").clone();
+        per_shard
+            .chain(counts)
+            .chain([Family::Histogram("failover_latency_us", failover)])
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xtree_telemetry::Format;
+
+    fn render(m: &ClusterMetrics, f: Format) -> String {
+        f.render(ClusterMetrics::PREFIX, &m.families())
+    }
 
     #[test]
     fn exports_render_per_shard_series() {
         let m = ClusterMetrics::new(2);
-        m.count_request();
-        m.count_routed(0);
-        m.count_routed(1);
-        m.count_routed(1);
-        m.count_failed(1);
-        m.count_timeout(1);
-        m.count_replayed(0);
-        m.count_restart();
-        m.count_deadline_reject();
-        m.count_warmup_keys(3);
+        m.count(ClusterCount::Requests);
+        m.count_shard(ShardCount::Routed, 0);
+        m.count_shard(ShardCount::Routed, 1);
+        m.count_shard(ShardCount::Routed, 1);
+        m.count_shard(ShardCount::Failed, 1);
+        m.count_shard(ShardCount::Timeouts, 1);
+        m.count_shard(ShardCount::Replayed, 0);
+        m.count(ClusterCount::Restarts);
+        m.count(ClusterCount::DeadlineRejects);
+        m.add(ClusterCount::WarmupKeys, 3);
         m.observe_failover_us(1500);
-        assert_eq!(m.routed_total(), 3);
-        assert_eq!(m.failed_total(), 1);
-        assert_eq!(m.timeouts_total(), 1);
-        assert_eq!(m.replayed_total(), 1);
-        assert_eq!(m.deadline_rejects_total(), 1);
-        assert_eq!(m.warmup_keys_total(), 3);
-        let prom = m.to_prometheus();
+        assert_eq!(m.total(ShardCount::Routed), 3);
+        assert_eq!(m.total(ShardCount::Failed), 1);
+        assert_eq!(m.total(ShardCount::Timeouts), 1);
+        assert_eq!(m.total(ShardCount::Replayed), 1);
+        assert_eq!(m.get(ClusterCount::DeadlineRejects), 1);
+        assert_eq!(m.get(ClusterCount::WarmupKeys), 3);
+        let prom = render(&m, Format::Prom);
         assert!(
             prom.contains("xtree_cluster_routed_total{shard=\"1\"} 2"),
             "{prom}"
@@ -290,13 +197,67 @@ mod tests {
             prom.contains("# TYPE xtree_cluster_failover_latency_us histogram"),
             "{prom}"
         );
-        let jsonl = m.to_jsonl();
+        let jsonl = render(&m, Format::Jsonl);
         for line in jsonl.lines() {
             assert!(xtree_json::from_str(line).is_ok(), "bad JSONL: {line}");
         }
-        assert!(jsonl.contains("\"replayed\":[1,0]"), "{jsonl}");
-        assert!(jsonl.contains("\"timeouts\":[0,1]"), "{jsonl}");
+        let replayed = r#""replayed":[{"shard":0,"count":1},{"shard":1,"count":0}]"#;
+        assert!(jsonl.contains(replayed), "{jsonl}");
+        let timeouts = r#""timeouts":[{"shard":0,"count":0},{"shard":1,"count":1}]"#;
+        assert!(jsonl.contains(timeouts), "{jsonl}");
         assert!(jsonl.contains("\"deadline_rejects\":1"), "{jsonl}");
         assert!(jsonl.contains("\"name\":\"failover_latency_us\""));
+    }
+
+    #[test]
+    fn name_tables_match_the_enums() {
+        // Each counter a different number of times (and, per shard, a
+        // different number again): a name listed out of order exports
+        // another counter's value.
+        let router = [
+            (ClusterCount::Requests, "requests"),
+            (ClusterCount::Unreachable, "unreachable"),
+            (ClusterCount::Exhausted, "exhausted"),
+            (ClusterCount::DeadlineRejects, "deadline_rejects"),
+            (ClusterCount::Restarts, "restarts"),
+            (ClusterCount::WarmupKeys, "warmup_keys"),
+        ];
+        let shard = [
+            (ShardCount::Routed, "routed"),
+            (ShardCount::Failed, "failed"),
+            (ShardCount::Timeouts, "timeouts"),
+            (ShardCount::Replayed, "replayed"),
+        ];
+        assert_eq!(router.len(), ClusterCount::NAMES.len());
+        assert_eq!(shard.len(), ShardCount::NAMES.len());
+        let m = ClusterMetrics::new(2);
+        for (k, &(c, _)) in router.iter().enumerate() {
+            (0..=k).for_each(|_| m.count(c));
+        }
+        // Counter k gets k + 1 on shard 0 and 10 (k + 1) on shard 1.
+        for (k, &(c, _)) in shard.iter().enumerate() {
+            (0..=k).for_each(|_| m.count_shard(c, 0));
+            (0..10 * (k + 1)).for_each(|_| m.count_shard(c, 1));
+        }
+        let (prom, jsonl) = (render(&m, Format::Prom), render(&m, Format::Jsonl));
+        let counters = xtree_json::from_str(jsonl.lines().next().unwrap()).unwrap();
+        for (k, &(c, name)) in router.iter().enumerate() {
+            let v = k + 1;
+            assert_eq!(m.get(c), v as u64);
+            assert!(prom.contains(&format!("\nxtree_cluster_{name}_total {v}\n")));
+            assert_eq!(counters[name].as_u64(), Some(v as u64), "{name}");
+        }
+        for (k, &(c, name)) in shard.iter().enumerate() {
+            let (v0, v1) = (k + 1, 10 * (k + 1));
+            assert_eq!(m.total(c), (v0 + v1) as u64);
+            for (s, v) in [(0, v0), (1, v1)] {
+                let line = format!("\nxtree_cluster_{name}_total{{shard=\"{s}\"}} {v}\n");
+                assert!(prom.contains(&line), "{prom}");
+            }
+            let array = format!(
+                "\"{name}\":[{{\"shard\":0,\"count\":{v0}}},{{\"shard\":1,\"count\":{v1}}}]"
+            );
+            assert!(jsonl.contains(&array), "{jsonl}");
+        }
     }
 }

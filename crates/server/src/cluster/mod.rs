@@ -28,7 +28,7 @@ pub mod router;
 pub mod supervisor;
 
 pub use health::{FailureKind, HealthMonitor, ShardSet};
-pub use metrics::ClusterMetrics;
+pub use metrics::{ClusterCount, ClusterMetrics, ShardCount};
 pub use ring::HashRing;
 pub use router::{Router, RouterConfig};
 pub use supervisor::{spawn_shard, ShardChild, ShardCommand, Supervisor};

@@ -41,7 +41,7 @@
 //! client traffic lands on it.
 
 use super::health::{FailureKind, HealthMonitor, ShardSet};
-use super::metrics::ClusterMetrics;
+use super::metrics::{ClusterCount, ClusterMetrics, ShardCount};
 use super::ring::HashRing;
 use super::supervisor::Supervisor;
 use crate::cache::EmbeddingKey;
@@ -279,16 +279,6 @@ impl Router {
             sup.wait();
         }
     }
-
-    /// Prometheus exposition of the cluster metrics at this instant.
-    pub fn prometheus(&self) -> String {
-        self.shared.metrics.to_prometheus()
-    }
-
-    /// JSONL export of the cluster metrics at this instant.
-    pub fn jsonl(&self) -> String {
-        self.shared.metrics.to_jsonl()
-    }
 }
 
 /// Flips the flag, tells the supervisor the coming exits are
@@ -448,7 +438,7 @@ fn warm_shard(shared: &RouterShared, shard: u16) {
         }
         Ok(())
     })();
-    shared.metrics.count_warmup_keys(warmed);
+    shared.metrics.add(ClusterCount::WarmupKeys, warmed);
     if warmed > 0 {
         eprintln!("xtree-cluster: shard {shard} cache warmed with {warmed} hot keys");
     }
@@ -516,7 +506,7 @@ fn forward_with_replay(
             Some(d) => {
                 let remaining = d.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
-                    shared.metrics.count_deadline_reject();
+                    shared.metrics.count(ClusterCount::DeadlineRejects);
                     return Outcome::Built(deadline_reject("router"));
                 }
                 payload.clear();
@@ -534,9 +524,9 @@ fn forward_with_replay(
             continue;
         };
         found_live = true;
-        shared.metrics.count_routed(shard);
+        shared.metrics.count_shard(ShardCount::Routed, shard);
         if attempt > 0 {
-            shared.metrics.count_replayed(shard);
+            shared.metrics.count_shard(ShardCount::Replayed, shard);
         }
         match try_forward(shared, conns, shard, &framed, io_timeout) {
             Ok(resp_payload) => {
@@ -545,7 +535,7 @@ fn forward_with_replay(
                 // Fail over instead of relaying the refusal.
                 if is_draining_error(&resp_payload) {
                     conns.remove(&shard);
-                    shared.metrics.count_failed(shard);
+                    shared.metrics.count_shard(ShardCount::Failed, shard);
                     shared.shards.report_failure(shard);
                     continue;
                 }
@@ -558,9 +548,9 @@ fn forward_with_replay(
                 return Outcome::Raw(resp_payload);
             }
             Err(e) if e.is_transport() => {
-                shared.metrics.count_failed(shard);
+                shared.metrics.count_shard(ShardCount::Failed, shard);
                 if matches!(e, WireError::TimedOut) {
-                    shared.metrics.count_timeout(shard);
+                    shared.metrics.count_shard(ShardCount::Timeouts, shard);
                 }
                 // A shard that outran its socket deadline is suspect, not
                 // dead: it strikes at half the weight of a disconnect.
@@ -574,7 +564,7 @@ fn forward_with_replay(
                 // this indicts the *link*, not the request — the request
                 // bytes we sent are known-well-formed — so strike the
                 // shard and replay on a fresh connection.
-                shared.metrics.count_failed(shard);
+                shared.metrics.count_shard(ShardCount::Failed, shard);
                 shared
                     .shards
                     .report_failure_kind(shard, FailureKind::Disconnect);
@@ -582,7 +572,7 @@ fn forward_with_replay(
         }
     }
     Outcome::Built(if found_live {
-        shared.metrics.count_exhausted();
+        shared.metrics.count(ClusterCount::Exhausted);
         Response::Error {
             code: ERR_EXHAUSTED,
             message: format!(
@@ -591,7 +581,7 @@ fn forward_with_replay(
             ),
         }
     } else {
-        shared.metrics.count_unreachable();
+        shared.metrics.count(ClusterCount::Unreachable);
         Response::Error {
             code: ERR_UNREACHABLE,
             message: "no live shard".into(),
@@ -632,7 +622,7 @@ fn aggregate_stats(shared: &RouterShared) -> WireStats {
             Ok(s) => s,
             Err(e) => {
                 if matches!(e, WireError::TimedOut) {
-                    shared.metrics.count_timeout(id);
+                    shared.metrics.count_shard(ShardCount::Timeouts, id);
                 }
                 continue;
             }
@@ -701,7 +691,7 @@ fn handle_connection(stream: TcpStream, shared: &RouterShared, local: SocketAddr
             Ok(Some(bytes)) => match decode_request_host(&bytes) {
                 Ok(decoded) => decoded,
                 Err(e) => {
-                    shared.metrics.count_request();
+                    shared.metrics.count(ClusterCount::Requests);
                     let _ = write_response(&mut writer, &wire_reject(&e));
                     return;
                 }
@@ -709,17 +699,17 @@ fn handle_connection(stream: TcpStream, shared: &RouterShared, local: SocketAddr
             Ok(None) => return,
             Err(WireError::Io(_) | WireError::Reset | WireError::Closed) => return,
             Err(e) => {
-                shared.metrics.count_request();
+                shared.metrics.count(ClusterCount::Requests);
                 let _ = write_response(&mut writer, &wire_reject(&e));
                 return;
             }
         };
-        shared.metrics.count_request();
+        shared.metrics.count(ClusterCount::Requests);
         // The trailing budget is the client's *remaining* patience at
         // send time; the clock for it starts at receipt.
         let deadline = deadline_us.map(|us| Instant::now() + Duration::from_micros(us));
         if deadline_us == Some(0) {
-            shared.metrics.count_deadline_reject();
+            shared.metrics.count(ClusterCount::DeadlineRejects);
             if write_response(&mut writer, &deadline_reject("router admission")).is_err() {
                 return;
             }

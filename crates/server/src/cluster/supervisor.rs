@@ -20,7 +20,7 @@
 //! cluster it is trying to stop.
 
 use super::health::ShardSet;
-use super::metrics::ClusterMetrics;
+use super::metrics::{ClusterCount, ClusterMetrics};
 use std::io::{BufRead, BufReader, Read};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
@@ -269,7 +269,7 @@ fn supervise(inner: &SupervisorInner) {
                         fresh.pid, fresh.addr
                     );
                     inner.shards.set_addr(id as u16, fresh.addr);
-                    inner.metrics.count_restart();
+                    inner.metrics.count(ClusterCount::Restarts);
                     inner.children.lock().expect("children lock")[id] = fresh;
                     restarts[id] = attempt + 1;
                     next_attempt[id] = Instant::now();

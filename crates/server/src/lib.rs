@@ -56,9 +56,10 @@ pub use cache::{EmbeddingCache, EmbeddingKey};
 pub use chaos::{ChaosConn, ChaosCounts, ChaosPlan, ChaosProfile, ChaosStream};
 pub use client::{Client, ReconnectPolicy};
 pub use cluster::{
-    ClusterMetrics, FailureKind, HashRing, Router, RouterConfig, ShardSet, Supervisor,
+    ClusterCount, ClusterMetrics, FailureKind, HashRing, Router, RouterConfig, ShardCount,
+    ShardSet, Supervisor,
 };
-pub use metrics::ServerMetrics;
+pub use metrics::{Count, ServerMetrics};
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServerConfig};
 pub use service::MAX_NODES;

@@ -1,42 +1,70 @@
 //! Server-side observability, built on the same `xtree-telemetry`
 //! primitives the simulation engine reports through.
 //!
-//! Request counters are relaxed atomics (handlers on many threads bump
-//! them lock-free); request latency and queue depth go into
-//! [`Histogram`]s behind short-lived mutexes; and the engine events of
-//! every worker-run simulation land in one shared [`AtomicCounters`]. A
-//! worker tallies a request's events into a plain `Counters` and adds
-//! them once, so the engine's cycle loop makes no atomic adds. Exports
-//! reuse the telemetry crate's exposition helpers, so `xtree_server_*`
-//! series render exactly like the established `xtree_sim_*` ones.
+//! Request counters are one block of relaxed atomics indexed by [`Count`]
+//! (handlers on many threads bump them lock-free); request latency and
+//! queue depth go into [`Histogram`]s behind short-lived mutexes; and the
+//! engine events of every worker-run simulation land in one shared
+//! [`AtomicCounters`]. A worker tallies a request's events into a plain
+//! `Counters` and adds them once, so the engine's cycle loop makes no
+//! atomic adds. [`ServerMetrics::families`] lists it all for the
+//! telemetry crate's one writer, so `xtree_server_*` series render
+//! exactly like the `xtree_sim_*` ones.
 
 use crate::cache::EmbeddingCache;
 use crate::wire::WireStats;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
-use xtree_json::Value;
-use xtree_telemetry::{histogram_jsonl, histogram_prometheus, AtomicCounters, Histogram};
+use xtree_telemetry::{AtomicCounters, Family, Histogram};
 
 /// Latency buckets: pow-2 microseconds up to ~134 s.
 const LATENCY_BUCKETS: u32 = 28;
 /// Queue-depth buckets, matching the sim metrics layout.
 const QUEUE_DEPTH_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
-/// All metrics one daemon accumulates over its lifetime.
-pub struct ServerMetrics {
-    requests: AtomicU64,
-    embeds: AtomicU64,
-    simulates: AtomicU64,
-    stats_reqs: AtomicU64,
-    healths: AtomicU64,
-    overloaded: AtomicU64,
-    errors: AtomicU64,
+/// The daemon's request counters, one slot each in [`ServerMetrics`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Count {
+    /// Accepted requests of any type.
+    Requests,
+    /// `Embed`s dispatched to the pool.
+    Embeds,
+    /// `Simulate`s dispatched to the pool.
+    Simulates,
+    /// `Stats` requests.
+    StatsRequests,
+    /// `Health` requests.
+    HealthRequests,
+    /// Requests bounced with `Overloaded`.
+    Overloaded,
+    /// Requests answered with `Error`.
+    Errors,
     /// Requests rejected with `ERR_DEADLINE` (budget expired at
     /// admission, in the queue, or before compute started).
-    deadline_rejects: AtomicU64,
+    DeadlineRejects,
     /// Connections dropped because a socket read/write outran the
     /// configured I/O timeout (idle or stalled peers).
-    io_timeouts: AtomicU64,
+    IoTimeouts,
+}
+
+impl Count {
+    /// Export names, in slot order.
+    const NAMES: [&'static str; 9] = [
+        "requests",
+        "embeds",
+        "simulates",
+        "stats_requests",
+        "health_requests",
+        "overloaded",
+        "errors",
+        "deadline_rejects",
+        "io_timeouts",
+    ];
+}
+
+/// All metrics one daemon accumulates over its lifetime.
+pub struct ServerMetrics {
+    counts: [AtomicU64; Count::NAMES.len()],
     latency_us: Mutex<Histogram>,
     /// Embed-construction latency on cache hits (the lookup).
     embed_hit_us: Mutex<Histogram>,
@@ -48,18 +76,13 @@ pub struct ServerMetrics {
 }
 
 impl ServerMetrics {
+    /// The start of every Prometheus series name the daemon exports.
+    pub const PREFIX: &'static str = "xtree_server_";
+
     /// Fresh, zeroed metrics.
     pub fn new() -> Self {
         ServerMetrics {
-            requests: AtomicU64::new(0),
-            embeds: AtomicU64::new(0),
-            simulates: AtomicU64::new(0),
-            stats_reqs: AtomicU64::new(0),
-            healths: AtomicU64::new(0),
-            overloaded: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            deadline_rejects: AtomicU64::new(0),
-            io_timeouts: AtomicU64::new(0),
+            counts: Default::default(),
             latency_us: Mutex::new(Histogram::pow2(LATENCY_BUCKETS)),
             embed_hit_us: Mutex::new(Histogram::pow2(LATENCY_BUCKETS)),
             embed_miss_us: Mutex::new(Histogram::pow2(LATENCY_BUCKETS)),
@@ -68,54 +91,14 @@ impl ServerMetrics {
         }
     }
 
-    /// Counts one accepted request of any type.
-    pub fn count_request(&self) {
-        self.requests.fetch_add(1, Relaxed);
+    /// Adds one to counter `c`: a relaxed add on a fixed slot.
+    pub fn count(&self, c: Count) {
+        self.counts[c as usize].fetch_add(1, Relaxed);
     }
 
-    /// Counts one `Embed` dispatched to the pool.
-    pub fn count_embed(&self) {
-        self.embeds.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one `Simulate` dispatched to the pool.
-    pub fn count_simulate(&self) {
-        self.simulates.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one `Stats` request.
-    pub fn count_stats(&self) {
-        self.stats_reqs.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one `Health` request.
-    pub fn count_health(&self) {
-        self.healths.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one request bounced with `Overloaded`.
-    pub fn count_overloaded(&self) {
-        self.overloaded.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one request answered with `Error`.
-    pub fn count_error(&self) {
-        self.errors.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one request rejected because its deadline budget expired.
-    pub fn count_deadline_reject(&self) {
-        self.deadline_rejects.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one connection dropped on an I/O timeout.
-    pub fn count_io_timeout(&self) {
-        self.io_timeouts.fetch_add(1, Relaxed);
-    }
-
-    /// Requests rejected with `ERR_DEADLINE` so far.
-    pub fn deadline_rejects(&self) -> u64 {
-        self.deadline_rejects.load(Relaxed)
+    /// Counter `c`'s value so far.
+    pub fn get(&self, c: Count) -> u64 {
+        self.counts[c as usize].load(Relaxed)
     }
 
     /// Records one completed pooled request's end-to-end latency
@@ -148,22 +131,17 @@ impl ServerMetrics {
             .observe(depth);
     }
 
-    /// Requests bounced with `Overloaded` so far.
-    pub fn overloaded(&self) -> u64 {
-        self.overloaded.load(Relaxed)
-    }
-
     /// A wire-ready snapshot, pulling cache and queue state from their
     /// owners.
     pub fn snapshot(&self, cache: &EmbeddingCache, queue_depth: usize) -> WireStats {
         let lat = self.latency_us.lock().expect("latency poisoned");
         let sim = self.sim.snapshot();
         WireStats {
-            requests: self.requests.load(Relaxed),
-            embeds: self.embeds.load(Relaxed),
-            simulates: self.simulates.load(Relaxed),
-            overloaded: self.overloaded.load(Relaxed),
-            errors: self.errors.load(Relaxed),
+            requests: self.get(Count::Requests),
+            embeds: self.get(Count::Embeds),
+            simulates: self.get(Count::Simulates),
+            overloaded: self.get(Count::Overloaded),
+            errors: self.get(Count::Errors),
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             cache_entries: cache.entries() as u64,
@@ -180,93 +158,31 @@ impl ServerMetrics {
         }
     }
 
-    /// Prometheus text exposition of the server series plus the pooled
-    /// simulations' engine counters — the same format (and histogram
-    /// helper) as the sim `MetricsSink`.
-    pub fn to_prometheus(&self, cache: &EmbeddingCache, queue_depth: usize) -> String {
-        let s = self.snapshot(cache, queue_depth);
-        let mut out = String::new();
-        for (name, v) in [
-            ("requests", s.requests),
-            ("embeds", s.embeds),
-            ("simulates", s.simulates),
-            ("overloaded", s.overloaded),
-            ("errors", s.errors),
-            ("deadline_rejects", self.deadline_rejects.load(Relaxed)),
-            ("io_timeouts", self.io_timeouts.load(Relaxed)),
-            ("cache_hits", s.cache_hits),
-            ("cache_misses", s.cache_misses),
-            ("sim_hops", s.sim_hops),
-            ("sim_delivered", s.sim_delivered),
-        ] {
-            out.push_str(&format!(
-                "# TYPE xtree_server_{name}_total counter\nxtree_server_{name}_total {v}\n"
-            ));
-        }
-        for (name, v) in [
-            ("cache_entries", s.cache_entries),
-            ("queue_depth", s.queue_depth),
-        ] {
-            out.push_str(&format!(
-                "# TYPE xtree_server_{name} gauge\nxtree_server_{name} {v}\n"
-            ));
-        }
-        histogram_prometheus(
-            &mut out,
-            "xtree_server_request_latency_us",
-            &self.latency_us.lock().expect("latency poisoned"),
-        );
-        histogram_prometheus(
-            &mut out,
-            "xtree_server_embed_hit_latency_us",
-            &self.embed_hit_us.lock().expect("embed latency poisoned"),
-        );
-        histogram_prometheus(
-            &mut out,
-            "xtree_server_embed_miss_latency_us",
-            &self.embed_miss_us.lock().expect("embed latency poisoned"),
-        );
-        histogram_prometheus(
-            &mut out,
-            "xtree_server_queue_depth_observed",
-            &self.queue_depth.lock().expect("depth poisoned"),
-        );
-        out
-    }
-
-    /// JSONL export: one counters object, then the latency and
-    /// queue-depth histograms in the workspace's standard record shape.
-    pub fn to_jsonl(&self, cache: &EmbeddingCache, queue_depth: usize) -> String {
-        let s = self.snapshot(cache, queue_depth);
-        let mut out = String::new();
-        let counters = Value::object()
-            .with("type", "counters")
-            .with("requests", s.requests)
-            .with("embeds", s.embeds)
-            .with("simulates", s.simulates)
-            .with("overloaded", s.overloaded)
-            .with("errors", s.errors)
-            .with("deadline_rejects", self.deadline_rejects.load(Relaxed))
-            .with("io_timeouts", self.io_timeouts.load(Relaxed))
-            .with("cache_hits", s.cache_hits)
-            .with("cache_misses", s.cache_misses)
-            .with("cache_entries", s.cache_entries)
-            .with("queue_depth", s.queue_depth)
-            .with("sim_hops", s.sim_hops)
-            .with("sim_delivered", s.sim_delivered);
-        out.push_str(&xtree_json::to_string(&counters));
-        out.push('\n');
-        for (name, h) in [
-            ("request_latency_us", &self.latency_us),
-            ("embed_hit_latency_us", &self.embed_hit_us),
-            ("embed_miss_latency_us", &self.embed_miss_us),
-            ("queue_depth_observed", &self.queue_depth),
-        ] {
-            let h = h.lock().expect("histogram poisoned");
-            out.push_str(&xtree_json::to_string(&histogram_jsonl(name, &h)));
-            out.push('\n');
-        }
-        out
+    /// The daemon's metric families: every [`Count`], the cache and
+    /// pooled-simulation totals, the cache-size and queue-depth gauges,
+    /// and the four histograms.
+    pub fn families(&self, cache: &EmbeddingCache, queue_depth: usize) -> Vec<Family> {
+        let sim = self.sim.snapshot();
+        let hist = |name, h: &Mutex<Histogram>| {
+            Family::Histogram(name, h.lock().expect("histogram poisoned").clone())
+        };
+        Count::NAMES
+            .iter()
+            .zip(&self.counts)
+            .map(|(&name, c)| Family::Counter(name, c.load(Relaxed)))
+            .chain([
+                Family::Counter("cache_hits", cache.hits()),
+                Family::Counter("cache_misses", cache.misses()),
+                Family::Counter("sim_hops", sim.hops),
+                Family::Counter("sim_delivered", sim.delivered),
+                Family::Gauge("cache_entries", cache.entries() as u64),
+                Family::Gauge("queue_depth", queue_depth as u64),
+                hist("request_latency_us", &self.latency_us),
+                hist("embed_hit_latency_us", &self.embed_hit_us),
+                hist("embed_miss_latency_us", &self.embed_miss_us),
+                hist("queue_depth_observed", &self.queue_depth),
+            ])
+            .collect()
     }
 }
 
@@ -279,15 +195,23 @@ impl Default for ServerMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xtree_telemetry::Format;
+
+    fn render(m: &ServerMetrics, f: Format) -> String {
+        f.render(
+            ServerMetrics::PREFIX,
+            &m.families(&EmbeddingCache::new(8), 0),
+        )
+    }
 
     #[test]
     fn snapshot_reflects_counts_and_percentiles() {
         let m = ServerMetrics::new();
         let cache = EmbeddingCache::new(8);
-        m.count_request();
-        m.count_request();
-        m.count_embed();
-        m.count_overloaded();
+        m.count(Count::Requests);
+        m.count(Count::Requests);
+        m.count(Count::Embeds);
+        m.count(Count::Overloaded);
         for us in [100, 200, 400, 800] {
             m.observe_latency_us(us);
         }
@@ -305,11 +229,10 @@ mod tests {
     #[test]
     fn exports_render_all_series() {
         let m = ServerMetrics::new();
-        let cache = EmbeddingCache::new(8);
-        m.count_request();
+        m.count(Count::Requests);
         m.observe_latency_us(50);
         m.observe_queue_depth(2);
-        let prom = m.to_prometheus(&cache, 0);
+        let prom = render(&m, Format::Prom);
         assert!(prom.contains("xtree_server_requests_total 1"), "{prom}");
         assert!(
             prom.contains("# TYPE xtree_server_request_latency_us histogram"),
@@ -317,7 +240,7 @@ mod tests {
         );
         assert!(prom.contains("xtree_server_request_latency_us_count 1"));
         assert!(prom.contains("xtree_server_queue_depth 0"));
-        let jsonl = m.to_jsonl(&cache, 0);
+        let jsonl = render(&m, Format::Jsonl);
         for line in jsonl.lines() {
             assert!(xtree_json::from_str(line).is_ok(), "bad JSONL: {line}");
         }
@@ -328,11 +251,10 @@ mod tests {
     #[test]
     fn embed_latency_splits_by_cache_outcome() {
         let m = ServerMetrics::new();
-        let cache = EmbeddingCache::new(8);
         m.observe_embed_us(30, true);
         m.observe_embed_us(5000, false);
         m.observe_embed_us(7000, false);
-        let prom = m.to_prometheus(&cache, 0);
+        let prom = render(&m, Format::Prom);
         assert!(
             prom.contains("xtree_server_embed_hit_latency_us_count 1"),
             "{prom}"
@@ -341,8 +263,38 @@ mod tests {
             prom.contains("xtree_server_embed_miss_latency_us_count 2"),
             "{prom}"
         );
-        let jsonl = m.to_jsonl(&cache, 0);
+        let jsonl = render(&m, Format::Jsonl);
         assert!(jsonl.contains("\"name\":\"embed_hit_latency_us\""));
         assert!(jsonl.contains("\"name\":\"embed_miss_latency_us\""));
+    }
+
+    #[test]
+    fn name_table_matches_the_enum() {
+        // Each counter a different number of times: a name listed out of
+        // order exports another counter's value.
+        let expect = [
+            (Count::Requests, "requests"),
+            (Count::Embeds, "embeds"),
+            (Count::Simulates, "simulates"),
+            (Count::StatsRequests, "stats_requests"),
+            (Count::HealthRequests, "health_requests"),
+            (Count::Overloaded, "overloaded"),
+            (Count::Errors, "errors"),
+            (Count::DeadlineRejects, "deadline_rejects"),
+            (Count::IoTimeouts, "io_timeouts"),
+        ];
+        assert_eq!(expect.len(), Count::NAMES.len());
+        let m = ServerMetrics::new();
+        for (k, &(c, _)) in expect.iter().enumerate() {
+            (0..=k).for_each(|_| m.count(c));
+        }
+        let (prom, jsonl) = (render(&m, Format::Prom), render(&m, Format::Jsonl));
+        let counters = xtree_json::from_str(jsonl.lines().next().unwrap()).unwrap();
+        for (k, &(c, name)) in expect.iter().enumerate() {
+            let v = k + 1;
+            assert_eq!(m.get(c), v as u64);
+            assert!(prom.contains(&format!("\nxtree_server_{name}_total {v}\n")));
+            assert_eq!(counters[name].as_u64(), Some(v as u64), "{name}");
+        }
     }
 }

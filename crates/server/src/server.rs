@@ -18,7 +18,7 @@
 
 use crate::cache::EmbeddingCache;
 use crate::chaos::{ChaosPlan, ChaosStream};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{Count, ServerMetrics};
 use crate::queue::{BoundedQueue, PushError};
 use crate::service::{deadline_reject, handle_compute};
 use crate::wire::{
@@ -32,6 +32,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xtree_host::HOST_XTREE;
+use xtree_telemetry::Format;
 
 /// How a daemon is shaped: where it listens and how much it admits.
 #[derive(Clone, Debug)]
@@ -161,21 +162,16 @@ impl Server {
 
     /// Requests bounced with `Overloaded` so far.
     pub fn overloaded(&self) -> u64 {
-        self.shared.metrics.overloaded()
+        self.shared.metrics.get(Count::Overloaded)
     }
 
-    /// Prometheus exposition of the server metrics at this instant.
-    pub fn prometheus(&self) -> String {
-        self.shared
-            .metrics
-            .to_prometheus(&self.shared.cache, self.shared.queue.len())
-    }
-
-    /// JSONL export of the server metrics at this instant.
-    pub fn jsonl(&self) -> String {
-        self.shared
-            .metrics
-            .to_jsonl(&self.shared.cache, self.shared.queue.len())
+    /// The server metrics at this instant, rendered in `format`.
+    pub fn metrics(&self, format: Format) -> String {
+        let (cache, depth) = (&self.shared.cache, self.shared.queue.len());
+        format.render(
+            ServerMetrics::PREFIX,
+            &self.shared.metrics.families(cache, depth),
+        )
     }
 
     /// Initiates the same graceful drain a wire `Shutdown` request does.
@@ -215,14 +211,14 @@ fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop_filtered(
         |job| job.deadline.is_none_or(|d| Instant::now() < d),
         |job| {
-            shared.metrics.count_deadline_reject();
-            shared.metrics.count_error();
+            shared.metrics.count(Count::DeadlineRejects);
+            shared.metrics.count(Count::Errors);
             let _ = job.reply.send(deadline_reject("queue"));
         },
     ) {
         let resp = handle_compute(&job.req, job.host, &shared.cache, &shared.metrics);
         if matches!(resp, Response::Error { .. }) {
-            shared.metrics.count_error();
+            shared.metrics.count(Count::Errors);
         }
         // A dead reply channel means the client hung up; drop the result.
         let _ = job.reply.send(resp);
@@ -290,8 +286,8 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
             Ok(Some(bytes)) => match decode_request_host(&bytes) {
                 Ok(decoded) => decoded,
                 Err(e) => {
-                    shared.metrics.count_request();
-                    shared.metrics.count_error();
+                    shared.metrics.count(Count::Requests);
+                    shared.metrics.count(Count::Errors);
                     let _ = write_response(&mut writer, &wire_reject(&e));
                     return; // framing is lost after a bad payload
                 }
@@ -300,18 +296,18 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
             Err(WireError::TimedOut) => {
                 // Idle or stalled peer outran the I/O budget: close
                 // silently — there is no frame to answer.
-                shared.metrics.count_io_timeout();
+                shared.metrics.count(Count::IoTimeouts);
                 return;
             }
             Err(WireError::Io(_)) => return,
             Err(e) => {
-                shared.metrics.count_request();
-                shared.metrics.count_error();
+                shared.metrics.count(Count::Requests);
+                shared.metrics.count(Count::Errors);
                 let _ = write_response(&mut writer, &wire_reject(&e));
                 return;
             }
         };
-        shared.metrics.count_request();
+        shared.metrics.count(Count::Requests);
         // The budget field is the client's *remaining* time at send
         // time; receipt time is the closest clock-free approximation of
         // when it started ticking here.
@@ -319,7 +315,7 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
         let host = host.unwrap_or(shared.default_host);
         let resp = match req {
             Request::Health => {
-                shared.metrics.count_health();
+                shared.metrics.count(Count::HealthRequests);
                 // The liveness probe doubles as a load signal: queue
                 // depth, cache totals, and uptime ride along as the
                 // protocol's optional trailing fields.
@@ -333,7 +329,7 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
                 }
             }
             Request::Stats => {
-                shared.metrics.count_stats();
+                shared.metrics.count(Count::StatsRequests);
                 Response::StatsOk(shared.metrics.snapshot(&shared.cache, shared.queue.len()))
             }
             // The drain starts below, once this reply is written.
@@ -342,9 +338,9 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
             },
             Request::Embed { .. } | Request::Simulate { .. } => {
                 if matches!(req, Request::Embed { .. }) {
-                    shared.metrics.count_embed();
+                    shared.metrics.count(Count::Embeds);
                 } else {
-                    shared.metrics.count_simulate();
+                    shared.metrics.count(Count::Simulates);
                 }
                 dispatch(shared, req, host, deadline)
             }
@@ -371,7 +367,7 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
         }
         if wrote.is_err() {
             if matches!(wrote, Err(WireError::TimedOut)) {
-                shared.metrics.count_io_timeout();
+                shared.metrics.count(Count::IoTimeouts);
             }
             return;
         }
@@ -387,8 +383,8 @@ fn dispatch(shared: &Shared, req: Request, host: u8, deadline: Option<Instant>) 
     let start = Instant::now();
     // Reject already-expired work before it costs a queue slot.
     if deadline.is_some_and(|d| start >= d) {
-        shared.metrics.count_deadline_reject();
-        shared.metrics.count_error();
+        shared.metrics.count(Count::DeadlineRejects);
+        shared.metrics.count(Count::Errors);
         return deadline_reject("admission");
     }
     let (reply_tx, reply_rx) = mpsc::channel();
@@ -403,14 +399,14 @@ fn dispatch(shared: &Shared, req: Request, host: u8, deadline: Option<Instant>) 
             shared.metrics.observe_queue_depth(depth as u64);
         }
         Err(PushError::Full(_)) => {
-            shared.metrics.count_overloaded();
+            shared.metrics.count(Count::Overloaded);
             return Response::Overloaded {
                 depth: shared.queue.len() as u64,
                 cap: shared.queue.capacity() as u64,
             };
         }
         Err(PushError::Closed(_)) => {
-            shared.metrics.count_error();
+            shared.metrics.count(Count::Errors);
             return Response::Error {
                 code: ERR_SHUTTING_DOWN,
                 message: "server is draining".into(),
@@ -426,8 +422,8 @@ fn dispatch(shared: &Shared, req: Request, host: u8, deadline: Option<Instant>) 
         Some(d) => match reply_rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
             Ok(resp) => Some(resp),
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                shared.metrics.count_deadline_reject();
-                shared.metrics.count_error();
+                shared.metrics.count(Count::DeadlineRejects);
+                shared.metrics.count(Count::Errors);
                 // The worker (or the queue filter) will find a dead
                 // reply channel and drop its late answer.
                 Some(deadline_reject("compute"))

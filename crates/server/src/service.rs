@@ -362,6 +362,7 @@ pub fn handle_compute(
 mod tests {
     use super::*;
     use xtree_host::{XTreeHost, HOST_XTREE};
+    use xtree_telemetry::Format;
 
     fn counters() -> ServerMetrics {
         ServerMetrics::new()
@@ -396,7 +397,7 @@ mod tests {
         let resp = handle_compute(&req, HOST_XTREE, &cache, &metrics);
         assert!(matches!(resp, Response::EmbedOk { cached: true, .. }));
         // One construction landed in each side of the split histogram.
-        let prom = metrics.to_prometheus(&cache, 0);
+        let prom = Format::Prom.render(ServerMetrics::PREFIX, &metrics.families(&cache, 0));
         assert!(prom.contains("xtree_server_embed_miss_latency_us_count 1"));
         assert!(prom.contains("xtree_server_embed_hit_latency_us_count 1"));
     }

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use xtree_host::{HOST_HYPERCUBE, HOST_UNIVERSAL};
-use xtree_server::cluster::{Router, RouterConfig};
+use xtree_server::cluster::{ClusterCount, Router, RouterConfig, ShardCount};
 use xtree_server::{
     Client, ReconnectPolicy, Request, Response, Server, ServerConfig, WireError, ERR_UNREACHABLE,
 };
@@ -215,11 +215,11 @@ fn shard_death_under_load_loses_and_corrupts_nothing() {
     // The detector observed the death (via probes, forwards, or both).
     assert_eq!(shard_set.live_count(), 2, "shard 0 must be ejected");
     assert!(
-        metrics.failed_total() >= 1,
+        metrics.total(ShardCount::Failed) >= 1,
         "the router must have seen the dead shard's transport failures"
     );
-    assert_eq!(metrics.unreachable_total(), 0);
-    assert_eq!(metrics.exhausted_total(), 0);
+    assert_eq!(metrics.get(ClusterCount::Unreachable), 0);
+    assert_eq!(metrics.get(ClusterCount::Exhausted), 0);
 
     let mut c = Client::connect(router_addr).unwrap();
     c.call(&Request::Shutdown).unwrap();

@@ -6,6 +6,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use xtree_server::{Client, Request, Response, Server, ServerConfig, WireError, WORKLOAD_ALL};
+use xtree_telemetry::Format;
 
 fn config(workers: usize, queue_cap: usize, cache_cap: usize) -> ServerConfig {
     ServerConfig {
@@ -352,4 +353,31 @@ fn budgets_past_u64_microseconds_saturate_instead_of_wrapping() {
             (embed_req(), Some(NO_BUDGET - 1), Some(2)),
         ]
     );
+}
+
+#[test]
+fn stats_and_health_requests_are_exported() {
+    let mut server = Server::spawn(&config(1, 4, 4)).expect("bind");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert!(matches!(
+        client.call(&Request::Stats).unwrap(),
+        Response::StatsOk(_)
+    ));
+    assert!(matches!(
+        client.call(&Request::Health).unwrap(),
+        Response::HealthOk { .. }
+    ));
+    let prom = server.metrics(Format::Prom);
+    assert!(
+        prom.contains("\nxtree_server_stats_requests_total 1\n"),
+        "{prom}"
+    );
+    assert!(
+        prom.contains("\nxtree_server_health_requests_total 1\n"),
+        "{prom}"
+    );
+    let jsonl = server.metrics(Format::Jsonl);
+    assert!(jsonl.contains("\"stats_requests\":1,\"health_requests\":1,"));
+    client.call(&Request::Shutdown).unwrap();
+    server.wait();
 }

@@ -14,8 +14,9 @@
 //!   comparing trace bytes ([`read_trace`] / byte equality) is an
 //!   end-to-end replay check of the whole engine;
 //! * [`MetricsSink`] — counters plus fixed-bucket histograms (queue
-//!   depth, per-edge utilization, message latency), exported as JSONL or
-//!   Prometheus text;
+//!   depth, per-edge utilization, message latency), listed as [`Family`]
+//!   values that [`Format::render`] writes as JSONL or Prometheus text,
+//!   the one writer the daemon and the router export through too;
 //! * [`AtomicCounters`] — lock-free relaxed counters; `&AtomicCounters`
 //!   is itself a [`Sink`], so one instance aggregates across rayon
 //!   threads. [`Counters`], their plain copy, is a [`Sink`] too: a thread
@@ -24,6 +25,7 @@
 
 pub mod counters;
 pub mod event;
+pub mod exposition;
 pub mod hist;
 pub mod metrics;
 pub mod sink;
@@ -32,7 +34,8 @@ pub mod varint;
 
 pub use counters::{AtomicCounters, Counters};
 pub use event::Event;
+pub use exposition::{Family, Format};
 pub use hist::Histogram;
-pub use metrics::{histogram_jsonl, histogram_prometheus, MetricsSink};
+pub use metrics::MetricsSink;
 pub use sink::{NopSink, Sink, Tee};
 pub use trace::{read_trace, TraceError, TraceRecorder, TRACE_MAGIC};

@@ -1,11 +1,11 @@
 //! Live metrics: counters, per-edge utilization, and fixed-bucket
-//! histograms, with JSONL and Prometheus text exporters.
+//! histograms, exported as [`Family`] values.
 
 use crate::counters::Counters;
 use crate::event::Event;
+use crate::exposition::Family;
 use crate::hist::Histogram;
 use crate::sink::Sink;
-use xtree_json::Value;
 
 /// Queue depth = messages that lost a link arbitration in one cycle.
 const QUEUE_DEPTH_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
@@ -14,51 +14,12 @@ const LATENCY_BUCKETS: u32 = 17; // 1 … 65536, pow2
 /// Hops carried by one directed edge over the run.
 const EDGE_UTIL_BUCKETS: u32 = 17;
 
-/// One JSONL histogram record — the shape every exporter in the workspace
-/// emits (the simulation [`MetricsSink`] and the server's request metrics
-/// alike): `{"type":"histogram","name":…,"count":…,"sum":…,"max":…,
-/// "mean":…,"buckets":[{"le":…,"count":…},…]}` with `le: null` on the
-/// overflow bucket.
-pub fn histogram_jsonl(name: &str, h: &Histogram) -> Value {
-    let buckets: Value = h
-        .buckets()
-        .map(|(le, count)| {
-            Value::object()
-                .with("le", le.map_or(Value::Null, Value::from))
-                .with("count", count)
-        })
-        .collect();
-    Value::object()
-        .with("type", "histogram")
-        .with("name", name)
-        .with("count", h.count())
-        .with("sum", h.sum())
-        .with("max", h.max())
-        .with("mean", h.mean())
-        .with("buckets", buckets)
-}
-
-/// Appends one histogram in Prometheus text exposition (cumulative `le`
-/// buckets, `_sum`, `_count`) under the fully-qualified `metric` name.
-/// Shared by every Prometheus exporter in the workspace.
-pub fn histogram_prometheus(out: &mut String, metric: &str, h: &Histogram) {
-    out.push_str(&format!("# TYPE {metric} histogram\n"));
-    let mut cumulative = 0u64;
-    for (le, count) in h.buckets() {
-        cumulative += count;
-        let le = le.map_or("+Inf".to_string(), |b| b.to_string());
-        out.push_str(&format!("{metric}_bucket{{le=\"{le}\"}} {cumulative}\n"));
-    }
-    out.push_str(&format!("{metric}_sum {}\n", h.sum()));
-    out.push_str(&format!("{metric}_count {}\n", h.count()));
-}
-
 /// A [`Sink`] that aggregates the event stream into exportable metrics.
 ///
 /// Call [`finish`](MetricsSink::finish) once the run is over (it flushes
-/// the last cycle's queue-depth sample), then export with
-/// [`to_jsonl`](MetricsSink::to_jsonl) or
-/// [`to_prometheus`](MetricsSink::to_prometheus).
+/// the last cycle's queue-depth sample), then render
+/// [`families`](MetricsSink::families) with a
+/// [`Format`](crate::Format).
 #[derive(Clone, Debug)]
 pub struct MetricsSink {
     counters: Counters,
@@ -71,10 +32,14 @@ pub struct MetricsSink {
     /// The cycle currently being accumulated, if any.
     cur_cycle: Option<u64>,
     cur_blocked: u64,
-    events: u64,
 }
 
 impl MetricsSink {
+    /// The start of every Prometheus series name this sink exports.
+    pub const PREFIX: &'static str = "xtree_sim_";
+    /// How many of the busiest edges the `edge_hops` family lists.
+    const EDGE_CAP: usize = 16;
+
     /// Fresh, empty metrics.
     pub fn new() -> Self {
         MetricsSink {
@@ -84,13 +49,12 @@ impl MetricsSink {
             latency: Histogram::pow2(LATENCY_BUCKETS),
             cur_cycle: None,
             cur_blocked: 0,
-            events: 0,
         }
     }
 
     /// Total events observed.
     pub fn event_count(&self) -> u64 {
-        self.events
+        self.counters.events()
     }
 
     /// The aggregated counters.
@@ -157,60 +121,13 @@ impl MetricsSink {
         }
     }
 
-    /// One JSON object per line: counters, then each histogram, then every
-    /// edge that carried traffic.
-    pub fn to_jsonl(&self) -> String {
+    /// The sink's metric families: the event counters, the three
+    /// histograms, and hops per edge for the 16 busiest edges. Every edge
+    /// is in the `edge_utilization_hops` histogram, and a trace records
+    /// every hop.
+    pub fn families(&self) -> Vec<Family> {
         let c = &self.counters;
-        let mut out = String::new();
-        let counters = Value::object()
-            .with("type", "counters")
-            .with("events", self.events)
-            .with("batches", c.batches)
-            .with("hops", c.hops)
-            .with("contentions", c.contentions)
-            .with("delivered", c.delivered)
-            .with("faults_applied", c.faults_applied)
-            .with("reroutes", c.reroutes)
-            .with("idle_jumps", c.idle_jumps)
-            .with("idle_cycles_skipped", c.idle_cycles_skipped)
-            .with("recovery_attempts", c.recovery_attempts)
-            .with("requeues", c.requeues)
-            .with("repairs", c.repairs)
-            .with("checkpoints", c.checkpoints);
-        out.push_str(&xtree_json::to_string(&counters));
-        out.push('\n');
-        for (name, h) in [
-            ("queue_depth", &self.queue_depth),
-            ("message_latency_cycles", &self.latency),
-            ("edge_utilization_hops", &self.edge_utilization()),
-        ] {
-            out.push_str(&xtree_json::to_string(&histogram_jsonl(name, h)));
-            out.push('\n');
-        }
-        for (e, hops) in self
-            .edge_hops
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h > 0)
-            .map(|(e, &h)| (e, h))
-        {
-            let line = Value::object()
-                .with("type", "edge")
-                .with("edge", e)
-                .with("hops", hops);
-            out.push_str(&xtree_json::to_string(&line));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Prometheus text exposition. Histograms use cumulative `le` buckets;
-    /// per-edge series are capped to the 16 busiest edges (the full set is
-    /// in the JSONL export and in the edge-utilization histogram).
-    pub fn to_prometheus(&self) -> String {
-        let c = &self.counters;
-        let mut out = String::new();
-        for (name, v) in [
+        let counters = [
             ("batches", c.batches),
             ("hops", c.hops),
             ("contentions", c.contentions),
@@ -223,25 +140,22 @@ impl MetricsSink {
             ("requeues", c.requeues),
             ("repairs", c.repairs),
             ("checkpoints", c.checkpoints),
-        ] {
-            out.push_str(&format!(
-                "# TYPE xtree_sim_{name}_total counter\nxtree_sim_{name}_total {v}\n"
-            ));
-        }
-        for (name, h) in [
-            ("queue_depth", &self.queue_depth),
-            ("message_latency_cycles", &self.latency),
-            ("edge_utilization_hops", &self.edge_utilization()),
-        ] {
-            histogram_prometheus(&mut out, &format!("xtree_sim_{name}"), h);
-        }
-        out.push_str("# TYPE xtree_sim_edge_hops_total counter\n");
-        for (e, hops) in self.hottest_edges(16) {
-            out.push_str(&format!(
-                "xtree_sim_edge_hops_total{{edge=\"{e}\"}} {hops}\n"
-            ));
-        }
-        out
+        ];
+        let edges = self.hottest_edges(Self::EDGE_CAP);
+        counters
+            .into_iter()
+            .map(|(name, v)| Family::Counter(name, v))
+            .chain([
+                Family::Histogram("queue_depth", self.queue_depth.clone()),
+                Family::Histogram("message_latency_cycles", self.latency.clone()),
+                Family::Histogram("edge_utilization_hops", self.edge_utilization()),
+                Family::Labelled(
+                    "edge_hops",
+                    "edge",
+                    edges.into_iter().map(|(e, h)| (u64::from(e), h)).collect(),
+                ),
+            ])
+            .collect()
     }
 }
 
@@ -253,15 +167,10 @@ impl Default for MetricsSink {
 
 impl Sink for MetricsSink {
     fn record(&mut self, ev: Event) {
-        self.events += 1;
         match ev {
-            Event::BatchStarted { .. } => {
-                self.finish();
-                self.counters.batches += 1;
-            }
+            Event::BatchStarted { .. } => self.finish(),
             Event::HopTaken { cycle, edge, .. } => {
                 self.roll_cycle(cycle);
-                self.counters.hops += 1;
                 let e = edge as usize;
                 if self.edge_hops.len() <= e {
                     self.edge_hops.resize(e + 1, 0);
@@ -270,31 +179,23 @@ impl Sink for MetricsSink {
             }
             Event::LinkContended { cycle, .. } => {
                 self.roll_cycle(cycle);
-                self.counters.contentions += 1;
                 self.cur_blocked += 1;
             }
             Event::MessageDelivered { cycle, .. } => {
                 self.roll_cycle(cycle);
-                self.counters.delivered += 1;
                 self.latency.observe(cycle);
             }
-            Event::FaultApplied { .. } => self.counters.faults_applied += 1,
-            Event::RerouteComputed { .. } => self.counters.reroutes += 1,
-            Event::WatchdogIdle { skipped, .. } => {
-                self.counters.idle_jumps += 1;
-                self.counters.idle_cycles_skipped += skipped;
-            }
-            Event::RecoveryAttempt { .. } => self.counters.recovery_attempts += 1,
-            Event::MessageRequeued { .. } => self.counters.requeues += 1,
-            Event::EmbeddingRepaired { .. } => self.counters.repairs += 1,
-            Event::CheckpointWritten { .. } => self.counters.checkpoints += 1,
+            _ => {}
         }
+        self.counters.record(ev);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Format;
+    use xtree_json::Value;
 
     fn hop(cycle: u64, msg: u32, edge: u32) -> Event {
         Event::HopTaken {
@@ -372,20 +273,45 @@ mod tests {
             at: 1,
         });
         m.finish();
-        let jsonl = m.to_jsonl();
-        // Every line is a standalone JSON object.
-        for line in jsonl.lines() {
-            assert!(xtree_json::from_str(line).is_ok(), "bad JSONL line {line}");
-        }
-        assert!(jsonl.contains("\"type\":\"counters\""));
-        assert!(jsonl.contains("\"name\":\"queue_depth\""));
-        assert!(jsonl.contains("\"name\":\"message_latency_cycles\""));
-        assert!(jsonl.contains("\"name\":\"edge_utilization_hops\""));
-        assert!(jsonl.contains("\"type\":\"edge\""));
-        let prom = m.to_prometheus();
+        let jsonl = Format::Jsonl.render(MetricsSink::PREFIX, &m.families());
+        let lines: Vec<Value> = jsonl
+            .lines()
+            .map(|line| xtree_json::from_str(line).expect("bad JSONL line"))
+            .collect();
+        // The counters record carries no `events` key, and the per-edge
+        // hops are one labelled array.
+        assert_eq!(
+            jsonl.lines().next().unwrap(),
+            "{\"type\":\"counters\",\"batches\":1,\"hops\":1,\"contentions\":0,\
+             \"delivered\":1,\"faults_applied\":0,\"reroutes\":0,\"idle_jumps\":0,\
+             \"idle_cycles_skipped\":0,\"recovery_attempts\":0,\"requeues\":0,\
+             \"repairs\":0,\"checkpoints\":0,\"edge_hops\":[{\"edge\":2,\"count\":1}]}"
+        );
+        let names: Vec<&str> = lines[1..]
+            .iter()
+            .map(|v| v["name"].as_str().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "queue_depth",
+                "message_latency_cycles",
+                "edge_utilization_hops"
+            ]
+        );
+        let prom = Format::Prom.render(MetricsSink::PREFIX, &m.families());
         assert!(prom.contains("xtree_sim_hops_total 1"));
         assert!(prom.contains("xtree_sim_message_latency_cycles_bucket{le=\"+Inf\"} 1"));
         assert!(prom.contains("xtree_sim_edge_hops_total{edge=\"2\"} 1"));
+        // Both formats list only the busiest EDGE_CAP edges.
+        for e in 10..40 {
+            m.record(hop(2, 0, e));
+        }
+        let jsonl = Format::Jsonl.render(MetricsSink::PREFIX, &m.families());
+        let counters: Value = xtree_json::from_str(jsonl.lines().next().unwrap()).unwrap();
+        assert_eq!(counters["edge_hops"].as_array().unwrap().len(), 16);
+        let prom = Format::Prom.render(MetricsSink::PREFIX, &m.families());
+        assert_eq!(prom.matches("xtree_sim_edge_hops_total{").count(), 16);
         assert!(prom.contains("# TYPE xtree_sim_queue_depth histogram"));
     }
 }
