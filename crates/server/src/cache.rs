@@ -11,12 +11,15 @@
 //!
 //! Next to its embedding an entry keeps the `EmbedScore` the first
 //! `Embed` for its key computed, so a warm `Embed` is a lookup and a
-//! copy of four numbers. The guest tree is deliberately not kept: at
-//! 12 bytes per node it would outweigh the embedding (DESIGN.md §12).
+//! copy of four numbers. It also keeps one `SimSlot` per engine
+//! workload, filled by the first `Simulate` that runs it, so a warm
+//! `Simulate` is a lookup too. Scores and slots live and die with their
+//! entry. The guest tree is deliberately not kept: at 12 bytes per node
+//! it would outweigh the embedding (DESIGN.md §12).
 //!
 //! A capacity of 0 disables caching entirely (every lookup misses, every
-//! insert is dropped) — the cold-cache baseline `loadgen` compares
-//! against.
+//! insert is dropped, nothing is memoized) — the cold-cache baseline
+//! `loadgen` compares against.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -24,6 +27,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use xtree_core::XEmbedding;
+use xtree_sim::workload::WORKLOADS;
+use xtree_telemetry::Counters;
 
 /// Number of independently-locked shards.
 pub const SHARDS: usize = 8;
@@ -66,11 +71,33 @@ pub(crate) struct EmbedScore {
     pub injective: bool,
 }
 
+/// One engine workload's `SimulateOk` report fields for an entry, and
+/// the engine events of the run that produced them. Like [`EmbedScore`],
+/// a pure function of the key (and the workload), so the first
+/// `Simulate` to run the workload fills it and later ones copy it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SimSlot {
+    /// Total cycles across all rounds.
+    pub cycles: u64,
+    /// Dilation-only lower bound.
+    pub ideal_cycles: u64,
+    /// Maximum traffic over a single directed link in any round.
+    pub max_link_traffic: u64,
+    /// The run's engine events, added to the server's counters by every
+    /// reply the slot serves.
+    pub events: Counters,
+}
+
+/// An entry's simulation slots, indexed like `WORKLOADS`.
+pub(crate) type SimSlots = [Option<SimSlot>; WORKLOADS.len()];
+
 struct Entry {
     emb: Arc<XEmbedding>,
     /// `None` until an `Embed` scores the entry (a `Simulate` miss
     /// inserts without one).
     score: Option<EmbedScore>,
+    /// Each `None` until a `Simulate` runs that workload.
+    sims: SimSlots,
     /// Shard-local logical clock value of the last touch.
     last_used: u64,
 }
@@ -111,15 +138,27 @@ impl EmbeddingCache {
     /// Looks `key` up, refreshing its recency on a hit. Counts the
     /// hit/miss either way.
     pub fn get(&self, key: &EmbeddingKey) -> Option<Arc<XEmbedding>> {
-        self.lookup(key).map(|(emb, _)| emb)
+        self.touch(key, |e| Arc::clone(&e.emb))
     }
 
     /// [`get`](Self::get), also returning the entry's score if an `Embed`
-    /// has stored one. Counts exactly like `get`.
+    /// has stored one. Counts exactly like `get`, and copies no slot.
     pub(crate) fn lookup(
         &self,
         key: &EmbeddingKey,
     ) -> Option<(Arc<XEmbedding>, Option<EmbedScore>)> {
+        self.touch(key, |e| (Arc::clone(&e.emb), e.score))
+    }
+
+    /// [`get`](Self::get), also returning the entry's simulation slots.
+    /// Counts exactly like `get`.
+    pub(crate) fn lookup_sims(&self, key: &EmbeddingKey) -> Option<(Arc<XEmbedding>, SimSlots)> {
+        self.touch(key, |e| (Arc::clone(&e.emb), e.sims))
+    }
+
+    /// The one counted lookup behind `get`, `lookup` and `lookup_sims`:
+    /// on a hit, refreshes the entry's recency and returns `read` of it.
+    fn touch<T>(&self, key: &EmbeddingKey, read: impl FnOnce(&Entry) -> T) -> Option<T> {
         if self.per_shard_cap == 0 {
             self.misses.fetch_add(1, Relaxed);
             return None;
@@ -130,7 +169,7 @@ impl EmbeddingCache {
         match shard.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
-                let found = (Arc::clone(&entry.emb), entry.score);
+                let found = read(entry);
                 drop(shard);
                 self.hits.fetch_add(1, Relaxed);
                 Some(found)
@@ -147,10 +186,10 @@ impl EmbeddingCache {
     /// used entry when it is full. No-op on a disabled cache.
     ///
     /// Two workers racing on the same cold key may both build and both
-    /// insert; the second insert just replaces the first with an equal
-    /// value (keeping any score already stored), so correctness is
-    /// unaffected — the race costs one duplicate construction, not a
-    /// wrong answer.
+    /// insert; the second insert just replaces the first's embedding with
+    /// an equal value (keeping any score and slots already stored), so
+    /// correctness is unaffected — the race costs one duplicate
+    /// construction, not a wrong answer.
     pub fn insert(&self, key: EmbeddingKey, emb: Arc<XEmbedding>) {
         if self.per_shard_cap == 0 {
             return;
@@ -158,7 +197,12 @@ impl EmbeddingCache {
         let mut shard = self.shard(&key).lock().expect("cache poisoned");
         shard.tick += 1;
         let tick = shard.tick;
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard_cap {
+        if let Some(entry) = shard.map.get_mut(&key) {
+            entry.emb = emb;
+            entry.last_used = tick;
+            return;
+        }
+        if shard.map.len() >= self.per_shard_cap {
             // O(shard) scan for the LRU victim: shards are small (cap /
             // SHARDS entries), so a linked-list LRU would buy nothing.
             if let Some(&victim) = shard
@@ -170,12 +214,12 @@ impl EmbeddingCache {
                 shard.map.remove(&victim);
             }
         }
-        let score = shard.map.get(&key).and_then(|e| e.score);
         shard.map.insert(
             key,
             Entry {
                 emb,
-                score,
+                score: None,
+                sims: [None; WORKLOADS.len()],
                 last_used: tick,
             },
         );
@@ -185,12 +229,24 @@ impl EmbeddingCache {
     /// hit/miss counts and the recency order stay as they are, and an
     /// entry evicted since its lookup is not brought back.
     pub(crate) fn set_score(&self, key: &EmbeddingKey, score: EmbedScore) {
+        self.update(key, |e| e.score = Some(score));
+    }
+
+    /// Stores workload `idx`'s `slot` on `key`'s entry, exactly as
+    /// [`set_score`](Self::set_score) stores a score.
+    pub(crate) fn set_sim(&self, key: &EmbeddingKey, idx: usize, slot: SimSlot) {
+        self.update(key, |e| e.sims[idx] = Some(slot));
+    }
+
+    /// Applies `write` to `key`'s entry if it is held, without counting or
+    /// touching it.
+    fn update(&self, key: &EmbeddingKey, write: impl FnOnce(&mut Entry)) {
         if self.per_shard_cap == 0 {
             return;
         }
         let mut shard = self.shard(key).lock().expect("cache poisoned");
         if let Some(entry) = shard.map.get_mut(key) {
-            entry.score = Some(score);
+            write(entry);
         }
     }
 
@@ -297,6 +353,86 @@ mod tests {
         assert!(c.lookup(&key(2)).is_none());
         assert_eq!((c.hits(), c.misses()), (3, 1), "set_score is not a lookup");
         assert_eq!(c.entries(), 1);
+    }
+
+    fn slot(cycles: u64) -> SimSlot {
+        SimSlot {
+            cycles,
+            ideal_cycles: cycles / 2,
+            max_link_traffic: 3,
+            events: Counters {
+                hops: 10 * cycles,
+                ..Counters::default()
+            },
+        }
+    }
+
+    const EMPTY: SimSlots = [None; WORKLOADS.len()];
+
+    #[test]
+    fn sim_slots_stay_with_their_entry() {
+        let c = EmbeddingCache::new(8);
+        c.set_sim(&key(1), 0, slot(5)); // no entry yet: nothing to fill
+        c.insert(key(1), emb(3));
+        assert_eq!(c.lookup_sims(&key(1)).unwrap().1, EMPTY, "inserted empty");
+        c.set_sim(&key(1), 2, slot(7));
+        c.set_sim(&key(1), 0, slot(4));
+        let filled = [Some(slot(4)), None, Some(slot(7)), None];
+        assert_eq!(c.lookup_sims(&key(1)).unwrap().1, filled);
+        // A duplicate build re-inserting the key keeps the slots, and a
+        // score stored next to them leaves them alone.
+        c.insert(key(1), emb(3));
+        c.set_score(
+            &key(1),
+            EmbedScore {
+                dilation: 3,
+                max_load: 16,
+                congestion: 40,
+                injective: false,
+            },
+        );
+        assert_eq!(c.lookup_sims(&key(1)).unwrap().1, filled);
+        assert!(c.lookup_sims(&key(2)).is_none());
+        assert_eq!((c.hits(), c.misses()), (3, 1), "set_sim is not a lookup");
+
+        // A disabled cache memoizes nothing.
+        let off = EmbeddingCache::new(0);
+        off.insert(key(1), emb(3));
+        off.set_sim(&key(1), 0, slot(1));
+        assert!(off.lookup_sims(&key(1)).is_none());
+    }
+
+    /// `n` keys that land in `key(0)`'s shard.
+    fn same_shard(c: &EmbeddingCache, n: usize) -> Vec<EmbeddingKey> {
+        let first = c.shard(&key(0));
+        (0..)
+            .map(key)
+            .filter(|k| std::ptr::eq(c.shard(k), first))
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn slot_writes_do_not_touch_and_evicted_slots_are_gone() {
+        let c = EmbeddingCache::new(2 * SHARDS); // two entries per shard
+        let k = same_shard(&c, 3);
+        c.insert(k[0], emb(1));
+        c.insert(k[1], emb(2));
+        // Not a touch: k[0] stays the shard's least recent entry.
+        c.set_sim(&k[0], 0, slot(5));
+        c.insert(k[2], emb(3));
+        assert!(c.lookup_sims(&k[0]).is_none(), "the LRU entry went");
+        c.set_sim(&k[0], 0, slot(5));
+        assert!(
+            c.lookup_sims(&k[0]).is_none(),
+            "a slot write does not bring back an evicted entry"
+        );
+        c.insert(k[0], emb(1));
+        assert_eq!(
+            c.lookup_sims(&k[0]).unwrap().1,
+            EMPTY,
+            "a rebuilt entry starts with empty slots"
+        );
     }
 
     #[test]

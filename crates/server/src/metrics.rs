@@ -4,12 +4,14 @@
 //! Request counters are one block of relaxed atomics indexed by [`Count`]
 //! (handlers on many threads bump them lock-free); request latency and
 //! queue depth go into [`Histogram`]s behind short-lived mutexes; and the
-//! engine events of every worker-run simulation land in one shared
-//! [`AtomicCounters`]. A worker tallies a request's events into a plain
-//! `Counters` and adds them once, so the engine's cycle loop makes no
-//! atomic adds. [`ServerMetrics::families`] lists it all for the
-//! telemetry crate's one writer, so `xtree_server_*` series render
-//! exactly like the `xtree_sim_*` ones.
+//! engine events of every `Simulate` reply served land in one shared
+//! [`AtomicCounters`]. A worker tallies each workload's events into a
+//! plain `Counters` and adds them once, so the engine's cycle loop makes
+//! no atomic adds; a reply served from the cache's slots adds the tallies
+//! stored with them, so the totals do not depend on what the cache held.
+//! [`ServerMetrics::families`] lists it all for the telemetry crate's one
+//! writer, so `xtree_server_*` series render exactly like the
+//! `xtree_sim_*` ones.
 
 use crate::cache::EmbeddingCache;
 use crate::wire::WireStats;
@@ -31,6 +33,10 @@ pub enum Count {
     Embeds,
     /// `Simulate`s dispatched to the pool.
     Simulates,
+    /// `Simulate`s answered from their cache entry's slots, without
+    /// running the engine. Every other `Simulate` ran it or was rejected,
+    /// so `simulates - sim_memo_hits` bounds the engine runs from above.
+    SimMemoHits,
     /// `Stats` requests.
     StatsRequests,
     /// `Health` requests.
@@ -49,10 +55,11 @@ pub enum Count {
 
 impl Count {
     /// Export names, in slot order.
-    const NAMES: [&'static str; 9] = [
+    const NAMES: [&'static str; 10] = [
         "requests",
         "embeds",
         "simulates",
+        "sim_memo_hits",
         "stats_requests",
         "health_requests",
         "overloaded",
@@ -71,7 +78,8 @@ pub struct ServerMetrics {
     /// Embed-construction latency on cache misses (full Theorem-1 build).
     embed_miss_us: Mutex<Histogram>,
     queue_depth: Mutex<Histogram>,
-    /// Engine events from every simulation a worker runs.
+    /// Engine events of every `Simulate` reply served, whether its
+    /// workloads ran or came from the cache's slots.
     pub sim: AtomicCounters,
 }
 
@@ -276,6 +284,7 @@ mod tests {
             (Count::Requests, "requests"),
             (Count::Embeds, "embeds"),
             (Count::Simulates, "simulates"),
+            (Count::SimMemoHits, "sim_memo_hits"),
             (Count::StatsRequests, "stats_requests"),
             (Count::HealthRequests, "health_requests"),
             (Count::Overloaded, "overloaded"),

@@ -3,13 +3,17 @@
 //! Validation happens here, not in the codec — the wire layer moves any
 //! well-formed message, and the service decides whether the values make
 //! sense (`family` must index `TreeFamily::ALL`, `theorem` must be 1 or
-//! 2, `nodes` is capped). The embedding itself is a pure function of the
-//! request key, fetched from the shared cache or built via the Theorem-1
-//! construction (plus Theorem-2 injectivization) on a miss.
+//! 2, `nodes` is capped), before the cache is consulted. The embedding
+//! itself is a pure function of the request key, fetched from the shared
+//! cache or built via the Theorem-1 construction (plus Theorem-2
+//! injectivization) on a miss.
 //!
 //! A warm `Embed` is a cache lookup: the entry carries the reply's
 //! host-specific fields, scored by the first `Embed` for the key, so the
-//! guest tree is not even generated. Every host comes from a
+//! guest tree is not even generated. A warm `Simulate` is a lookup too:
+//! the entry carries each engine workload's report and event tally,
+//! stored by the first `Simulate` that ran it, and a request whose
+//! workloads are all stored runs no engine. Every host comes from a
 //! process-wide table that builds each (tag, height) once.
 
 // `Result<_, Response>` keeps the typed error frame as the error value
@@ -17,8 +21,8 @@
 // (`StatsOk`) but these calls are per-request, not per-byte.
 #![allow(clippy::result_large_err)]
 
-use crate::cache::{EmbedScore, EmbeddingCache, EmbeddingKey};
-use crate::metrics::ServerMetrics;
+use crate::cache::{EmbedScore, EmbeddingCache, EmbeddingKey, SimSlot, SimSlots};
+use crate::metrics::{Count, ServerMetrics};
 use crate::wire::{Request, Response, WireReport, ERR_BAD_REQUEST, ERR_INTERNAL, WORKLOAD_ALL};
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
@@ -27,10 +31,8 @@ use xtree_core::theorem1::{EmbedOptions, Theorem1Scratch};
 use xtree_core::{evaluate, metrics::edge_congestion, theorem1, theorem2, XEmbedding};
 use xtree_host::{guest_map, host_label, AnyHost, Host, HOST_LABELS};
 use xtree_sim::workload::{HostMap, WORKLOADS};
-use xtree_sim::{
-    compute_load, congestion, simulate_all_in, simulate_one_in, Engine, SimError, SimReport,
-};
-use xtree_telemetry::{Counters, Sink};
+use xtree_sim::{compute_load, congestion, simulate_one_in, Engine, SimError};
+use xtree_telemetry::Counters;
 use xtree_trees::{BinaryTree, TreeFamily};
 
 /// Largest guest a single request may ask for: a million-node tree embeds
@@ -59,16 +61,21 @@ pub fn deadline_reject(stage: &str) -> Response {
     }
 }
 
-/// Validates a request's guest fields. The tree itself is generated only
-/// when the reply needs it.
-fn guest_family(family: u8, nodes: u64) -> Result<TreeFamily, Response> {
+/// Validates a request's guest fields, before its cache lookup: a
+/// rejected request counts no hit or miss and generates no tree. The
+/// tree itself is generated only when the reply needs it.
+fn guest_family(key: &EmbeddingKey) -> Result<TreeFamily, Response> {
     let fam = *TreeFamily::ALL
-        .get(usize::from(family))
-        .ok_or_else(|| bad(format!("unknown family index {family}")))?;
-    if nodes == 0 || nodes > MAX_NODES {
+        .get(usize::from(key.family))
+        .ok_or_else(|| bad(format!("unknown family index {}", key.family)))?;
+    if key.nodes == 0 || key.nodes > MAX_NODES {
         return Err(bad(format!(
-            "nodes must be in 1..={MAX_NODES}, got {nodes}"
+            "nodes must be in 1..={MAX_NODES}, got {}",
+            key.nodes
         )));
+    }
+    if !(1..=2).contains(&key.theorem) {
+        return Err(bad(format!("theorem must be 1 or 2, got {}", key.theorem)));
     }
     Ok(fam)
 }
@@ -101,39 +108,26 @@ fn embedding(
     lookup: Duration,
     tree: &BinaryTree,
     metrics: &ServerMetrics,
-) -> Result<(Arc<XEmbedding>, bool), Response> {
+) -> (Arc<XEmbedding>, bool) {
     if let Some(emb) = found {
         metrics.observe_embed_us(micros(lookup), true);
-        return Ok((emb, true));
+        return (emb, true);
     }
     let t0 = Instant::now();
     let emb = SCRATCH.with(|s| {
         let scratch = &mut *s.borrow_mut();
-        match key.theorem {
-            1 => Ok(theorem1::embed_with_scratch(tree, EmbedOptions::default(), scratch).emb),
-            2 => Ok(theorem2::injectivize(
-                &theorem1::embed_with_scratch(tree, EmbedOptions::default(), scratch).emb,
-            )),
-            t => Err(bad(format!("theorem must be 1 or 2, got {t}"))),
+        let emb = theorem1::embed_with_scratch(tree, EmbedOptions::default(), scratch).emb;
+        // `guest_family` admitted only theorems 1 and 2.
+        if key.theorem == 2 {
+            theorem2::injectivize(&emb)
+        } else {
+            emb
         }
-    })?;
+    });
     let emb = Arc::new(emb);
     cache.insert(key, Arc::clone(&emb));
     metrics.observe_embed_us(micros(lookup + t0.elapsed()), false);
-    Ok((emb, false))
-}
-
-fn wire_report(r: &SimReport) -> WireReport {
-    let workload = WORKLOADS
-        .iter()
-        .position(|&w| w == r.workload)
-        .unwrap_or(usize::from(WORKLOAD_ALL)) as u8;
-    WireReport {
-        workload,
-        cycles: u64::from(r.cycles),
-        ideal_cycles: u64::from(r.ideal_cycles),
-        max_link_traffic: u64::from(r.max_link_traffic),
-    }
+    (emb, false)
 }
 
 /// Every host this process has served, at most one per (tag, height).
@@ -223,7 +217,7 @@ fn embed(
     cache: &EmbeddingCache,
     metrics: &ServerMetrics,
 ) -> Result<Response, Response> {
-    let fam = guest_family(key.family, key.nodes)?;
+    let fam = guest_family(&key)?;
     let t0 = Instant::now();
     let found = cache.lookup(&key);
     let lookup = t0.elapsed();
@@ -235,65 +229,95 @@ fn embed(
         found => found.map(|(emb, _)| emb),
     };
     let tree = fam.generate_seeded(key.nodes as usize, key.seed);
-    let (emb, cached) = embedding(cache, key, found, lookup, &tree, metrics)?;
+    let (emb, cached) = embedding(cache, key, found, lookup, &tree, metrics);
     let s = score(key.host, &tree, &emb)?;
     cache.set_score(&key, s);
     Ok(embed_ok(&emb, s, cached))
 }
 
-/// A `Simulate` reply: the guest is always generated, since the
-/// simulation walks it, and the simulation runs on this worker's engine.
+/// A `Simulate` reply. When the entry's slots hold every workload the
+/// request asks for, the reply is a copy of them and touches nothing
+/// else. Otherwise the guest is generated and built on a miss, and only
+/// the workloads without a slot run, on this worker's engine, each
+/// storing its slot. Either way each workload's engine events, stored or
+/// fresh, reach `metrics.sim` once; a failed run's events count too.
 fn simulate(
     key: EmbeddingKey,
     workload: u8,
     cache: &EmbeddingCache,
     metrics: &ServerMetrics,
 ) -> Result<Response, Response> {
-    if workload != WORKLOAD_ALL && usize::from(workload) >= WORKLOADS.len() {
-        return Err(bad(format!(
-            "workload must be 0..{} or 255",
-            WORKLOADS.len()
-        )));
-    }
-    let fam = guest_family(key.family, key.nodes)?;
-    let tree = fam.generate_seeded(key.nodes as usize, key.seed);
+    let wanted = match usize::from(workload) {
+        _ if workload == WORKLOAD_ALL => 0..WORKLOADS.len(),
+        idx if idx < WORKLOADS.len() => idx..idx + 1,
+        _ => {
+            return Err(bad(format!(
+                "workload must be 0..{} or 255",
+                WORKLOADS.len()
+            )))
+        }
+    };
+    let fam = guest_family(&key)?;
     let t0 = Instant::now();
-    let found = cache.get(&key);
-    let (emb, cached) = embedding(cache, key, found, t0.elapsed(), &tree, metrics)?;
+    let found = cache.lookup_sims(&key);
+    let lookup = t0.elapsed();
+    let (found, sims): (_, SimSlots) = match found {
+        Some((emb, sims)) => (Some(emb), sims),
+        None => (None, [None; WORKLOADS.len()]),
+    };
+    // Workload `idx`'s share of the reply, from its slot.
+    let serve = |idx: usize, s: &SimSlot| {
+        metrics.sim.add(&s.events);
+        WireReport {
+            workload: idx as u8,
+            cycles: s.cycles,
+            ideal_cycles: s.ideal_cycles,
+            max_link_traffic: s.max_link_traffic,
+        }
+    };
+    let stored = &sims[wanted.clone()];
+    if stored.iter().all(Option::is_some) {
+        metrics.observe_embed_us(micros(lookup), true);
+        metrics.count(Count::SimMemoHits);
+        let reports = stored.iter().flatten().zip(wanted);
+        return Ok(Response::SimulateOk {
+            cached: true,
+            reports: reports.map(|(s, idx)| serve(idx, s)).collect(),
+        });
+    }
+    let tree = fam.generate_seeded(key.nodes as usize, key.seed);
+    let (emb, cached) = embedding(cache, key, found, lookup, &tree, metrics);
     let net = host_net(key.host, emb.height)?;
     let map = guest_map(key.host, &emb).expect("tag validated by host_net");
-    // Engine events are tallied locally and reach the shared counters
-    // once per request, failed simulations included.
-    let mut events = Counters::default();
-    let reports = run_workloads(net, &tree, &map, workload, &mut events);
-    metrics.sim.add(&events);
+    let reports = ENGINE.with(|engine| {
+        let engine = &mut *engine.borrow_mut();
+        wanted
+            .map(|idx| {
+                let s = match sims[idx] {
+                    Some(s) => s,
+                    None => {
+                        let mut events = Counters::default();
+                        let r = simulate_one_in(engine, net, &tree, &map, idx, &mut events)
+                            .inspect_err(|_| metrics.sim.add(&events))?;
+                        let s = SimSlot {
+                            cycles: u64::from(r.cycles),
+                            ideal_cycles: u64::from(r.ideal_cycles),
+                            max_link_traffic: u64::from(r.max_link_traffic),
+                            events,
+                        };
+                        cache.set_sim(&key, idx, s);
+                        s
+                    }
+                };
+                Ok(serve(idx, &s))
+            })
+            .collect::<Result<Vec<_>, SimError>>()
+    });
     let reports = reports.map_err(|e| Response::Error {
         code: ERR_INTERNAL,
         message: format!("simulation failed: {e}"),
     })?;
-    Ok(Response::SimulateOk {
-        cached,
-        reports: reports.iter().map(wire_report).collect(),
-    })
-}
-
-/// One workload's report, or all four for [`WORKLOAD_ALL`], run on this
-/// thread's engine.
-fn run_workloads<H: Host, M: HostMap, S: Sink>(
-    net: &H,
-    tree: &BinaryTree,
-    map: &M,
-    workload: u8,
-    sink: &mut S,
-) -> Result<Vec<SimReport>, SimError> {
-    ENGINE.with(|engine| {
-        let engine = &mut *engine.borrow_mut();
-        if workload == WORKLOAD_ALL {
-            simulate_all_in(engine, net, tree, map, sink)
-        } else {
-            simulate_one_in(engine, net, tree, map, usize::from(workload), sink).map(|r| vec![r])
-        }
-    })
+    Ok(Response::SimulateOk { cached, reports })
 }
 
 /// Executes one pooled request against the shared cache, reporting engine
@@ -361,7 +385,9 @@ pub fn handle_compute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SHARDS;
     use xtree_host::{XTreeHost, HOST_XTREE};
+    use xtree_sim::simulate_all_with;
     use xtree_telemetry::Format;
 
     fn counters() -> ServerMetrics {
@@ -489,6 +515,20 @@ mod tests {
                 theorem: 1,
                 workload: 4,
             },
+            // The largest guest: rejected before its tree is generated.
+            Request::Simulate {
+                family: 0,
+                nodes: MAX_NODES,
+                seed: 7,
+                theorem: 3,
+                workload: 0,
+            },
+            Request::Embed {
+                family: 0,
+                nodes: MAX_NODES,
+                seed: 7,
+                theorem: 0,
+            },
         ] {
             let resp = handle_compute(&req, HOST_XTREE, &cache, &sim);
             assert!(
@@ -501,7 +541,28 @@ mod tests {
                 ),
                 "{req:?} must be rejected, got {resp:?}"
             );
+            assert_eq!(
+                (cache.hits(), cache.misses()),
+                (0, 0),
+                "{req:?} was rejected after a cache lookup"
+            );
         }
+        let resp = handle_compute(
+            &Request::Embed {
+                family: 0,
+                nodes: 48,
+                seed: 7,
+                theorem: 3,
+            },
+            HOST_XTREE,
+            &cache,
+            &sim,
+        );
+        assert_eq!(
+            resp,
+            bad("theorem must be 1 or 2, got 3"),
+            "the message stays"
+        );
     }
 
     const HOSTS_ALL: [u8; 3] = [
@@ -578,7 +639,7 @@ mod tests {
                     assert!(matches!(warm, Response::EmbedOk { cached: true, .. }));
                     assert_eq!(uncached(warm), cold, "host {host} theorem {theorem}");
                 }
-                // A Simulate after the score is stored still simulates.
+                // The Simulate's own slot answers it again, score or not.
                 let sim_warm = handle_compute(&sim, host, &cache, &metrics);
                 assert_eq!(uncached(sim_warm), sim_cold);
                 assert_eq!((cache.hits(), cache.misses()), (3, 1));
@@ -608,6 +669,145 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses(), cache.entries()), (1, 1, 1));
     }
 
+    fn simulate_req(theorem: u8, workload: u8) -> Request {
+        Request::Simulate {
+            family: 2, // caterpillar
+            nodes: 112,
+            seed: 5,
+            theorem,
+            workload,
+        }
+    }
+
+    /// A key in the same cache shard as `key`: on a cache with one entry
+    /// per shard, inserting it evicts `key`.
+    fn shard_mate(key: EmbeddingKey) -> EmbeddingKey {
+        let emb = Arc::new(XEmbedding {
+            height: 1,
+            map: vec![0],
+        });
+        (key.seed + 1..)
+            .map(|seed| EmbeddingKey { seed, ..key })
+            .find(|&mate| {
+                let probe = EmbeddingCache::new(1);
+                probe.insert(key, Arc::clone(&emb));
+                probe.insert(mate, Arc::clone(&emb));
+                probe.entries() == 1
+            })
+            .expect("some seed shares the shard")
+    }
+
+    /// Sends `reqs`, all for `simulate_req`'s guest at `theorem`, on
+    /// `host` to a memoizing cache with one entry per shard and to a
+    /// disabled one, each with its own metrics; then evicts the guest's
+    /// entry with an `Embed` for its shard mate and sends them again.
+    /// Every reply must equal the uncached server's apart from `cached`,
+    /// and so must the engine-event totals, field for field. Returns the
+    /// memo hits of each pass.
+    fn memo_against_uncached(host: u8, theorem: u8, reqs: &[Request]) -> [u64; 2] {
+        let (cache, memo) = (EmbeddingCache::new(SHARDS), counters());
+        let (off, cold) = (EmbeddingCache::new(0), counters());
+        let key = EmbeddingKey {
+            family: 2,
+            nodes: 112,
+            seed: 5,
+            theorem,
+            host,
+        };
+        let evict = Request::Embed {
+            family: 2,
+            nodes: 112,
+            seed: shard_mate(key).seed,
+            theorem,
+        };
+        let mut hits = [0; 2];
+        for (pass, hits) in hits.iter_mut().enumerate() {
+            let before = (memo.get(Count::SimMemoHits), cache.hits() + cache.misses());
+            for req in reqs {
+                let want = handle_compute(req, host, &off, &cold);
+                let got = handle_compute(req, host, &cache, &memo);
+                assert_eq!(uncached(got), want, "host {host} pass {pass}: {req:?}");
+                assert_eq!(
+                    memo.sim.snapshot(),
+                    cold.sim.snapshot(),
+                    "host {host} pass {pass}: {req:?}"
+                );
+            }
+            let lookups = cache.hits() + cache.misses() - before.1;
+            assert_eq!(lookups, reqs.len() as u64, "one lookup per request");
+            *hits = memo.get(Count::SimMemoHits) - before.0;
+            handle_compute(&evict, host, &cache, &memo);
+            assert!(cache.lookup_sims(&key).is_none(), "evicted");
+        }
+        assert_eq!(cold.get(Count::SimMemoHits), 0, "nothing to remember");
+        hits
+    }
+
+    #[test]
+    fn memoized_simulates_equal_an_uncached_server() {
+        let singles = || 0..WORKLOADS.len() as u8;
+        for host in HOSTS_ALL {
+            for theorem in [1, 2] {
+                let sim = |workload| simulate_req(theorem, workload);
+                // Each workload alone fills its slot; then all four are a
+                // lookup.
+                let reqs: Vec<_> = singles().chain([WORKLOAD_ALL]).map(sim).collect();
+                assert_eq!(memo_against_uncached(host, theorem, &reqs), [1, 1]);
+                // All four fill every slot; then each alone is a lookup.
+                let reqs: Vec<_> = [WORKLOAD_ALL]
+                    .into_iter()
+                    .chain(singles())
+                    .map(sim)
+                    .collect();
+                assert_eq!(memo_against_uncached(host, theorem, &reqs), [4, 4]);
+                // Embed first: the entry exists but holds no slot. One
+                // workload runs alone, all four then run only the other
+                // three, and everything after is a lookup.
+                let reqs: Vec<_> = [embed(theorem)]
+                    .into_iter()
+                    .chain([1, WORKLOAD_ALL, 3, WORKLOAD_ALL].map(sim))
+                    .chain([embed(theorem), sim(1)])
+                    .collect();
+                assert_eq!(memo_against_uncached(host, theorem, &reqs), [3, 3]);
+            }
+        }
+    }
+
+    #[test]
+    fn simulation_failures_are_not_memoized() {
+        // As in `scoring_failures_are_not_cached`: a Theorem-2 guest of
+        // 2^12 nodes needs X(12), above the universal hosts' X(10).
+        let cache = EmbeddingCache::new(8);
+        let metrics = counters();
+        let req = |workload| Request::Simulate {
+            family: 0,
+            nodes: 4096,
+            seed: 1,
+            theorem: 2,
+            workload,
+        };
+        let first = handle_compute(&req(0), xtree_host::HOST_UNIVERSAL, &cache, &metrics);
+        assert!(
+            matches!(first, Response::Error { code: ERR_BAD_REQUEST, ref message } if message.contains("unavailable")),
+            "{first:?}"
+        );
+        for workload in [0, WORKLOAD_ALL, 0, WORKLOAD_ALL] {
+            let resp = handle_compute(&req(workload), xtree_host::HOST_UNIVERSAL, &cache, &metrics);
+            assert_eq!(resp, first, "workload {workload}");
+        }
+        let key = EmbeddingKey {
+            family: 0,
+            nodes: 4096,
+            seed: 1,
+            theorem: 2,
+            host: xtree_host::HOST_UNIVERSAL,
+        };
+        let (_, sims) = cache.lookup_sims(&key).expect("the embedding is cached");
+        assert_eq!(sims, [None; WORKLOADS.len()], "no slot filled");
+        assert_eq!(metrics.get(Count::SimMemoHits), 0);
+        assert_eq!(metrics.sim.snapshot(), Counters::default());
+    }
+
     #[test]
     fn table_hosts_answer_like_fresh_ones() {
         for tag in HOSTS_ALL {
@@ -632,8 +832,8 @@ mod tests {
                 );
                 let sink = &mut &counters().sim;
                 assert_eq!(
-                    run_workloads(shared, &tree, &map, WORKLOAD_ALL, sink).unwrap(),
-                    run_workloads(&fresh, &tree, &map, WORKLOAD_ALL, sink).unwrap(),
+                    simulate_all_with(shared, &tree, &map, sink).unwrap(),
+                    simulate_all_with(&fresh, &tree, &map, sink).unwrap(),
                     "{} X({height})",
                     fresh.label()
                 );
@@ -676,14 +876,20 @@ mod tests {
                 let resp = handle_compute(&req, tag, &EmbeddingCache::new(0), &counters());
                 let reports = if tag == HOST_XTREE {
                     // A fresh X-tree with the embedding as its own map.
-                    run_workloads(&XTreeHost::new(height), &tree, &emb, WORKLOAD_ALL, sink)
+                    simulate_all_with(&XTreeHost::new(height), &tree, &emb, sink)
                 } else {
-                    run_workloads(&fresh, &tree, &map, WORKLOAD_ALL, sink)
+                    simulate_all_with(&fresh, &tree, &map, sink)
                 };
-                let reports = reports.unwrap();
                 let expect = Response::SimulateOk {
                     cached: false,
-                    reports: reports.iter().map(wire_report).collect(),
+                    reports: (reports.unwrap().iter().enumerate())
+                        .map(|(idx, r)| WireReport {
+                            workload: idx as u8,
+                            cycles: u64::from(r.cycles),
+                            ideal_cycles: u64::from(r.ideal_cycles),
+                            max_link_traffic: u64::from(r.max_link_traffic),
+                        })
+                        .collect(),
                 };
                 assert_eq!(resp, expect, "{} X({height})", fresh.label());
             }

@@ -26,6 +26,7 @@ fn server_prometheus_text_is_golden() {
         (Count::Requests, 9),
         (Count::Embeds, 2),
         (Count::Simulates, 3),
+        (Count::SimMemoHits, 10),
         (Count::StatsRequests, 4),
         (Count::HealthRequests, 5),
         (Count::Overloaded, 6),
@@ -105,6 +106,8 @@ xtree_server_requests_total 9
 xtree_server_embeds_total 2
 # TYPE xtree_server_simulates_total counter
 xtree_server_simulates_total 3
+# TYPE xtree_server_sim_memo_hits_total counter
+xtree_server_sim_memo_hits_total 10
 # TYPE xtree_server_stats_requests_total counter
 xtree_server_stats_requests_total 4
 # TYPE xtree_server_health_requests_total counter

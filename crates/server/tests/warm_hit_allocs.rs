@@ -1,7 +1,9 @@
 //! A scored warm `Embed` hit is a cache lookup: `handle_compute` answers
-//! it without a single heap allocation, on every host and theorem. And a
-//! warm `Simulate` runs on its worker's engine, so it makes no
-//! allocation the size of the host's link table.
+//! it without a single heap allocation, on every host and theorem. A
+//! `Simulate` whose workloads are all stored on its entry is a lookup
+//! too, allocating only its reply's report list. And a `Simulate` that
+//! does run the engine runs on its worker's, so it makes no allocation
+//! the size of the host's link table.
 //!
 //! Allocation counts do not depend on the machine, so this gate holds on
 //! any CI runner. The counting allocator tallies per thread, so the test
@@ -11,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use xtree_host::{HOST_HYPERCUBE, HOST_UNIVERSAL, HOST_XTREE};
 use xtree_server::service::handle_compute;
-use xtree_server::{EmbeddingCache, Request, Response, ServerMetrics};
+use xtree_server::{Count, EmbeddingCache, Request, Response, ServerMetrics};
 
 struct CountingAlloc;
 
@@ -123,27 +125,74 @@ fn the_counter_sees_a_cold_request() {
 }
 
 #[test]
+fn memo_hit_simulates_allocate_only_the_reply() {
+    for host in [HOST_XTREE, HOST_HYPERCUBE, HOST_UNIVERSAL] {
+        for theorem in [1, 2] {
+            let simulate = |workload| Request::Simulate {
+                family: 5,
+                nodes: 112,
+                seed: 11,
+                theorem,
+                workload,
+            };
+            let cache = EmbeddingCache::new(8);
+            let metrics = ServerMetrics::new();
+            // Running all four workloads fills every slot.
+            let cold = handle_compute(&simulate(255), host, &cache, &metrics);
+            let Response::SimulateOk { reports, .. } = cold else {
+                panic!("host {host} theorem {theorem}: {cold:?}");
+            };
+            for (workload, expect) in [(2, vec![reports[2].clone()]), (255, reports.clone())] {
+                let hits = metrics.get(Count::SimMemoHits);
+                let (n, resp) =
+                    allocs(|| handle_compute(&simulate(workload), host, &cache, &metrics));
+                assert_eq!(
+                    resp,
+                    Response::SimulateOk {
+                        cached: true,
+                        reports: expect
+                    },
+                    "host {host} theorem {theorem} workload {workload}"
+                );
+                assert_eq!(metrics.get(Count::SimMemoHits), hits + 1);
+                assert!(
+                    n <= 1,
+                    "host {host} theorem {theorem} workload {workload}: a memo hit made {n} allocations"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn warm_simulates_reuse_the_worker_engine() {
     // Theorem 1's largest X(6) guest: the universal host there has
     // 504 080 directed links, 2 MB per 4-byte link buffer.
     let cache = EmbeddingCache::new(8);
     let metrics = ServerMetrics::new();
-    let req = Request::Simulate {
+    let simulate = |workload| Request::Simulate {
         family: 4,
         nodes: 2032,
         seed: 13,
         theorem: 1,
-        workload: 255,
+        workload,
     };
-    let (first, cold) = big_allocs(|| handle_compute(&req, HOST_UNIVERSAL, &cache, &metrics));
+    let (first, _) = big_allocs(|| handle_compute(&simulate(0), HOST_UNIVERSAL, &cache, &metrics));
     assert!(
         first > 0,
         "the first request builds the host and grows the engine"
     );
-    let (n, warm) = big_allocs(|| handle_compute(&req, HOST_UNIVERSAL, &cache, &metrics));
-    assert!(
-        matches!(warm, Response::SimulateOk { cached: true, .. }),
-        "{warm:?}"
+    // Another workload of the same guest: a cache hit whose slot is
+    // empty, so it runs on the warmed engine.
+    let hops = metrics.sim.snapshot().hops;
+    let (n, warm) = big_allocs(|| handle_compute(&simulate(2), HOST_UNIVERSAL, &cache, &metrics));
+    assert_eq!(metrics.get(Count::SimMemoHits), 0, "not a memo hit");
+    assert!(metrics.sim.snapshot().hops > hops, "the engine ran");
+    let cold = handle_compute(
+        &simulate(2),
+        HOST_UNIVERSAL,
+        &EmbeddingCache::new(0),
+        &ServerMetrics::new(),
     );
     let Response::SimulateOk { reports, .. } = cold else {
         panic!("expected SimulateOk, got {cold:?}");
