@@ -16,8 +16,10 @@
 //!   `(family, nodes, seed, theorem, host)`, sharing `Arc<XEmbedding>`s
 //!   so a hit skips the Theorem-1 construction entirely, and keeping each
 //!   entry's `Embed` score so a warm `Embed` is a lookup;
-//! * [`service`] — what a worker does with a request (validate → cache
-//!   get-or-build → score / simulate, on hosts shared per height);
+//! * [`service`] — how a request is answered, in two halves: the warm
+//!   half a connection thread runs (validate → one cache lookup → the
+//!   stored reply) and the cold half a worker runs (build on a miss →
+//!   score / simulate, on hosts shared per height);
 //! * [`metrics`] — request counters, latency/queue-depth histograms, and
 //!   the shared engine-event sink, exported in the workspace's standard
 //!   Prometheus and JSONL shapes;

@@ -29,24 +29,31 @@ const QUEUE_DEPTH_BOUNDS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1
 pub enum Count {
     /// Accepted requests of any type.
     Requests,
-    /// `Embed`s dispatched to the pool.
+    /// `Embed` requests received.
     Embeds,
-    /// `Simulate`s dispatched to the pool.
+    /// `Simulate` requests received.
     Simulates,
     /// `Simulate`s answered from their cache entry's slots, without
     /// running the engine. Every other `Simulate` ran it or was rejected,
     /// so `simulates - sim_memo_hits` bounds the engine runs from above.
     SimMemoHits,
+    /// `Embed`s and `Simulate`s answered by their warm half on the
+    /// connection thread, without a queue hop: cache hits and
+    /// validation errors. Every other compute request was queued
+    /// (`queue_depth_observed`'s count), bounced `Overloaded`, or refused
+    /// at admission or during the drain.
+    InlineReplies,
     /// `Stats` requests.
     StatsRequests,
     /// `Health` requests.
     HealthRequests,
     /// Requests bounced with `Overloaded`.
     Overloaded,
-    /// Requests answered with `Error`.
+    /// Requests answered with `Error`, counted once per reply written.
     Errors,
-    /// Requests rejected with `ERR_DEADLINE` (budget expired at
-    /// admission, in the queue, or before compute started).
+    /// Requests answered with `ERR_DEADLINE` (budget expired at
+    /// admission, in the queue, or while the handler waited for its
+    /// worker), counted once per reply written.
     DeadlineRejects,
     /// Connections dropped because a socket read/write outran the
     /// configured I/O timeout (idle or stalled peers).
@@ -55,11 +62,12 @@ pub enum Count {
 
 impl Count {
     /// Export names, in slot order.
-    const NAMES: [&'static str; 10] = [
+    const NAMES: [&'static str; 11] = [
         "requests",
         "embeds",
         "simulates",
         "sim_memo_hits",
+        "inline_replies",
         "stats_requests",
         "health_requests",
         "overloaded",
@@ -109,8 +117,9 @@ impl ServerMetrics {
         self.counts[c as usize].load(Relaxed)
     }
 
-    /// Records one completed pooled request's end-to-end latency
-    /// (queue wait + compute + reply), in microseconds.
+    /// Records one answered `Embed`/`Simulate`'s latency in microseconds,
+    /// from admission to reply: the warm half for an inline reply, plus
+    /// queue wait and the cold half for a queued one.
     pub fn observe_latency_us(&self, us: u64) {
         self.latency_us
             .lock()
@@ -167,8 +176,8 @@ impl ServerMetrics {
     }
 
     /// The daemon's metric families: every [`Count`], the cache and
-    /// pooled-simulation totals, the cache-size and queue-depth gauges,
-    /// and the four histograms.
+    /// simulation totals, the cache-size and queue-depth gauges, and the
+    /// four histograms.
     pub fn families(&self, cache: &EmbeddingCache, queue_depth: usize) -> Vec<Family> {
         let sim = self.sim.snapshot();
         let hist = |name, h: &Mutex<Histogram>| {
@@ -285,6 +294,7 @@ mod tests {
             (Count::Embeds, "embeds"),
             (Count::Simulates, "simulates"),
             (Count::SimMemoHits, "sim_memo_hits"),
+            (Count::InlineReplies, "inline_replies"),
             (Count::StatsRequests, "stats_requests"),
             (Count::HealthRequests, "health_requests"),
             (Count::Overloaded, "overloaded"),

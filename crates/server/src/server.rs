@@ -1,13 +1,16 @@
 //! The daemon: acceptor, connection handlers, and the worker pool.
 //!
 //! Threading model: one acceptor thread blocks in `accept()`; each
-//! connection gets a handler thread that owns its socket and does *only*
-//! I/O; a fixed pool of worker threads does all embedding/simulation
-//! compute. Handlers route `Embed`/`Simulate` through the bounded
-//! [`BoundedQueue`] as jobs and answer `Health`/`Stats`/`Shutdown`
-//! inline, so control requests keep working while the pool is saturated.
-//! A full queue is an immediate `Overloaded` response — the daemon never
-//! buffers unboundedly and never blocks a client on admission.
+//! connection gets a handler thread that owns its socket; a fixed pool of
+//! worker threads does every build and engine run. A handler answers
+//! `Health`/`Stats`/`Shutdown` itself, and runs the warm half of an
+//! `Embed`/`Simulate` ([`handle_warm`]: validation and one cache lookup)
+//! itself too, so cache hits and validation errors never leave their
+//! connection thread. Only the cold half ([`handle_cold`]) goes through
+//! the bounded [`BoundedQueue`] as a job, so control requests and warm
+//! hits keep working while the pool is saturated. A full queue is an
+//! immediate `Overloaded` response — the daemon never buffers unboundedly
+//! and never blocks a client on admission.
 //!
 //! Shutdown is graceful by construction: the flag stops new admissions,
 //! closing the queue lets workers drain already-accepted jobs before
@@ -20,10 +23,10 @@ use crate::cache::EmbeddingCache;
 use crate::chaos::{ChaosPlan, ChaosStream};
 use crate::metrics::{Count, ServerMetrics};
 use crate::queue::{BoundedQueue, PushError};
-use crate::service::{deadline_reject, handle_compute};
+use crate::service::{deadline_reject, handle_cold, handle_warm, Cold, Step};
 use crate::wire::{
     decode_request_host, read_frame, write_response, HealthInfo, Request, Response, WireError,
-    ERR_BAD_REQUEST, ERR_SHUTTING_DOWN,
+    ERR_BAD_REQUEST, ERR_DEADLINE, ERR_SHUTTING_DOWN,
 };
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -74,13 +77,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// One pooled request: what to compute, where to send the answer, and
-/// how long anyone still cares.
+/// One pooled request: its cold half, where to send the answer, and how
+/// long anyone still cares.
 struct Job {
-    req: Request,
-    /// Resolved host tag: the frame's trailing host field, or the
-    /// server's `default_host` when the client sent none.
-    host: u8,
+    work: Cold,
     reply: mpsc::Sender<Response>,
     /// The absolute instant after which the client's budget is spent and
     /// the answer is worthless.
@@ -208,19 +208,16 @@ fn begin_shutdown(shared: &Shared, addr: std::net::SocketAddr) {
 fn worker_loop(shared: &Shared) {
     // Deadline-expired jobs are answered with the typed rejection on the
     // way past instead of burning compute on an answer nobody awaits.
+    // Workers count no errors: the handler counts the reply it writes.
     while let Some(job) = shared.queue.pop_filtered(
         |job| job.deadline.is_none_or(|d| Instant::now() < d),
         |job| {
-            shared.metrics.count(Count::DeadlineRejects);
-            shared.metrics.count(Count::Errors);
             let _ = job.reply.send(deadline_reject("queue"));
         },
     ) {
-        let resp = handle_compute(&job.req, job.host, &shared.cache, &shared.metrics);
-        if matches!(resp, Response::Error { .. }) {
-            shared.metrics.count(Count::Errors);
-        }
-        // A dead reply channel means the client hung up; drop the result.
+        let resp = handle_cold(job.work, &shared.cache, &shared.metrics);
+        // A dead reply channel means the client hung up or its handler
+        // timed out; drop the result.
         let _ = job.reply.send(resp);
     }
 }
@@ -342,9 +339,17 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
                 } else {
                     shared.metrics.count(Count::Simulates);
                 }
-                dispatch(shared, req, host, deadline)
+                dispatch(shared, &req, host, deadline)
             }
         };
+        // Every error is counted here, once, for the reply written —
+        // whether the handler, the queue filter or a worker made it.
+        if let Response::Error { code, .. } = resp {
+            shared.metrics.count(Count::Errors);
+            if code == ERR_DEADLINE {
+                shared.metrics.count(Count::DeadlineRejects);
+            }
+        }
         // A budgeted response gets the remaining budget as its write
         // timeout (a dead-slow reader cannot hold the handler past the
         // client's own patience); budget-free traffic keeps io_timeout.
@@ -377,20 +382,43 @@ fn handle_connection(stream: ChaosStream, shared: &Shared, local: std::net::Sock
     }
 }
 
-/// Admits one compute request to the pool and blocks (I/O thread only)
-/// until its reply arrives or the request's deadline budget runs out.
-fn dispatch(shared: &Shared, req: Request, host: u8, deadline: Option<Instant>) -> Response {
+/// The refusal a compute request gets once the drain has started.
+fn draining() -> Response {
+    Response::Error {
+        code: ERR_SHUTTING_DOWN,
+        message: "server is draining".into(),
+    }
+}
+
+/// Answers one compute request: inline when its warm half can, otherwise
+/// by admitting its cold half to the pool and blocking (connection thread
+/// only) until the reply arrives or the request's deadline budget runs
+/// out.
+fn dispatch(shared: &Shared, req: &Request, host: u8, deadline: Option<Instant>) -> Response {
     let start = Instant::now();
-    // Reject already-expired work before it costs a queue slot.
+    // Reject already-expired work before it costs a lookup or a queue
+    // slot.
     if deadline.is_some_and(|d| start >= d) {
-        shared.metrics.count(Count::DeadlineRejects);
-        shared.metrics.count(Count::Errors);
         return deadline_reject("admission");
     }
+    // A draining server answers nothing new, not even from the cache. A
+    // drain that starts after this check is caught by the closed queue.
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return draining();
+    }
+    let work = match handle_warm(req, host, &shared.cache, &shared.metrics) {
+        Step::Reply(resp) => {
+            shared.metrics.count(Count::InlineReplies);
+            shared
+                .metrics
+                .observe_latency_us(start.elapsed().as_micros() as u64);
+            return resp;
+        }
+        Step::Cold(work) => work,
+    };
     let (reply_tx, reply_rx) = mpsc::channel();
     let job = Job {
-        req,
-        host,
+        work,
         reply: reply_tx,
         deadline,
     };
@@ -405,13 +433,7 @@ fn dispatch(shared: &Shared, req: Request, host: u8, deadline: Option<Instant>) 
                 cap: shared.queue.capacity() as u64,
             };
         }
-        Err(PushError::Closed(_)) => {
-            shared.metrics.count(Count::Errors);
-            return Response::Error {
-                code: ERR_SHUTTING_DOWN,
-                message: "server is draining".into(),
-            };
-        }
+        Err(PushError::Closed(_)) => return draining(),
     }
     // recv fails only if the worker died with the job; surface it as a
     // typed error instead of hanging the connection. A budgeted request
@@ -421,13 +443,9 @@ fn dispatch(shared: &Shared, req: Request, host: u8, deadline: Option<Instant>) 
         None => reply_rx.recv().ok(),
         Some(d) => match reply_rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
             Ok(resp) => Some(resp),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                shared.metrics.count(Count::DeadlineRejects);
-                shared.metrics.count(Count::Errors);
-                // The worker (or the queue filter) will find a dead
-                // reply channel and drop its late answer.
-                Some(deadline_reject("compute"))
-            }
+            // The worker (or the queue filter) will find a dead reply
+            // channel and drop its late answer.
+            Err(mpsc::RecvTimeoutError::Timeout) => Some(deadline_reject("compute")),
             Err(mpsc::RecvTimeoutError::Disconnected) => None,
         },
     };

@@ -1,4 +1,12 @@
-//! Request execution: what a worker thread does with a pooled request.
+//! Request execution, in two halves.
+//!
+//! The *warm half* ([`handle_warm`]) validates an `Embed` or `Simulate`
+//! and makes its one counted cache lookup. It answers what the lookup
+//! alone can answer, and the server runs it on the connection thread.
+//! The *cold half* ([`handle_cold`]) does everything else — tree
+//! generation, the build on a miss, scoring, engine runs — and the server
+//! runs it on a worker. [`handle_compute`] runs both, one after the
+//! other, on the calling thread.
 //!
 //! Validation happens here, not in the codec — the wire layer moves any
 //! well-formed message, and the service decides whether the values make
@@ -8,9 +16,9 @@
 //! cache or built via the Theorem-1 construction (plus Theorem-2
 //! injectivization) on a miss.
 //!
-//! A warm `Embed` is a cache lookup: the entry carries the reply's
+//! A warm `Embed` is the warm half alone: the entry carries the reply's
 //! host-specific fields, scored by the first `Embed` for the key, so the
-//! guest tree is not even generated. A warm `Simulate` is a lookup too:
+//! guest tree is not even generated. A warm `Simulate` is too:
 //! the entry carries each engine workload's report and event tally,
 //! stored by the first `Simulate` that ran it, and a request whose
 //! workloads are all stored runs no engine. Every host comes from a
@@ -25,6 +33,7 @@ use crate::cache::{EmbedScore, EmbeddingCache, EmbeddingKey, SimSlot, SimSlots};
 use crate::metrics::{Count, ServerMetrics};
 use crate::wire::{Request, Response, WireReport, ERR_BAD_REQUEST, ERR_INTERNAL, WORKLOAD_ALL};
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use xtree_core::theorem1::{EmbedOptions, Theorem1Scratch};
@@ -209,44 +218,82 @@ fn embed_ok(emb: &XEmbedding, s: EmbedScore, cached: bool) -> Response {
     }
 }
 
-/// An `Embed` reply. A scored cache hit returns the stored fields and
-/// touches nothing else; otherwise the guest is generated, built on a
-/// miss, scored, and the score stored on the entry.
-fn embed(
+/// What [`handle_warm`] made of a request: its reply, or the work a
+/// worker still has to do.
+// A `Step` lives for one call. Its `Cold` carries the entry's simulation
+// slots by value, so the worker reads them without a second lookup.
+#[allow(clippy::large_enum_variant)]
+pub enum Step {
+    /// The complete reply: a scored `Embed` hit, a `Simulate` whose
+    /// workloads all have a slot, or a rejection.
+    Reply(Response),
+    /// A build, a score or an engine run is still to do.
+    Cold(Cold),
+}
+
+/// A request's cold half: everything [`handle_cold`] needs, including
+/// the outcome of the warm half's one counted lookup, so the cold half
+/// makes no lookup of its own.
+pub struct Cold {
+    key: EmbeddingKey,
+    fam: TreeFamily,
+    /// How long the lookup took: a miss's construction sample is the
+    /// lookup plus the build.
+    lookup: Duration,
+    /// The entry's embedding, if the lookup hit.
+    found: Option<Arc<XEmbedding>>,
+    /// For a `Simulate`, the workloads it wants and the entry's slots as
+    /// the lookup saw them (all empty on a miss); `None` for an `Embed`.
+    sims: Option<(Range<usize>, SimSlots)>,
+}
+
+/// An `Embed`'s warm half: validation and the one counted lookup. A
+/// scored hit returns the stored fields and touches nothing else.
+fn embed_warm(
     key: EmbeddingKey,
     cache: &EmbeddingCache,
     metrics: &ServerMetrics,
-) -> Result<Response, Response> {
+) -> Result<Step, Response> {
     let fam = guest_family(&key)?;
     let t0 = Instant::now();
     let found = cache.lookup(&key);
     let lookup = t0.elapsed();
-    let found = match found {
+    Ok(match found {
         Some((emb, Some(s))) => {
             metrics.observe_embed_us(micros(lookup), true);
-            return Ok(embed_ok(&emb, s, true));
+            Step::Reply(embed_ok(&emb, s, true))
         }
-        found => found.map(|(emb, _)| emb),
-    };
-    let tree = fam.generate_seeded(key.nodes as usize, key.seed);
-    let (emb, cached) = embedding(cache, key, found, lookup, &tree, metrics);
-    let s = score(key.host, &tree, &emb)?;
-    cache.set_score(&key, s);
-    Ok(embed_ok(&emb, s, cached))
+        found => Step::Cold(Cold {
+            key,
+            fam,
+            lookup,
+            found: found.map(|(emb, _)| emb),
+            sims: None,
+        }),
+    })
 }
 
-/// A `Simulate` reply. When the entry's slots hold every workload the
-/// request asks for, the reply is a copy of them and touches nothing
-/// else. Otherwise the guest is generated and built on a miss, and only
-/// the workloads without a slot run, on this worker's engine, each
-/// storing its slot. Either way each workload's engine events, stored or
-/// fresh, reach `metrics.sim` once; a failed run's events count too.
-fn simulate(
+/// Workload `idx`'s share of a `SimulateOk`, from its slot. Every reply
+/// a slot serves adds the slot's engine events to `metrics.sim`.
+fn serve(metrics: &ServerMetrics, idx: usize, s: &SimSlot) -> WireReport {
+    metrics.sim.add(&s.events);
+    WireReport {
+        workload: idx as u8,
+        cycles: s.cycles,
+        ideal_cycles: s.ideal_cycles,
+        max_link_traffic: s.max_link_traffic,
+    }
+}
+
+/// A `Simulate`'s warm half: validation and the one counted lookup. When
+/// the entry's slots hold every workload the request asks for, the reply
+/// is a copy of them and touches nothing else.
+fn simulate_warm(
     key: EmbeddingKey,
     workload: u8,
     cache: &EmbeddingCache,
     metrics: &ServerMetrics,
-) -> Result<Response, Response> {
+) -> Result<Step, Response> {
     let wanted = match usize::from(workload) {
         _ if workload == WORKLOAD_ALL => 0..WORKLOADS.len(),
         idx if idx < WORKLOADS.len() => idx..idx + 1,
@@ -265,30 +312,40 @@ fn simulate(
         Some((emb, sims)) => (Some(emb), sims),
         None => (None, [None; WORKLOADS.len()]),
     };
-    // Workload `idx`'s share of the reply, from its slot.
-    let serve = |idx: usize, s: &SimSlot| {
-        metrics.sim.add(&s.events);
-        WireReport {
-            workload: idx as u8,
-            cycles: s.cycles,
-            ideal_cycles: s.ideal_cycles,
-            max_link_traffic: s.max_link_traffic,
-        }
-    };
     let stored = &sims[wanted.clone()];
     if stored.iter().all(Option::is_some) {
         metrics.observe_embed_us(micros(lookup), true);
         metrics.count(Count::SimMemoHits);
         let reports = stored.iter().flatten().zip(wanted);
-        return Ok(Response::SimulateOk {
+        return Ok(Step::Reply(Response::SimulateOk {
             cached: true,
-            reports: reports.map(|(s, idx)| serve(idx, s)).collect(),
-        });
+            reports: reports.map(|(s, idx)| serve(metrics, idx, s)).collect(),
+        }));
     }
-    let tree = fam.generate_seeded(key.nodes as usize, key.seed);
-    let (emb, cached) = embedding(cache, key, found, lookup, &tree, metrics);
+    Ok(Step::Cold(Cold {
+        key,
+        fam,
+        lookup,
+        found,
+        sims: Some((wanted, sims)),
+    }))
+}
+
+/// A `Simulate`'s reports once its guest is built: only the workloads
+/// without a slot run, on this thread's engine, each storing its slot.
+/// Each workload's engine events, stored or fresh, reach `metrics.sim`
+/// once; a failed run's events count too.
+fn simulate_cold(
+    key: EmbeddingKey,
+    wanted: Range<usize>,
+    sims: &SimSlots,
+    tree: &BinaryTree,
+    emb: &XEmbedding,
+    cache: &EmbeddingCache,
+    metrics: &ServerMetrics,
+) -> Result<Vec<WireReport>, Response> {
     let net = host_net(key.host, emb.height)?;
-    let map = guest_map(key.host, &emb).expect("tag validated by host_net");
+    let map = guest_map(key.host, emb).expect("tag validated by host_net");
     let reports = ENGINE.with(|engine| {
         let engine = &mut *engine.borrow_mut();
         wanted
@@ -297,7 +354,7 @@ fn simulate(
                     Some(s) => s,
                     None => {
                         let mut events = Counters::default();
-                        let r = simulate_one_in(engine, net, &tree, &map, idx, &mut events)
+                        let r = simulate_one_in(engine, net, tree, &map, idx, &mut events)
                             .inspect_err(|_| metrics.sim.add(&events))?;
                         let s = SimSlot {
                             cycles: u64::from(r.cycles),
@@ -309,42 +366,42 @@ fn simulate(
                         s
                     }
                 };
-                Ok(serve(idx, &s))
+                Ok(serve(metrics, idx, &s))
             })
             .collect::<Result<Vec<_>, SimError>>()
     });
-    let reports = reports.map_err(|e| Response::Error {
+    reports.map_err(|e| Response::Error {
         code: ERR_INTERNAL,
         message: format!("simulation failed: {e}"),
-    })?;
-    Ok(Response::SimulateOk { cached, reports })
+    })
 }
 
-/// Executes one pooled request against the shared cache, reporting engine
-/// events and embed-construction latency to `metrics`. Only `Embed` and
-/// `Simulate` arrive here — control requests are answered inline by the
-/// connection handler. `host` selects the host topology the embedding is
-/// served on ([`xtree_host::HOST_XTREE`] is the wire default and the
-/// pre-host behavior, bit for bit).
-pub fn handle_compute(
+/// The warm half of an `Embed` or `Simulate`: validates it and makes its
+/// one counted cache lookup, and answers a scored `Embed` hit, a
+/// `Simulate` whose workloads all have a slot, or a rejection. No tree is
+/// generated and no host is touched. Everything else comes back as
+/// [`Step::Cold`] for [`handle_cold`]. `host` selects the host topology
+/// the embedding is served on ([`xtree_host::HOST_XTREE`] is the wire
+/// default and the pre-host behavior, bit for bit).
+pub fn handle_warm(
     req: &Request,
     host: u8,
     cache: &EmbeddingCache,
     metrics: &ServerMetrics,
-) -> Response {
-    // Reject junk tags before any compute (and before they become cache
+) -> Step {
+    // Reject junk tags before any lookup (and before they become cache
     // keys); height-dependent availability is checked once the height is
     // known.
     if host_label(host).is_none() {
-        return bad(format!("unknown host tag {host}"));
+        return Step::Reply(bad(format!("unknown host tag {host}")));
     }
-    let reply = match *req {
+    let step = match *req {
         Request::Embed {
             family,
             nodes,
             seed,
             theorem,
-        } => embed(
+        } => embed_warm(
             EmbeddingKey {
                 family,
                 nodes,
@@ -361,7 +418,7 @@ pub fn handle_compute(
             seed,
             theorem,
             workload,
-        } => simulate(
+        } => simulate_warm(
             EmbeddingKey {
                 family,
                 nodes,
@@ -373,13 +430,54 @@ pub fn handle_compute(
             cache,
             metrics,
         ),
-        // Control requests never reach the pool.
+        // Control requests are answered by the connection handler.
         Request::Stats | Request::Health | Request::Shutdown => Err(Response::Error {
             code: ERR_INTERNAL,
-            message: "control request routed to a worker".into(),
+            message: "control request routed to the compute path".into(),
         }),
     };
+    step.unwrap_or_else(Step::Reply)
+}
+
+/// The cold half of an `Embed` or `Simulate`: generates the guest and
+/// builds it on a cache miss. An `Embed` then scores it on the key's host
+/// and stores the score on the entry; a `Simulate` runs the workloads
+/// without a slot. Makes no cache lookup: `work` carries the warm half's.
+pub fn handle_cold(work: Cold, cache: &EmbeddingCache, metrics: &ServerMetrics) -> Response {
+    let Cold {
+        key,
+        fam,
+        lookup,
+        found,
+        sims,
+    } = work;
+    let tree = fam.generate_seeded(key.nodes as usize, key.seed);
+    let (emb, cached) = embedding(cache, key, found, lookup, &tree, metrics);
+    let reply = match sims {
+        None => score(key.host, &tree, &emb).map(|s| {
+            cache.set_score(&key, s);
+            embed_ok(&emb, s, cached)
+        }),
+        Some((wanted, sims)) => simulate_cold(key, wanted, &sims, &tree, &emb, cache, metrics)
+            .map(|reports| Response::SimulateOk { cached, reports }),
+    };
     reply.unwrap_or_else(|e| e)
+}
+
+/// Executes one `Embed` or `Simulate` against the shared cache, reporting
+/// engine events and embed-construction latency to `metrics`: the warm
+/// half, then the cold half if one is left. The server runs the two
+/// halves on different threads; this is the same work on one.
+pub fn handle_compute(
+    req: &Request,
+    host: u8,
+    cache: &EmbeddingCache,
+    metrics: &ServerMetrics,
+) -> Response {
+    match handle_warm(req, host, cache, metrics) {
+        Step::Reply(resp) => resp,
+        Step::Cold(work) => handle_cold(work, cache, metrics),
+    }
 }
 
 #[cfg(test)]
@@ -645,6 +743,50 @@ mod tests {
                 assert_eq!((cache.hits(), cache.misses()), (3, 1));
             }
         }
+    }
+
+    #[test]
+    fn the_warm_half_answers_only_what_one_lookup_can() {
+        let (cache, metrics) = (EmbeddingCache::new(8), counters());
+        let lookups = || cache.hits() + cache.misses();
+        // (request, answered by the warm half, `cached` in the reply)
+        let steps = [
+            (embed(1), false, false),            // a miss builds
+            (embed(1), true, true),              // a scored hit
+            (simulate_req(1, 0), false, true),   // a hit without the slot
+            (simulate_req(1, 0), true, true),    // a memo hit
+            (simulate_req(1, 255), false, true), // three slots still empty
+            (simulate_req(1, 255), true, true),  // all four filled
+        ];
+        for (k, (req, warm, cached)) in steps.into_iter().enumerate() {
+            let before = lookups();
+            let resp = match handle_warm(&req, HOST_XTREE, &cache, &metrics) {
+                Step::Reply(resp) => {
+                    assert!(warm, "{req:?} was answered by the warm half");
+                    resp
+                }
+                Step::Cold(work) => {
+                    assert!(!warm, "{req:?} was left to the cold half");
+                    assert_eq!(lookups(), before + 1);
+                    handle_cold(work, &cache, &metrics)
+                }
+            };
+            assert_eq!(lookups(), before + 1, "step {k}: one lookup in all");
+            assert!(
+                matches!(resp, Response::EmbedOk { cached: c, .. } | Response::SimulateOk { cached: c, .. } if c == cached),
+                "step {k}: {resp:?}"
+            );
+        }
+        // A rejection is warm and makes no lookup.
+        let before = lookups();
+        assert!(matches!(
+            handle_warm(&embed(3), HOST_XTREE, &cache, &metrics),
+            Step::Reply(Response::Error {
+                code: ERR_BAD_REQUEST,
+                ..
+            })
+        ));
+        assert_eq!(lookups(), before);
     }
 
     #[test]

@@ -669,6 +669,48 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The most bytes one LEB128 word takes.
+const MAX_WORD: usize = 10;
+
+/// An upper bound on a request's payload length: the tag, at most five
+/// body words and two trailing words.
+const REQUEST_BOUND: usize = 1 + 7 * MAX_WORD;
+
+/// Writes the frame of the payload `encode` appends, with one `write_all`
+/// from one buffer allocated once: `bound` must be at least the payload's
+/// length. The length varint goes after the payload and is rotated in
+/// front of it, so the payload is encoded in place.
+fn write_frame<W: Write>(
+    w: &mut W,
+    bound: usize,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    let mut buf = Vec::with_capacity(MAGIC.len() + bound + MAX_WORD);
+    buf.extend_from_slice(MAGIC);
+    encode(&mut buf);
+    let len = buf.len() - MAGIC.len();
+    encode_u64(&mut buf, len as u64);
+    let varint = buf.len() - MAGIC.len() - len;
+    buf[MAGIC.len()..].rotate_right(varint);
+    w.write_all(&buf)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// An upper bound on `resp`'s payload length: the tag, its words, and an
+/// error's message bytes.
+fn response_bound(resp: &Response) -> usize {
+    1 + match resp {
+        Response::EmbedOk { .. } => 6 * MAX_WORD,
+        Response::SimulateOk { reports, .. } => (2 + 4 * reports.len()) * MAX_WORD,
+        Response::StatsOk(_) => 16 * MAX_WORD,
+        Response::HealthOk { .. } => 4 * MAX_WORD,
+        Response::ShutdownOk { .. } => MAX_WORD,
+        Response::Overloaded { .. } => 2 * MAX_WORD,
+        Response::Error { message, .. } => 2 * MAX_WORD + message.len(),
+    }
+}
+
 /// Writes one framed request with its optional deadline-budget and host
 /// fields (see [`encode_request_host`]) to `w`.
 ///
@@ -680,11 +722,9 @@ pub fn write_request_host<W: Write>(
     deadline_us: Option<u64>,
     host: Option<u8>,
 ) -> Result<(), WireError> {
-    let mut payload = Vec::new();
-    encode_request_host(req, deadline_us, host, &mut payload);
-    w.write_all(&frame(&payload))?;
-    w.flush()?;
-    Ok(())
+    write_frame(w, REQUEST_BOUND, |buf| {
+        encode_request_host(req, deadline_us, host, buf)
+    })
 }
 
 /// Writes one framed response to `w`.
@@ -692,11 +732,7 @@ pub fn write_request_host<W: Write>(
 /// # Errors
 /// [`WireError::Io`] on socket failure.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<(), WireError> {
-    let mut payload = Vec::new();
-    encode_response(resp, &mut payload);
-    w.write_all(&frame(&payload))?;
-    w.flush()?;
-    Ok(())
+    write_frame(w, response_bound(resp), |buf| encode_response(resp, buf))
 }
 
 /// Reads one frame's payload from `r`. Returns `Ok(None)` on a clean EOF
@@ -722,18 +758,18 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, WireError> {
         return Err(WireError::BadMagic);
     }
     // The length varint, byte by byte (≤ 10 bytes for a u64).
-    let mut len_bytes = Vec::with_capacity(2);
+    let mut len_bytes = [0u8; MAX_WORD];
+    let mut got = 0usize;
     let len = loop {
-        let mut b = [0u8; 1];
-        match r.read(&mut b) {
+        match r.read(&mut len_bytes[got..=got]) {
             Ok(0) => return Err(WireError::Truncated),
             Ok(_) => {
-                len_bytes.push(b[0]);
-                if b[0] & 0x80 == 0 {
+                got += 1;
+                if len_bytes[got - 1] & 0x80 == 0 {
                     let mut pos = 0;
-                    break decode_u64(&len_bytes, &mut pos).ok_or(WireError::Truncated)?;
+                    break decode_u64(&len_bytes[..got], &mut pos).ok_or(WireError::Truncated)?;
                 }
-                if len_bytes.len() >= 10 {
+                if got == MAX_WORD {
                     return Err(WireError::Truncated);
                 }
             }
@@ -765,10 +801,16 @@ mod tests {
         assert_eq!(decode_request_host(&buf).unwrap(), (req, None, None));
     }
 
+    /// Round-trips `resp`, and checks that `write_response` sends exactly
+    /// its framed encoding from a buffer sized by `response_bound`.
     fn round_trip_response(resp: Response) {
         let mut buf = Vec::new();
         encode_response(&resp, &mut buf);
         assert_eq!(decode_response(&buf).unwrap(), resp);
+        assert!(buf.len() <= response_bound(&resp), "{resp:?}");
+        let mut sent = Vec::new();
+        write_response(&mut sent, &resp).unwrap();
+        assert_eq!(sent, frame(&buf), "{resp:?}");
     }
 
     #[test]
@@ -839,6 +881,30 @@ mod tests {
             code: ERR_BAD_REQUEST,
             message: "unknown family 99 — héllo".into(),
         });
+        // Two- and three-byte length varints in front of the payload.
+        for len in [200, 20_000] {
+            round_trip_response(Response::Error {
+                code: ERR_BAD_REQUEST,
+                message: "x".repeat(len),
+            });
+        }
+    }
+
+    #[test]
+    fn the_longest_request_frame_fits_its_buffer() {
+        let req = Request::Simulate {
+            family: u8::MAX,
+            nodes: u64::MAX,
+            seed: u64::MAX,
+            theorem: u8::MAX,
+            workload: u8::MAX,
+        };
+        let mut payload = Vec::new();
+        encode_request_host(&req, Some(NO_BUDGET - 1), Some(u8::MAX), &mut payload);
+        assert!(payload.len() <= REQUEST_BOUND);
+        let mut sent = Vec::new();
+        write_request_host(&mut sent, &req, Some(NO_BUDGET - 1), Some(u8::MAX)).unwrap();
+        assert_eq!(sent, frame(&payload));
     }
 
     #[test]

@@ -216,25 +216,34 @@ fn spent_budgets_bounce_typed_at_every_hop() {
     })
     .expect("bind router");
 
+    // A cold key, and one warm on the shard, whose reply would come from
+    // the cache without a queue hop: a spent budget bounces both.
+    let key = |seed| Request::Embed {
+        family: FAMILY,
+        nodes: NODES,
+        seed,
+        theorem: 1,
+    };
+    let mut warmer = Client::connect(shard.local_addr()).expect("connect");
+    for _ in 0..2 {
+        let resp = warmer.call(&key(7101)).expect("warm");
+        assert!(matches!(resp, Response::EmbedOk { .. }), "{resp:?}");
+    }
     for addr in [router.local_addr(), shard.local_addr()] {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let mut writer = stream.try_clone().expect("clone");
-        let mut reader = BufReader::new(stream);
-        let req = Request::Embed {
-            family: FAMILY,
-            nodes: NODES,
-            seed: 7100,
-            theorem: 1,
-        };
-        write_request_host(&mut writer, &req, Some(0), None).expect("write");
-        let bytes = read_frame(&mut reader)
-            .expect("read")
-            .expect("a spent budget is answered, not hung up on");
-        match decode_response(&bytes).expect("decode") {
-            Response::Error { code, message } => {
-                assert_eq!(code, ERR_DEADLINE, "typed deadline reject: {message}");
+        for seed in [7100, 7101] {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let mut writer = stream.try_clone().expect("clone");
+            let mut reader = BufReader::new(stream);
+            write_request_host(&mut writer, &key(seed), Some(0), None).expect("write");
+            let bytes = read_frame(&mut reader)
+                .expect("read")
+                .expect("a spent budget is answered, not hung up on");
+            match decode_response(&bytes).expect("decode") {
+                Response::Error { code, message } => {
+                    assert_eq!(code, ERR_DEADLINE, "typed deadline reject: {message}");
+                }
+                other => panic!("expected ERR_DEADLINE for seed {seed}, got {other:?}"),
             }
-            other => panic!("expected ERR_DEADLINE, got {other:?}"),
         }
     }
 

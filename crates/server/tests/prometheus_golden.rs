@@ -27,6 +27,7 @@ fn server_prometheus_text_is_golden() {
         (Count::Embeds, 2),
         (Count::Simulates, 3),
         (Count::SimMemoHits, 10),
+        (Count::InlineReplies, 13),
         (Count::StatsRequests, 4),
         (Count::HealthRequests, 5),
         (Count::Overloaded, 6),
@@ -108,6 +109,8 @@ xtree_server_embeds_total 2
 xtree_server_simulates_total 3
 # TYPE xtree_server_sim_memo_hits_total counter
 xtree_server_sim_memo_hits_total 10
+# TYPE xtree_server_inline_replies_total counter
+xtree_server_inline_replies_total 13
 # TYPE xtree_server_stats_requests_total counter
 xtree_server_stats_requests_total 4
 # TYPE xtree_server_health_requests_total counter

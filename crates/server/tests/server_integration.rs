@@ -1,11 +1,16 @@
 //! End-to-end daemon tests over real sockets: concurrent clients against
 //! an ephemeral-port server, cache behaviour under contention, explicit
-//! backpressure at queue saturation, malformed-byte robustness, and the
-//! graceful shutdown drain.
+//! backpressure at queue saturation, warm hits answered beside a
+//! saturated pool, malformed-byte robustness, deadline accounting, and
+//! the graceful shutdown drain.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use xtree_server::{Client, Request, Response, Server, ServerConfig, WireError, WORKLOAD_ALL};
+use std::time::{Duration, Instant};
+use xtree_server::{
+    Client, Request, Response, Server, ServerConfig, WireError, ERR_DEADLINE, ERR_SHUTTING_DOWN,
+    WORKLOAD_ALL,
+};
 use xtree_telemetry::Format;
 
 fn config(workers: usize, queue_cap: usize, cache_cap: usize) -> ServerConfig {
@@ -43,6 +48,45 @@ fn simulate_req() -> Request {
         theorem: 1,
         workload: WORKLOAD_ALL,
     }
+}
+
+/// Series `name`'s value in the server's Prometheus text.
+fn series(server: &Server, name: &str) -> u64 {
+    let prom = server.metrics(Format::Prom);
+    let prefix = format!("xtree_server_{name} ");
+    prom.lines()
+        .find_map(|line| line.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("no series {name} in {prom}"))
+        .parse()
+        .expect("a whole number")
+}
+
+/// Polls until `done` holds, or panics after ten seconds.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !done() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "timed out waiting until {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A cold `Embed` that keeps a worker busy for a while: a 32 752-node
+/// guest on X(10).
+fn big_embed(seed: u64) -> Request {
+    Request::Embed {
+        family: FAMILY,
+        nodes: 32_752,
+        seed,
+        theorem: 1,
+    }
+}
+
+/// Sends `req` on a fresh connection from a new thread.
+fn spawn_call(addr: std::net::SocketAddr, req: Request) -> std::thread::JoinHandle<Response> {
+    std::thread::spawn(move || Client::connect(addr).unwrap().call(&req).unwrap())
 }
 
 #[test]
@@ -108,7 +152,8 @@ fn concurrent_clients_share_the_cache_and_agree() {
         assert_eq!(reports, &ref_reports, "concurrency must not change results");
     }
 
-    // 10 pooled requests for one key: at most the racing cold builds miss.
+    // 10 compute requests for one key: at most the racing cold builds
+    // miss.
     let stats = reference.call(&Request::Stats).unwrap();
     let Response::StatsOk(stats) = stats else {
         panic!("expected StatsOk");
@@ -118,10 +163,23 @@ fn concurrent_clients_share_the_cache_and_agree() {
         stats.cache_hits >= 6,
         "expected most lookups to hit one shared entry, got {stats:?}"
     );
+    // One counted lookup per request, whichever thread answered it.
+    assert_eq!(stats.cache_hits + stats.cache_misses, 10, "{stats:?}");
+    // Inline replies are observed like queued ones.
+    assert_eq!(stats.latency_count, 10, "{stats:?}");
     assert!(stats.cache_entries >= 1);
-    // 10 pooled requests plus the Stats request itself (counted before
+    // 10 compute requests plus the Stats request itself (counted before
     // the snapshot is taken).
     assert_eq!(stats.requests, 11);
+    // Every compute request was answered inline or went through the
+    // queue; none was bounced or refused.
+    assert_eq!(
+        series(&server, "embeds_total") + series(&server, "simulates_total"),
+        series(&server, "inline_replies_total")
+            + series(&server, "queue_depth_observed_count")
+            + series(&server, "overloaded_total")
+    );
+    assert!(series(&server, "inline_replies_total") >= 1);
 
     let resp = reference.call(&Request::Shutdown).unwrap();
     assert!(matches!(resp, Response::ShutdownOk { .. }));
@@ -173,6 +231,132 @@ fn saturated_queue_answers_overloaded_not_hangs() {
 
     let mut c = Client::connect(addr).unwrap();
     c.call(&Request::Shutdown).unwrap();
+    server.wait();
+}
+
+#[test]
+fn warm_hits_bypass_a_saturated_pool() {
+    // One worker, queue of one: once a cold build runs and another waits,
+    // every cold request bounces.
+    let mut server = Server::spawn(&config(1, 1, 8)).expect("bind");
+    let addr = server.local_addr();
+    let mut client = Client::connect(addr).unwrap();
+    // Warm one small key: the first Embed builds and scores, the second
+    // hits, and the Simulate fills every slot.
+    for req in [embed_req(), embed_req(), simulate_req()] {
+        let resp = client.call(&req).unwrap();
+        assert!(
+            matches!(resp, Response::EmbedOk { .. } | Response::SimulateOk { .. }),
+            "{resp:?}"
+        );
+    }
+
+    let pushed = series(&server, "queue_depth_observed_count");
+    let running = spawn_call(addr, big_embed(900));
+    wait_until("the first big build runs", || {
+        series(&server, "queue_depth_observed_count") == pushed + 1
+            && series(&server, "queue_depth") == 0
+    });
+    let queued = spawn_call(addr, big_embed(901));
+    wait_until("the second big build waits in the queue", || {
+        let health = client.call(&Request::Health).unwrap();
+        matches!(health, Response::HealthOk { info: Some(i) } if i.queue_depth == 1)
+    });
+
+    let bounced = server.overloaded();
+    let warm = client.call(&embed_req()).unwrap();
+    assert!(
+        matches!(warm, Response::EmbedOk { cached: true, .. }),
+        "a warm Embed must not need the pool: {warm:?}"
+    );
+    let warm = client.call(&simulate_req()).unwrap();
+    assert!(
+        matches!(warm, Response::SimulateOk { cached: true, .. }),
+        "a memo-hit Simulate must not need the pool: {warm:?}"
+    );
+    assert_eq!(server.overloaded(), bounced, "warm hits are never bounced");
+
+    for handle in [running, queued] {
+        let resp = handle.join().unwrap();
+        assert!(matches!(resp, Response::EmbedOk { .. }), "{resp:?}");
+    }
+    client.call(&Request::Shutdown).unwrap();
+    server.wait();
+}
+
+#[test]
+fn warm_hits_after_the_drain_starts_are_refused() {
+    let mut server = Server::spawn(&config(1, 4, 8)).expect("bind");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for _ in 0..2 {
+        let resp = client.call(&embed_req()).unwrap();
+        assert!(matches!(resp, Response::EmbedOk { .. }), "{resp:?}");
+    }
+    let hits = series(&server, "cache_hits_total");
+    assert_eq!(hits, 1, "the second Embed hit");
+
+    server.shutdown();
+    // The connection outlives the acceptor; its handler still answers,
+    // but with the drain's refusal, not from the cache.
+    let resp = client.call(&embed_req()).unwrap();
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ERR_SHUTTING_DOWN,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    assert_eq!(series(&server, "cache_hits_total"), hits, "no lookup");
+    server.wait();
+}
+
+#[test]
+fn a_budget_spent_in_the_queue_is_counted_once() {
+    let mut server = Server::spawn(&config(1, 4, 8)).expect("bind");
+    let addr = server.local_addr();
+    let running = spawn_call(addr, big_embed(910));
+    wait_until("the big build runs", || {
+        series(&server, "queue_depth_observed_count") == 1 && series(&server, "queue_depth") == 0
+    });
+
+    // A cold Embed queued behind the build: its handler gives up when the
+    // 5 ms budget runs out, and the worker rejects it on the way past.
+    let mut client = Client::connect(addr).unwrap();
+    let resp = client
+        .call_host(&big_embed(911), Some(Duration::from_millis(5)), None)
+        .unwrap();
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ERR_DEADLINE,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    assert!(matches!(running.join().unwrap(), Response::EmbedOk { .. }));
+    // A cold request queued after it returns only once the worker has
+    // popped the expired one.
+    let resp = client
+        .call(&Request::Embed {
+            family: FAMILY,
+            nodes: 240,
+            seed: 912,
+            theorem: 1,
+        })
+        .unwrap();
+    assert!(matches!(resp, Response::EmbedOk { .. }), "{resp:?}");
+
+    let Response::StatsOk(stats) = client.call(&Request::Stats).unwrap() else {
+        panic!("expected StatsOk");
+    };
+    assert_eq!(stats.errors, 1, "{stats:?}");
+    assert_eq!(series(&server, "deadline_rejects_total"), 1);
+    client.call(&Request::Shutdown).unwrap();
     server.wait();
 }
 

@@ -1,9 +1,12 @@
 //! A scored warm `Embed` hit is a cache lookup: `handle_compute` answers
-//! it without a single heap allocation, on every host and theorem. A
-//! `Simulate` whose workloads are all stored on its entry is a lookup
-//! too, allocating only its reply's report list. And a `Simulate` that
-//! does run the engine runs on its worker's, so it makes no allocation
-//! the size of the host's link table.
+//! it without a single heap allocation, on every host and theorem, and so
+//! does `handle_warm` alone. A `Simulate` whose workloads are all stored
+//! on its entry is a lookup too, allocating only its reply's report list.
+//! The whole path a connection thread runs for such a request — frame
+//! read, decode, warm half, reply write — adds only the request payload
+//! and the reply frame. And a `Simulate` that does run the engine runs on
+//! its worker's, so it makes no allocation the size of the host's link
+//! table.
 //!
 //! Allocation counts do not depend on the machine, so this gate holds on
 //! any CI runner. The counting allocator tallies per thread, so the test
@@ -12,7 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use xtree_host::{HOST_HYPERCUBE, HOST_UNIVERSAL, HOST_XTREE};
-use xtree_server::service::handle_compute;
+use xtree_server::service::{handle_compute, handle_warm, Step};
+use xtree_server::wire::{decode_request_host, read_frame, write_request_host, write_response};
 use xtree_server::{Count, EmbeddingCache, Request, Response, ServerMetrics};
 
 struct CountingAlloc;
@@ -105,6 +109,15 @@ fn scored_warm_embed_hits_do_not_allocate() {
                     n, 0,
                     "host {host} theorem {theorem}: a scored warm hit allocated"
                 );
+                let (n, step) = allocs(|| handle_warm(&embed, host, &cache, &metrics));
+                assert!(
+                    matches!(step, Step::Reply(ref r) if *r == resp),
+                    "host {host} theorem {theorem}: the warm half answers alone"
+                );
+                assert_eq!(
+                    n, 0,
+                    "host {host} theorem {theorem}: the warm half allocated"
+                );
             }
         }
     }
@@ -158,6 +171,72 @@ fn memo_hit_simulates_allocate_only_the_reply() {
                 assert!(
                     n <= 1,
                     "host {host} theorem {theorem} workload {workload}: a memo hit made {n} allocations"
+                );
+                let (n, step) = allocs(|| handle_warm(&simulate(workload), host, &cache, &metrics));
+                assert!(
+                    matches!(step, Step::Reply(Response::SimulateOk { cached: true, .. })),
+                    "host {host} theorem {theorem} workload {workload}: the warm half answers alone"
+                );
+                assert!(
+                    n <= 1,
+                    "host {host} theorem {theorem} workload {workload}: the warm half made {n} allocations"
+                );
+            }
+        }
+    }
+}
+
+/// Allocations on a connection thread's path for one request frame:
+/// `read_frame`, `decode_request_host`, `handle_warm`, `write_response`.
+/// The request must be answered by its warm half.
+fn connection_path_allocs(frame: &[u8], cache: &EmbeddingCache, metrics: &ServerMetrics) -> u64 {
+    let (n, step) = allocs(|| {
+        let payload = read_frame(&mut &frame[..]).unwrap().expect("one frame");
+        let (req, _, host) = decode_request_host(&payload).unwrap();
+        let step = handle_warm(&req, host.expect("host-tagged"), cache, metrics);
+        if let Step::Reply(resp) = &step {
+            write_response(&mut std::io::sink(), resp).unwrap();
+        }
+        step
+    });
+    assert!(
+        matches!(step, Step::Reply(_)),
+        "not answered by the warm half"
+    );
+    n
+}
+
+#[test]
+fn warm_requests_allocate_only_their_frames_from_read_to_write() {
+    for host in [HOST_XTREE, HOST_HYPERCUBE, HOST_UNIVERSAL] {
+        for theorem in [1, 2] {
+            let embed = Request::Embed {
+                family: 5,
+                nodes: 112,
+                seed: 11,
+                theorem,
+            };
+            let simulate = |workload| Request::Simulate {
+                family: 5,
+                nodes: 112,
+                seed: 11,
+                theorem,
+                workload,
+            };
+            let cache = EmbeddingCache::new(8);
+            let metrics = ServerMetrics::new();
+            // Score the entry and fill every slot.
+            handle_compute(&embed, host, &cache, &metrics);
+            handle_compute(&simulate(255), host, &cache, &metrics);
+            // The request payload and the reply frame; a Simulate adds its
+            // report list.
+            for (req, limit) in [(embed, 2), (simulate(2), 3), (simulate(255), 3)] {
+                let mut frame = Vec::new();
+                write_request_host(&mut frame, &req, None, Some(host)).unwrap();
+                let n = connection_path_allocs(&frame, &cache, &metrics);
+                assert!(
+                    n <= limit,
+                    "host {host} theorem {theorem} {req:?}: {n} allocations, limit {limit}"
                 );
             }
         }
