@@ -15,11 +15,13 @@
 //! the number the refactor drives toward zero on the steady-state path.
 //!
 //! **`--gate`** is the CI perf-regression mode (the telbench ±2% pattern,
-//! generalised to be machine-independent): at the serving size X(6) it
-//! requires the serial rebuild to beat legacy by [`GATE_MIN_SPEEDUP`] and
-//! the steady-state allocation count to stay within [`GATE_ALLOC_SLACK`]
-//! of the checked-in `results/BENCH_embed_baseline.json`. Wall-clock is
-//! only ever compared *within* one run, never across machines.
+//! generalised to be machine-independent): each host in [`GATE_FLOORS`]
+//! requires the serial rebuild to beat legacy by its floor — the serving
+//! size X(6), and X(12), the largest host a cold build reaches — and the
+//! X(6) steady-state allocation count must stay within
+//! [`GATE_ALLOC_SLACK`] of the checked-in
+//! `results/BENCH_embed_baseline.json`. Wall-clock is only ever compared
+//! *within* one run, never across machines.
 //! `--write-baseline` refreshes that baseline file; `--smoke` shrinks the
 //! sweep and skips the results file.
 //!
@@ -35,9 +37,12 @@ use xtree_trees::generate::{theorem1_size, TreeFamily};
 use xtree_trees::BinaryTree;
 
 /// Gate: minimum cold-build speedup of the rebuilt serial path over the
-/// frozen legacy builder at the serving size (target from the issue: 2x;
-/// the gate trips below 1.5x so scheduler noise cannot flake CI).
-const GATE_MIN_SPEEDUP: f64 = 1.5;
+/// frozen legacy builder, per host height. At the serving size X(6) the
+/// target is 2x and the gate trips below 1.5x, so scheduler noise cannot
+/// flake CI. At X(12) the fragment derivation of DESIGN.md §13 measured
+/// 3.2x, against 1.6–2.0x for the flooding builder it replaced; 2.5x
+/// fails the latter and leaves the former a 25% margin.
+const GATE_FLOORS: [(u8, f64); 2] = [(SERVING_R, 1.5), (12, 2.5)];
 /// Gate: allowed growth of steady-state allocations per build over the
 /// checked-in baseline (counts, not bytes — fully machine-independent).
 const GATE_ALLOC_SLACK: f64 = 1.10;
@@ -185,10 +190,13 @@ fn main() {
     let base_seed = xtree_bench::seed_from_args(0x5EED_E3B3);
     let baseline_path = "results/BENCH_embed_baseline.json";
 
+    let gated = GATE_FLOORS.map(|(r, _)| r);
     let (sizes, reps): (&[u8], usize) = if smoke {
         (&[SERVING_R], 2)
-    } else if gate || write_baseline {
+    } else if write_baseline {
         (&[SERVING_R], 9)
+    } else if gate {
+        (&gated, 9)
     } else {
         (&[6, 7, 8, 9, 10, 11, 12], 9)
     };
@@ -225,7 +233,17 @@ fn main() {
                 .with("host", format!("X({SERVING_R})"))
                 .with("cold_speedup_serial", serving.speedup_serial())
                 .with("target_speedup", 2.0)
-                .with("gate_min_speedup", GATE_MIN_SPEEDUP)
+                .with(
+                    "gate_floors",
+                    GATE_FLOORS
+                        .iter()
+                        .map(|&(r, floor)| {
+                            Value::object()
+                                .with("host", format!("X({r})"))
+                                .with("min_speedup", floor)
+                        })
+                        .collect::<Value>(),
+                )
                 .with("allocs_serial", serving.allocs_serial)
                 .with("allocs_legacy", serving.allocs_legacy),
         );
@@ -245,18 +263,25 @@ fn main() {
     if gate {
         let base_allocs = read_baseline(baseline_path);
         let limit = (base_allocs as f64 * GATE_ALLOC_SLACK) as u64;
+        for (r, floor) in GATE_FLOORS {
+            let s = results
+                .iter()
+                .find(|s| s.r == r)
+                .expect("gated sizes are swept");
+            eprintln!(
+                "gate: X({r}) speedup {:.2}x (min {floor}x)",
+                s.speedup_serial()
+            );
+            assert!(
+                s.speedup_serial() >= floor,
+                "perf gate: serial rebuild is only {:.2}x over legacy at X({r}) \
+                 (minimum {floor}x)",
+                s.speedup_serial(),
+            );
+        }
         eprintln!(
-            "gate: speedup {:.2}x (min {GATE_MIN_SPEEDUP}), allocs {} (baseline {}, limit {})",
-            serving.speedup_serial(),
-            serving.allocs_serial,
-            base_allocs,
-            limit,
-        );
-        assert!(
-            serving.speedup_serial() >= GATE_MIN_SPEEDUP,
-            "perf gate: serial rebuild is only {:.2}x over legacy at X({SERVING_R}) \
-             (minimum {GATE_MIN_SPEEDUP}x)",
-            serving.speedup_serial(),
+            "gate: X({SERVING_R}) allocs {} (baseline {}, limit {})",
+            serving.allocs_serial, base_allocs, limit,
         );
         assert!(
             serving.allocs_serial <= limit,

@@ -29,7 +29,7 @@
 //! reproduce the legacy decide-and-apply-per-pair order exactly.
 
 use super::state::{Builder, IntId};
-use smallvec::SmallVec;
+use std::ops::Range;
 use xtree_topology::Address;
 use xtree_trees::{lemma2_with, Separation, SeparatorScratch};
 
@@ -43,8 +43,9 @@ struct PairPlan {
     /// Level-i boundary leaves where a split lays out its boundary sets.
     d0: Address,
     r0: Address,
-    /// Whole-interval moves, in selection order.
-    whole: SmallVec<[IntId; 8]>,
+    /// Whole-interval moves, in selection order: a range of the sweep's
+    /// shared move list.
+    whole: Range<usize>,
     /// At most one Lemma-2 split of the residual imbalance.
     split: Option<(IntId, Separation)>,
 }
@@ -64,6 +65,8 @@ pub(crate) fn adjust_phase(b: &mut Builder<'_>, i: u8) {
     mass.extend(Address::level_iter(l).map(|a| b.attached_mass(a) as i64));
     let mut prefix = std::mem::take(&mut b.s.prefix_buf);
     let mut pairs = std::mem::take(&mut b.s.pairs_buf);
+    let mut local = std::mem::take(&mut b.s.local_buf);
+    let mut whole = std::mem::take(&mut b.s.whole_buf);
     for j in 0..=(i - 2) {
         // Per-sweep snapshot of the leaf masses as prefix sums.
         prefix.clear();
@@ -74,20 +77,23 @@ pub(crate) fn adjust_phase(b: &mut Builder<'_>, i: u8) {
         pairs.clear();
         pairs.extend(Address::level_iter(j));
         let mut scr = std::mem::take(&mut b.s.sep_scratch);
+        whole.clear();
         let plans: Vec<Option<PairPlan>> = pairs
             .iter()
-            .map(|&alpha| decide(b, &prefix, alpha, i, &mut scr))
+            .map(|&alpha| decide(b, &prefix, alpha, i, &mut scr, &mut local, &mut whole))
             .collect();
         b.s.sep_scratch = scr;
         #[cfg(debug_assertions)]
-        assert_plans_disjoint(&plans);
+        assert_plans_disjoint(&plans, &whole);
         for plan in plans.into_iter().flatten() {
-            apply_plan(b, plan, &mut mass);
+            apply_plan(b, plan, &whole, &mut mass);
         }
     }
     b.s.mass_buf = mass;
     b.s.prefix_buf = prefix;
     b.s.pairs_buf = pairs;
+    b.s.local_buf = local;
+    b.s.whole_buf = whole;
 }
 
 /// Movable intervals are the "natives" of the boundary leaf: all anchors at
@@ -103,13 +109,16 @@ fn movable(b: &Builder<'_>, id: IntId, bd: Address) -> bool {
 
 /// Phase one: decides what the pair under `alpha` moves, reading only
 /// state inside `alpha`'s region plus the per-sweep mass snapshot, so no
-/// decide of one sweep depends on another's plan.
+/// decide of one sweep depends on another's plan. The whole moves are
+/// appended to `whole`; `local` is working space.
 fn decide(
     b: &Builder<'_>,
     prefix: &[i64],
     alpha: Address,
     i: u8,
     scr: &mut SeparatorScratch,
+    local: &mut Vec<IntId>,
+    whole: &mut Vec<IntId>,
 ) -> Option<PairPlan> {
     let l = i - 1;
     let a0 = alpha.child(0);
@@ -146,8 +155,9 @@ fn decide(
     // Simulate the selection loop on a copy of the donor's attachment
     // list, mirroring the legacy removal order exactly (swap_remove, and
     // max_by_key keeping the *last* maximum).
-    let mut local: SmallVec<[IntId; 16]> = b.att_list(bd).iter().copied().collect();
-    let mut whole: SmallVec<[IntId; 8]> = SmallVec::new();
+    local.clear();
+    local.extend_from_slice(b.att_list(bd));
+    let first_move = whole.len();
     let mut split = None;
     let mut remaining = delta as u64;
     loop {
@@ -167,9 +177,7 @@ fn decide(
         let size = b.interval(id).size as u64;
         if size <= remaining && b.opts.whole_moves {
             // Whole move: attachment crosses the boundary, anchors stay.
-            let last = local.len() - 1;
-            local.as_mut_slice().swap(pos, last);
-            local.pop();
+            local.swap_remove(pos);
             whole.push(id);
             remaining -= size;
         } else {
@@ -196,18 +204,18 @@ fn decide(
         br,
         d0,
         r0,
-        whole,
+        whole: first_move..whole.len(),
         split,
     })
 }
 
 /// Phase two: commits one pair's plan. Runs serially in pair order, so the
 /// attachment-list mutations happen in exactly the legacy sequence.
-fn apply_plan(b: &mut Builder<'_>, plan: PairPlan, mass: &mut [i64]) {
+fn apply_plan(b: &mut Builder<'_>, plan: PairPlan, whole: &[IntId], mass: &mut [i64]) {
     b.log.adjust_calls += 1;
     let bdi = plan.bd.index() as usize;
     let bri = plan.br.index() as usize;
-    for &id in &plan.whole {
+    for &id in &whole[plan.whole] {
         let pos = b
             .att_list(plan.bd)
             .iter()
@@ -241,7 +249,7 @@ fn apply_plan(b: &mut Builder<'_>, plan: PairPlan, mass: &mut [i64]) {
 /// per-pair order only if no interval is claimed by two pairs and no two
 /// pairs share a boundary leaf.
 #[cfg(debug_assertions)]
-fn assert_plans_disjoint(plans: &[Option<PairPlan>]) {
+fn assert_plans_disjoint(plans: &[Option<PairPlan>], whole: &[IntId]) {
     let mut ids = std::collections::HashSet::new();
     let mut leaves = std::collections::HashSet::new();
     for plan in plans.iter().flatten() {
@@ -249,7 +257,7 @@ fn assert_plans_disjoint(plans: &[Option<PairPlan>]) {
             leaves.insert(plan.bd) && leaves.insert(plan.br),
             "ADJUST pairs share a boundary leaf"
         );
-        for &id in &plan.whole {
+        for &id in &whole[plan.whole.clone()] {
             assert!(ids.insert(id), "interval {id} claimed by two ADJUST pairs");
         }
         if let Some((id, _)) = plan.split {

@@ -144,7 +144,7 @@ fn embed_exact(
     for &v in &block {
         b.place(v, Address::ROOT);
     }
-    b.rebuild_components(&block, AttachRule::Fixed(Address::ROOT));
+    b.rebuild_components(&block, &[], AttachRule::Fixed(Address::ROOT));
 
     // embed_with pads every guest to an exact size first, so embed_exact
     // only ever sees exact sizes: every vertex must fill completely.

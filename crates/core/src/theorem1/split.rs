@@ -139,7 +139,7 @@ fn force_due_placements(b: &mut Builder<'_>, leaf: Address, i: u8) {
             for &d in &nodes {
                 b.place(d, target);
             }
-            b.rebuild_components(&nodes, AttachRule::Fixed(target));
+            b.rebuild_components(&nodes, &iv.designated, AttachRule::Fixed(target));
             b.s.newly_buf = nodes;
         }
         b.log.forced_placements += k as usize;

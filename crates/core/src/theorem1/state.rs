@@ -21,13 +21,70 @@
 //! allocation. Everything recyclable sits in a [`Theorem1Scratch`] that
 //! can be carried from one build to the next (the serving layer pools one
 //! per worker thread); the algorithm's outputs are invariant under reuse.
+//!
+//! New fragments are not flooded (DESIGN.md §13): each one is derived from
+//! the un-placed nodes next to what was just placed, and sized from the
+//! guest's static preorder, so a placement costs time in the nodes it
+//! places, not in the fragment it cuts.
 
-use smallvec::SmallVec;
+use std::ops::Deref;
 use xtree_topology::Address;
 use xtree_trees::{BinaryTree, NodeId, Separation, SeparatorScratch};
 
 /// Handle of a live interval in the builder's slab.
 pub(crate) type IntId = u32;
+
+/// A fragment's designated nodes with their anchors, in the order a
+/// breadth-first flood from the fragment's entry meets them.
+///
+/// Lemmas 1 and 2 keep every fragment an interval, so a list holds one
+/// or two nodes and lives inline; only the rare fragment with more (the
+/// capacity-driven fill can create one) moves to the heap.
+#[derive(Clone, Debug)]
+pub(crate) enum Designated {
+    Inline {
+        len: u8,
+        pair: [(NodeId, Address); 2],
+    },
+    Heap(Vec<(NodeId, Address)>),
+}
+
+impl Designated {
+    /// The empty list.
+    pub fn new() -> Self {
+        Designated::Inline {
+            len: 0,
+            pair: [(NodeId(0), Address::ROOT); 2],
+        }
+    }
+
+    /// Appends a designated node; a third one moves the list to the heap.
+    pub fn push(&mut self, d: (NodeId, Address)) {
+        match self {
+            Designated::Inline { len, pair } if usize::from(*len) < pair.len() => {
+                pair[usize::from(*len)] = d;
+                *len += 1;
+            }
+            Designated::Inline { pair, .. } => {
+                let mut all = pair.to_vec();
+                all.push(d);
+                *self = Designated::Heap(all);
+            }
+            Designated::Heap(all) => all.push(d),
+        }
+    }
+}
+
+impl Deref for Designated {
+    type Target = [(NodeId, Address)];
+
+    fn deref(&self) -> &[(NodeId, Address)] {
+        match self {
+            Designated::Inline { len, pair } => &pair[..usize::from(*len)],
+            Designated::Heap(all) => all,
+        }
+    }
+}
 
 /// A connected fragment of un-placed guest nodes.
 #[derive(Clone, Debug)]
@@ -36,7 +93,7 @@ pub(crate) struct Interval {
     pub entry: NodeId,
     /// Designated nodes with their anchors. Almost always 1 or 2; the
     /// capacity-driven fill can transiently create more (logged).
-    pub designated: SmallVec<[(NodeId, Address); 2]>,
+    pub designated: Designated,
     /// Number of nodes in the fragment.
     pub size: u32,
 }
@@ -141,30 +198,55 @@ pub struct Theorem1Scratch {
     /// summing a list behind a hash lookup).
     att: Vec<Vec<IntId>>,
     att_mass: Vec<u64>,
-    /// Epoch-stamped visited marks for flood sweeps.
+    /// Epoch-stamped visited marks for floods, crowns and the candidate
+    /// sweep of `rebuild_components`.
     mark: Vec<u32>,
     epoch: u32,
-    /// Epoch-stamped part-2 membership for `apply_separation`.
-    part2_mark: Vec<u32>,
-    part2_epoch: u32,
+    /// Static preorder of the guest from its root, written once per build:
+    /// the subtree of `v` is the index range `pre[v] .. pre[v] + sz[v]`.
+    pre: Vec<u32>,
+    sz: Vec<u32>,
     /// Orientation buffers reused by every separator-lemma call.
     pub(crate) sep_scratch: SeparatorScratch,
-    /// Flat CSR adjacency of the guest tree, in exact
-    /// [`BinaryTree::neighbors`] order (parent first, then children):
-    /// flood sweeps — the build's hottest loop — walk two contiguous
-    /// arrays instead of materialising a `SmallVec` per visited node.
-    adj_off: Vec<u32>,
-    adj: Vec<u32>,
     // Reusable arenas for flood orders, crown orders, freshly placed
-    // node lists, and the ADJUST/SPLIT work queues.
+    // node lists, fragment candidates, and the ADJUST/SPLIT work queues.
     flood_buf: Vec<NodeId>,
     order_buf: Vec<NodeId>,
+    cand_buf: Vec<Candidate>,
+    frag_buf: Vec<Fragment>,
     pub(crate) newly_buf: Vec<NodeId>,
     pub(crate) ids_buf: Vec<IntId>,
     pub(crate) due_buf: Vec<IntId>,
     pub(crate) mass_buf: Vec<i64>,
     pub(crate) prefix_buf: Vec<i64>,
     pub(crate) pairs_buf: Vec<Address>,
+    pub(crate) local_buf: Vec<IntId>,
+    pub(crate) whole_buf: Vec<IntId>,
+}
+
+/// A designated node of a fragment `rebuild_components` is deriving.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    node: NodeId,
+    /// Index into `newly` of the placed node it was found next to;
+    /// `u32::MAX` for a designated node of the removed interval.
+    found_by: u32,
+    /// Index of its fragment in `frag_buf`.
+    frag: u32,
+}
+
+/// A fragment `rebuild_components` is deriving, keyed by its top node.
+#[derive(Clone, Copy, Debug)]
+struct Fragment {
+    /// The fragment's node nearest the guest root.
+    top: NodeId,
+    /// Its first two candidates, and how many it has (its top is one, so
+    /// it has at least one).
+    entry: NodeId,
+    other: NodeId,
+    count: u32,
+    /// `sz[top]` less the subtrees of its placed children.
+    size: u32,
 }
 
 impl Theorem1Scratch {
@@ -195,10 +277,32 @@ impl Theorem1Scratch {
         if self.mark.len() < n {
             self.mark.resize(n, 0);
         }
-        if self.part2_mark.len() < n {
-            self.part2_mark.resize(n, 0);
-        }
         self.sep_scratch.ensure(n);
+    }
+
+    /// Writes the static preorder of `tree` into `pre` and `sz`, using
+    /// `flood_buf` and `order_buf` as its order and stack.
+    fn index_subtrees(&mut self, tree: &BinaryTree) {
+        let n = tree.len();
+        self.pre.clear();
+        self.pre.resize(n, 0);
+        self.sz.clear();
+        self.sz.resize(n, 1);
+        let order = &mut self.flood_buf;
+        let stack = &mut self.order_buf;
+        order.clear();
+        stack.clear();
+        stack.push(tree.root());
+        while let Some(v) = stack.pop() {
+            self.pre[v.index()] = order.len() as u32;
+            order.push(v);
+            stack.extend(tree.children(v));
+        }
+        for &v in order.iter().rev() {
+            if let Some(p) = tree.parent(v) {
+                self.sz[p.index()] += self.sz[v.index()];
+            }
+        }
     }
 }
 
@@ -225,9 +329,16 @@ pub(crate) struct Builder<'t> {
 pub(crate) enum AttachRule {
     /// Every fragment attaches to the same vertex.
     Fixed(Address),
-    /// Fragments on the part-2 side of the last separation attach to
-    /// `att2`, the rest to `att1`.
-    BySide { att1: Address, att2: Address },
+    /// The newly placed nodes are a separation's `S1` followed by its
+    /// `S2`, the first `s1_len` of them. A fragment found next to an `S1`
+    /// node lies in part 1 and attaches to `att1`; one found next to an
+    /// `S2` node lies in part 2 and attaches to `att2` (the lemmas cut
+    /// only edges between `S1` and `S2`).
+    BySide {
+        att1: Address,
+        att2: Address,
+        s1_len: usize,
+    },
 }
 
 impl<'t> Builder<'t> {
@@ -242,17 +353,7 @@ impl<'t> Builder<'t> {
         let n = tree.len();
         let mut s = std::mem::take(scratch);
         s.prepare(n, (1usize << (r + 1)) - 1);
-        s.adj_off.clear();
-        s.adj.clear();
-        s.adj_off.reserve(n + 1);
-        s.adj.reserve(2 * n.saturating_sub(1));
-        s.adj_off.push(0);
-        for v in tree.nodes() {
-            for w in tree.neighbors(v) {
-                s.adj.push(w.0);
-            }
-            s.adj_off.push(s.adj.len() as u32);
-        }
+        s.index_subtrees(tree);
         Builder {
             tree,
             opts,
@@ -389,45 +490,43 @@ impl<'t> Builder<'t> {
         }
     }
 
-    /// Floods the un-placed component containing `start` (using the current
-    /// sweep epoch so components are visited once per sweep) into `nodes`,
-    /// returning the designated nodes with anchors.
-    fn flood_into(
-        &mut self,
-        start: NodeId,
-        nodes: &mut Vec<NodeId>,
-    ) -> SmallVec<[(NodeId, Address); 2]> {
+    /// The anchor of `v`: the image of its shallowest placed neighbour
+    /// (its deadline is tightest), the first such in neighbour order.
+    fn anchor(&self, v: NodeId) -> Option<Address> {
+        let mut anchor: Option<Address> = None;
+        for w in self.tree.neighbors(v) {
+            if self.s.placed[w.index()] {
+                let a = Address::from_heap_id(self.assign[w.index()] as usize);
+                anchor = Some(match anchor {
+                    Some(b) if b.level() <= a.level() => b,
+                    _ => a,
+                });
+            }
+        }
+        anchor
+    }
+
+    /// Floods the un-placed component containing `start` breadth-first
+    /// (using the current sweep epoch so components are visited once per
+    /// sweep) into `nodes`, returning its designated nodes with anchors.
+    fn flood_into(&mut self, start: NodeId, nodes: &mut Vec<NodeId>) -> Designated {
         nodes.clear();
         nodes.push(start);
-        let mut designated: SmallVec<[(NodeId, Address); 2]> = SmallVec::new();
+        let mut designated = Designated::new();
         self.s.mark[start.index()] = self.s.epoch;
         let mut head = 0;
         while head < nodes.len() {
             let v = nodes[head];
             head += 1;
-            let mut anchor: Option<Address> = None;
-            let lo = self.s.adj_off[v.index()] as usize;
-            let hi = self.s.adj_off[v.index() + 1] as usize;
-            for k in lo..hi {
-                let w = NodeId(self.s.adj[k]);
-                if self.s.placed[w.index()] {
-                    let a = Address::from_heap_id(self.assign[w.index()] as usize);
-                    // Prefer the shallowest anchor: its deadline is tightest.
-                    anchor = Some(match anchor {
-                        Some(b) if b.level() <= a.level() => b,
-                        _ => a,
-                    });
-                } else if self.s.mark[w.index()] != self.s.epoch {
+            for w in self.tree.neighbors(v) {
+                if !self.s.placed[w.index()] && self.s.mark[w.index()] != self.s.epoch {
                     self.s.mark[w.index()] = self.s.epoch;
                     nodes.push(w);
                 }
             }
-            if let Some(a) = anchor {
+            if let Some(a) = self.anchor(v) {
                 designated.push((v, a));
             }
-        }
-        if designated.len() > 2 {
-            self.log.multi_designated_components += 1;
         }
         designated
     }
@@ -443,46 +542,199 @@ impl<'t> Builder<'t> {
         self.s.epoch += 1;
     }
 
-    /// True if `v` was stamped part-2 by the current separation.
-    fn in_part2(&self, v: NodeId) -> bool {
-        self.s.part2_mark[v.index()] == self.s.part2_epoch
+    /// True if `v` lies in the guest subtree of `top`.
+    fn below(&self, v: NodeId, top: NodeId) -> bool {
+        let off = self.s.pre[v.index()].wrapping_sub(self.s.pre[top.index()]);
+        off < self.s.sz[top.index()]
     }
 
-    /// After placing `newly`, discovers all adjacent un-placed fragments
-    /// and registers each as a new interval attached per `rule`.
-    pub fn rebuild_components(&mut self, newly: &[NodeId], rule: AttachRule) {
+    /// After placing `newly`, all of them nodes of one removed interval
+    /// whose designated list was `old`, registers every un-placed fragment
+    /// next to them as a new interval attached per `rule`.
+    ///
+    /// The result is what flooding each fragment from its first un-placed
+    /// neighbour of `newly` would give, without the flood (DESIGN.md §13).
+    /// A fragment's designated nodes are its *candidates*: the un-placed
+    /// neighbours of `newly`, in discovery order, and the nodes of `old`
+    /// still un-placed. Its entry is its first candidate, its *top* (the
+    /// node nearest the guest root) the one candidate with a placed
+    /// parent, and its size `sz[top]` less the subtrees of its candidates'
+    /// placed children. With at most two candidates the flood would meet
+    /// them as (entry, other); only a fragment with more still floods.
+    pub fn rebuild_components(
+        &mut self,
+        newly: &[NodeId],
+        old: &[(NodeId, Address)],
+        rule: AttachRule,
+    ) {
+        // The guest root is placed in round 0, so every fragment's top
+        // has a placed parent.
+        debug_assert!(self.s.placed[self.tree.root().index()]);
+        let mut cands = std::mem::take(&mut self.s.cand_buf);
+        let mut frags = std::mem::take(&mut self.s.frag_buf);
+        cands.clear();
+        frags.clear();
+        self.begin_sweep();
+        let found = newly.iter().enumerate().flat_map(|(k, &p)| {
+            self.tree
+                .neighbors(p)
+                .into_iter()
+                .map(move |u| (u, k as u32))
+        });
+        let old = old.iter().map(|&(d, _)| (d, u32::MAX));
+        for (u, found_by) in found.chain(old) {
+            if self.s.placed[u.index()] || self.s.mark[u.index()] == self.s.epoch {
+                continue;
+            }
+            self.s.mark[u.index()] = self.s.epoch;
+            cands.push(Candidate {
+                node: u,
+                found_by,
+                frag: 0,
+            });
+            if self
+                .tree
+                .parent(u)
+                .is_some_and(|p| self.s.placed[p.index()])
+            {
+                frags.push(Fragment {
+                    top: u,
+                    entry: u,
+                    other: u,
+                    count: 0,
+                    size: self.s.sz[u.index()],
+                });
+            }
+        }
+        for c in &mut cands {
+            // The deepest top above `c` is its fragment's: any node on the
+            // path from the fragment's top down to `c` is in the fragment,
+            // so no other top lies between them.
+            let k = (0..frags.len())
+                .filter(|&k| self.below(c.node, frags[k].top))
+                .max_by_key(|&k| self.s.pre[frags[k].top.index()])
+                .expect("every fragment has a top");
+            c.frag = k as u32;
+            let f = &mut frags[k];
+            match f.count {
+                0 => f.entry = c.node,
+                1 => f.other = c.node,
+                _ => {}
+            }
+            f.count += 1;
+            for w in self.tree.children(c.node) {
+                if self.s.placed[w.index()] {
+                    f.size -= self.s.sz[w.index()];
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        let mut ids = Vec::new();
+        for c in &cands {
+            let f = frags[c.frag as usize];
+            if f.entry != c.node {
+                continue;
+            }
+            // Every fragment touches `newly`, so its entry was found there.
+            debug_assert!(c.found_by != u32::MAX, "fragment without a new neighbour");
+            let (designated, size) = if f.count <= 2 {
+                let mut designated = Designated::new();
+                for d in [c.node, f.other].into_iter().take(f.count as usize) {
+                    let a = self.anchor(d).expect("candidates have a placed neighbour");
+                    designated.push((d, a));
+                }
+                (designated, f.size)
+            } else {
+                self.flood_fragment(c.node)
+            };
+            let at = match rule {
+                AttachRule::Fixed(a) => a,
+                AttachRule::BySide { att1, att2, s1_len } => {
+                    if (c.found_by as usize) < s1_len {
+                        att1
+                    } else {
+                        att2
+                    }
+                }
+            };
+            let id = self.new_interval(Interval {
+                entry: c.node,
+                designated,
+                size,
+            });
+            self.attach(id, at);
+            #[cfg(debug_assertions)]
+            ids.push(id);
+        }
+        self.s.cand_buf = cands;
+        self.s.frag_buf = frags;
+        #[cfg(debug_assertions)]
+        self.assert_matches_flood(newly, &ids);
+    }
+
+    /// The flood fallback of `rebuild_components`, for a fragment with
+    /// more than two designated nodes: their breadth-first order from
+    /// `entry` and the fragment's size, counted in the build log.
+    fn flood_fragment(&mut self, entry: NodeId) -> (Designated, u32) {
         self.begin_sweep();
         let mut nodes = std::mem::take(&mut self.s.flood_buf);
+        let designated = self.flood_into(entry, &mut nodes);
+        let size = nodes.len() as u32;
+        self.s.flood_buf = nodes;
+        debug_assert!(designated.len() > 2);
+        self.log.multi_designated_components += 1;
+        (designated, size)
+    }
+
+    /// Debug check of `rebuild_components` against the floods it
+    /// replaces: one sweep flooding, in discovery order, every un-placed
+    /// neighbour of `newly` not yet reached must find the intervals `ids`
+    /// in order, each with the same entry, designated nodes, anchors and
+    /// size.
+    #[cfg(debug_assertions)]
+    fn assert_matches_flood(&mut self, newly: &[NodeId], ids: &[IntId]) {
+        self.begin_sweep();
+        let mut nodes = Vec::new();
+        let mut k = 0;
         for &p in newly {
-            let lo = self.s.adj_off[p.index()] as usize;
-            let hi = self.s.adj_off[p.index() + 1] as usize;
-            for k in lo..hi {
-                let u = NodeId(self.s.adj[k]);
+            for u in self.tree.neighbors(p) {
                 if self.s.placed[u.index()] || self.s.mark[u.index()] == self.s.epoch {
                     continue;
                 }
                 let designated = self.flood_into(u, &mut nodes);
-                debug_assert!(!designated.is_empty());
-                let at = match rule {
-                    AttachRule::Fixed(a) => a,
-                    AttachRule::BySide { att1, att2 } => {
-                        if self.in_part2(nodes[0]) {
-                            att2
-                        } else {
-                            att1
-                        }
-                    }
-                };
-                let iv = Interval {
-                    entry: nodes[0],
-                    designated,
-                    size: nodes.len() as u32,
-                };
-                let id = self.new_interval(iv);
-                self.attach(id, at);
+                let iv = self.interval(*ids.get(k).expect("a fragment was not derived"));
+                assert_eq!(iv.entry, u, "fragment {k}: entry");
+                assert_eq!(
+                    &iv.designated[..],
+                    &designated[..],
+                    "fragment {k}: designated"
+                );
+                assert_eq!(iv.size as usize, nodes.len(), "fragment {k}: size");
+                k += 1;
             }
         }
-        self.s.flood_buf = nodes;
+        assert_eq!(k, ids.len(), "derived a fragment the flood does not find");
+    }
+
+    /// Debug check of the rule [`AttachRule::BySide`] rests on, once `sep`
+    /// is placed: an un-placed neighbour of an `S1` node lies in part 1,
+    /// and one of an `S2` node in part 2.
+    #[cfg(debug_assertions)]
+    fn assert_sides(&mut self, sep: &Separation) {
+        self.begin_sweep();
+        for &v in &sep.part2 {
+            self.s.mark[v.index()] = self.s.epoch;
+        }
+        for (in_part2, boundary) in [(false, &sep.s1), (true, &sep.s2)] {
+            for &v in boundary {
+                for w in self.tree.neighbors(v) {
+                    if !self.s.placed[w.index()] {
+                        let side = self.s.mark[w.index()] == self.s.epoch;
+                        assert_eq!(side, in_part2, "{w:?} next to {v:?} is on the other side");
+                    }
+                }
+            }
+        }
     }
 
     /// Applies a separator-lemma result to the interval `id`: the boundary
@@ -498,27 +750,25 @@ impl<'t> Builder<'t> {
         att1: Address,
         att2: Address,
     ) {
-        let _ = self.remove_interval(id);
+        let iv = self.remove_interval(id);
         for &v in &sep.s1 {
             self.place(v, v1);
         }
         for &v in &sep.s2 {
             self.place(v, v2);
         }
-        // Epoch-stamped membership replaces the per-call HashSet.
-        if self.s.part2_epoch == u32::MAX {
-            self.s.part2_mark.fill(0);
-            self.s.part2_epoch = 0;
-        }
-        self.s.part2_epoch += 1;
-        for &v in &sep.part2 {
-            self.s.part2_mark[v.index()] = self.s.part2_epoch;
-        }
+        #[cfg(debug_assertions)]
+        self.assert_sides(sep);
         let mut newly = std::mem::take(&mut self.s.newly_buf);
         newly.clear();
         newly.extend_from_slice(&sep.s1);
         newly.extend_from_slice(&sep.s2);
-        self.rebuild_components(&newly, AttachRule::BySide { att1, att2 });
+        let s1_len = sep.s1.len();
+        self.rebuild_components(
+            &newly,
+            &iv.designated,
+            AttachRule::BySide { att1, att2, s1_len },
+        );
         self.s.newly_buf = newly;
     }
 
@@ -527,7 +777,10 @@ impl<'t> Builder<'t> {
         let iv = self.remove_interval(id);
         self.begin_sweep();
         let mut nodes = std::mem::take(&mut self.s.flood_buf);
-        let _ = self.flood_into(iv.entry, &mut nodes);
+        let designated = self.flood_into(iv.entry, &mut nodes);
+        if designated.len() > 2 {
+            self.log.multi_designated_components += 1;
+        }
         debug_assert_eq!(nodes.len() as u32, iv.size);
         for &v in &nodes {
             self.place(v, at);
@@ -556,7 +809,7 @@ impl<'t> Builder<'t> {
         self.begin_sweep();
         let mut order = std::mem::take(&mut self.s.order_buf);
         order.clear();
-        for &(d, _) in &iv.designated {
+        for &(d, _) in iv.designated.iter() {
             if order.len() == k as usize {
                 break; // a designated node left out stays designated of the rest
             }
@@ -570,10 +823,7 @@ impl<'t> Builder<'t> {
             debug_assert!(head < order.len(), "crown BFS starved");
             let v = order[head];
             head += 1;
-            let lo = self.s.adj_off[v.index()] as usize;
-            let hi = self.s.adj_off[v.index() + 1] as usize;
-            for j in lo..hi {
-                let w = NodeId(self.s.adj[j]);
+            for w in self.tree.neighbors(v) {
                 if order.len() == k as usize {
                     break;
                 }
@@ -586,7 +836,7 @@ impl<'t> Builder<'t> {
         for &v in &order {
             self.place(v, at);
         }
-        self.rebuild_components(&order, AttachRule::Fixed(attach_rest_to));
+        self.rebuild_components(&order, &iv.designated, AttachRule::Fixed(attach_rest_to));
         self.s.order_buf = order;
     }
 
@@ -647,7 +897,7 @@ impl<'t> Builder<'t> {
                 }
                 assert_eq!(seen.len() as u32, iv.size, "stale interval size");
                 // 3. Designated anchors are honest and fresh enough.
-                for &(d, anchor) in &iv.designated {
+                for &(d, anchor) in iv.designated.iter() {
                     assert!(!self.s.placed[d.index()]);
                     assert!(
                         self.tree
@@ -679,5 +929,61 @@ impl<'t> Builder<'t> {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xtree_trees::generate;
+
+    #[test]
+    fn a_fragment_next_to_three_placed_nodes_falls_back_to_the_flood() {
+        // In the complete tree on 15 nodes (children of v: 2v+1, 2v+2),
+        // placing the root and the grandchildren 7 and 9 of node 1 leaves
+        // node 1's fragment {1, 3, 4, 8, 10} next to three placed nodes.
+        let t = generate::left_complete(15);
+        let mut scratch = Theorem1Scratch::new();
+        let mut b = Builder::new(&t, 0, EmbedOptions::default(), &mut scratch);
+        let newly = [NodeId(0), NodeId(7), NodeId(9)];
+        for &v in &newly {
+            b.place(v, Address::ROOT);
+        }
+        b.rebuild_components(&newly, &[], AttachRule::Fixed(Address::ROOT));
+
+        let ids = b.att_list(Address::ROOT).to_vec();
+        assert_eq!(ids.len(), 2);
+        // Discovery order: the root's children come first.
+        let multi = b.interval(ids[0]);
+        assert_eq!(multi.entry, NodeId(1));
+        assert_eq!(multi.size, 5);
+        assert!(matches!(multi.designated, Designated::Heap(_)));
+        // Breadth-first from the entry, each anchored at the root.
+        let expect = [NodeId(1), NodeId(3), NodeId(4)].map(|d| (d, Address::ROOT));
+        assert_eq!(&multi.designated[..], &expect[..]);
+        let plain = b.interval(ids[1]);
+        assert_eq!(plain.entry, NodeId(2));
+        assert_eq!(plain.size, 7);
+        assert_eq!(&plain.designated[..], &[(NodeId(2), Address::ROOT)]);
+        assert!(matches!(plain.designated, Designated::Inline { .. }));
+        assert_eq!(b.log.multi_designated_components, 1, "the fallback counts");
+
+        // Absorbing the fragment floods it and counts it once more.
+        b.detach_swap(Address::ROOT, 0);
+        b.absorb_interval(ids[0], Address::ROOT);
+        assert_eq!(b.log.multi_designated_components, 2);
+        assert_eq!(b.count(Address::ROOT), 8);
+    }
+
+    #[test]
+    fn designated_lists_stay_inline_up_to_two() {
+        let mut d = Designated::new();
+        let entry = |v| (NodeId(v), Address::ROOT);
+        d.push(entry(4));
+        d.push(entry(9));
+        assert!(matches!(d, Designated::Inline { len: 2, .. }));
+        d.push(entry(2));
+        assert!(matches!(d, Designated::Heap(_)));
+        assert_eq!(&d[..], &[entry(4), entry(9), entry(2)]);
     }
 }

@@ -76,9 +76,9 @@ fn fingerprint(res: &Theorem1Embedding) -> u64 {
 
 /// `(family index in TreeFamily::ALL, r, seed, expected fingerprint)`.
 ///
-/// All eight families at X(6) (the serving size), then spot checks of the
-/// random models up to X(10). Hashes captured from the pre-refactor
-/// builder at commit 4f8b7c4.
+/// The first eight families at X(6) (the serving size), then spot checks
+/// of the random models up to X(10). Hashes captured from the
+/// pre-refactor builder at commit 4f8b7c4.
 const CASES: &[(usize, u8, u64, u64)] = &[
     (0, 6, 0xA11CE, 0xF84EDDD520C2F7F8),
     (1, 6, 0xA11CE, 0x4A88ED764BF3CF80),
@@ -94,6 +94,19 @@ const CASES: &[(usize, u8, u64, u64)] = &[
     (5, 8, 0xCAFE, 0x90328FA6EB681886),
     (4, 9, 0xD00D, 0x0FD2CA7343195EA8),
     (4, 10, 0xE66, 0x24F0775F49F6CE6D),
+    // The other four families at X(6), then the guests
+    // whose fragments stay long (paths, caterpillars, lopsided random
+    // shapes) at X(9). Captured from the flooding builder at c5bb0ad,
+    // before fragments were sized from the guest's static preorder.
+    (8, 6, 0xA11CE, 0xC97CA0101E53A300),
+    (9, 6, 0xA11CE, 0xD911C6890577C803),
+    (10, 6, 0xA11CE, 0xEB44C4708E188E7C),
+    (11, 6, 0xA11CE, 0xB0EB845429BAAF9E),
+    (0, 9, 0xD00D, 0xA0B8A61F26ACA3BA),
+    (2, 9, 0xD00D, 0x872332291B7C0722),
+    (7, 9, 0xD00D, 0xD2D493308A901CCC),
+    (9, 9, 0xD00D, 0xAA6DA3130C249F2F),
+    (11, 9, 0xD00D, 0x82F1CADA9C800690),
 ];
 
 #[test]

@@ -182,10 +182,23 @@ impl EmbeddingCache {
         }
     }
 
+    /// `key`'s embedding if the cache holds it, as a lookup would return
+    /// it, but neither counted nor touched: the re-check a miss makes just
+    /// before it builds, in case a racing request inserted the key after
+    /// this one's counted lookup.
+    pub(crate) fn peek(&self, key: &EmbeddingKey) -> Option<Arc<XEmbedding>> {
+        if self.per_shard_cap == 0 {
+            return None;
+        }
+        let shard = self.shard(key).lock().expect("cache poisoned");
+        shard.map.get(key).map(|e| Arc::clone(&e.emb))
+    }
+
     /// Inserts (or refreshes) `key`, evicting the shard's least-recently
     /// used entry when it is full. No-op on a disabled cache.
     ///
-    /// Two workers racing on the same cold key may both build and both
+    /// A miss re-checks with `peek` before it builds, so two workers
+    /// build the same cold key only when their builds overlap. Then both
     /// insert; the second insert just replaces the first's embedding with
     /// an equal value (keeping any score and slots already stored), so
     /// correctness is unaffected — the race costs one duplicate

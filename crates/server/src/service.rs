@@ -107,9 +107,9 @@ fn micros(d: Duration) -> u64 {
 
 /// The embedding for `key` and whether it came from the cache. `found`
 /// is the request's one cache lookup, which took `lookup`; a miss builds
-/// from `tree` and inserts. The time goes into the hit/miss-split
-/// construction histograms: the lookup on a hit, lookup plus build on a
-/// miss.
+/// from `tree` and inserts, unless a racing request inserted the key in
+/// the meantime. The time goes into the hit/miss-split construction
+/// histograms: the lookup on a hit, lookup plus build on a miss.
 fn embedding(
     cache: &EmbeddingCache,
     key: EmbeddingKey,
@@ -123,6 +123,14 @@ fn embedding(
         return (emb, true);
     }
     let t0 = Instant::now();
+    // Between the counted lookup and here, the request waited in the
+    // queue, where another request for the key may have built it. That
+    // entry serves this request too; its miss stays counted, and its
+    // reply still says `cached: false`.
+    if let Some(emb) = cache.peek(&key) {
+        metrics.observe_embed_us(micros(lookup + t0.elapsed()), false);
+        return (emb, false);
+    }
     let emb = SCRATCH.with(|s| {
         let scratch = &mut *s.borrow_mut();
         let emb = theorem1::embed_with_scratch(tree, EmbedOptions::default(), scratch).emb;
@@ -524,6 +532,42 @@ mod tests {
         let prom = Format::Prom.render(ServerMetrics::PREFIX, &metrics.families(&cache, 0));
         assert!(prom.contains("xtree_server_embed_miss_latency_us_count 1"));
         assert!(prom.contains("xtree_server_embed_hit_latency_us_count 1"));
+    }
+
+    #[test]
+    fn a_cold_half_uses_the_entry_a_racing_build_inserted() {
+        let cache = EmbeddingCache::new(8);
+        let metrics = counters();
+        let req = Request::Embed {
+            family: 4, // random-bst
+            nodes: 496,
+            seed: 3,
+            theorem: 1,
+        };
+        // Both warm halves miss before either cold half runs, as two
+        // connections racing on one cold key do.
+        let warm = || handle_warm(&req, HOST_XTREE, &cache, &metrics);
+        let (Step::Cold(a), Step::Cold(b)) = (warm(), warm()) else {
+            panic!("both lookups must miss");
+        };
+        let first = handle_cold(a, &cache, &metrics);
+        let key = EmbeddingKey {
+            family: 4,
+            nodes: 496,
+            seed: 3,
+            theorem: 1,
+            host: HOST_XTREE,
+        };
+        let built = cache.get(&key).expect("the first cold half inserts");
+        let second = handle_cold(b, &cache, &metrics);
+        assert!(matches!(first, Response::EmbedOk { cached: false, .. }));
+        assert_eq!(second, first);
+        let held = cache.get(&key).expect("the entry stays");
+        assert!(
+            Arc::ptr_eq(&held, &built),
+            "the second cold half built again"
+        );
+        assert_eq!(cache.misses(), 2, "both misses stay counted");
     }
 
     #[test]

@@ -83,11 +83,11 @@ pub(crate) fn lemma1_ex(
     let z = o
         .parent(u)
         .expect("find1 never returns the orientation root");
-    let part2 = o.subtree_nodes(tree, u);
+    let part2 = o.subtree_nodes(u).to_vec();
 
     let mut s1: Vec<NodeId>;
     let s2: Vec<NodeId>;
-    if part2.contains(&r2) {
+    if o.in_subtree(r2, u) {
         // Case 1: T(u) contains r2.
         s1 = vec![r1, z];
         s2 = dedup(vec![u, r2]);

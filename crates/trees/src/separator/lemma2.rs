@@ -17,7 +17,7 @@ use super::lemma1::{dedup, lemma1_ex};
 use super::orient::{find1, Orientation, SeparatorScratch};
 use super::Separation;
 use crate::tree::{BinaryTree, NodeId};
-use std::collections::HashSet;
+use std::ops::Range;
 
 /// Applies Lemma 2 to the piece containing `r1`, allocating fresh
 /// orientation buffers. Callers in a loop should hold a
@@ -55,7 +55,12 @@ pub fn lemma2_with(
     delta: u32,
 ) -> Separation {
     scratch.ensure(tree.len());
-    let SeparatorScratch { o1: o, o2, o3 } = scratch;
+    let SeparatorScratch {
+        o1: o,
+        o2,
+        o3,
+        runs,
+    } = scratch;
     o.orient(tree, placed, &[], r1);
     assert!(o.contains(r2), "r2 must lie in the piece of r1");
     let n = o.piece_len() as u32;
@@ -69,25 +74,57 @@ pub fn lemma2_with(
         return Separation {
             s1: Vec::new(),
             s2: dedup(vec![r1, r2]),
-            part2: o.piece_nodes().collect(),
+            part2: o.piece_nodes().to_vec(),
             cut: Vec::new(),
         };
     }
     if 3 * n > 4 * delta {
-        main_split(tree, placed, o, o2, o3, r1, r2, delta)
+        main_split(tree, placed, o, o2, o3, runs, r1, r2, delta)
     } else {
         // Δ < n ≤ 4Δ/3: solve for Δ' = n − Δ < Δ/3 and swap the roles of
         // the two sides (paper's closing remark in the proof).
-        let piece: Vec<NodeId> = o.piece_nodes().collect();
-        let inner = main_split(tree, placed, o, o2, o3, r1, r2, n - delta);
-        invert(piece, inner)
+        let inner = main_split(tree, placed, o, o2, o3, runs, r1, r2, n - delta);
+        invert(o, inner, runs)
     }
 }
 
-/// Swaps part1 and part2 of a separation.
-fn invert(piece: Vec<NodeId>, sep: Separation) -> Separation {
-    let old2: HashSet<NodeId> = sep.part2.iter().copied().collect();
-    let part2 = piece.into_iter().filter(|v| !old2.contains(v)).collect();
+/// Appends the nodes at positions `range` of `o`'s preorder to `out`,
+/// except those in `drop` (which all lie in `range`), keeping preorder.
+///
+/// Every `drop` here is a union of a few oriented subtrees, less at most
+/// one nested subtree, so walking it once yields a handful of runs of
+/// consecutive positions; the kept nodes are the slices between them, and
+/// no set is hashed.
+fn extend_without(
+    out: &mut Vec<NodeId>,
+    o: &Orientation,
+    range: Range<usize>,
+    drop: &[NodeId],
+    runs: &mut Vec<(usize, usize)>,
+) {
+    runs.clear();
+    for &v in drop {
+        let p = o.position(v);
+        debug_assert!(range.contains(&p), "{v:?} lies outside the range");
+        match runs.last_mut() {
+            Some(run) if run.1 == p => run.1 += 1,
+            _ => runs.push((p, p + 1)),
+        }
+    }
+    runs.sort_unstable();
+    let order = o.piece_nodes();
+    let mut at = range.start;
+    for &(lo, hi) in runs.iter() {
+        out.extend_from_slice(&order[at..lo]);
+        at = hi;
+    }
+    out.extend_from_slice(&order[at..range.end]);
+}
+
+/// Swaps part1 and part2 of a separation of `o`'s piece.
+fn invert(o: &Orientation, sep: Separation, runs: &mut Vec<(usize, usize)>) -> Separation {
+    let mut part2 = Vec::with_capacity(o.piece_len() - sep.part2.len());
+    extend_without(&mut part2, o, 0..o.piece_len(), &sep.part2, runs);
     Separation {
         s1: sep.s2,
         s2: sep.s1,
@@ -98,51 +135,50 @@ fn invert(piece: Vec<NodeId>, sep: Separation) -> Separation {
 
 /// The main construction, assuming `3n > 4Δ` and `Δ ≥ 1`.
 /// `o` is oriented from `r1` over the full piece; `o2`, `o3` are spare
-/// buffers for the correction carves.
+/// buffers for the correction carves, and `runs` for set differences.
 #[allow(clippy::too_many_arguments)] // mirrors the lemma's case analysis
 fn main_split(
     tree: &BinaryTree,
     placed: &[bool],
-    o: &mut Orientation,
+    o: &Orientation,
     o2: &mut Orientation,
     o3: &mut Orientation,
+    runs: &mut Vec<(usize, usize)>,
     r1: NodeId,
     r2: NodeId,
     delta: u32,
 ) -> Separation {
     // Procedure find2: walk from r1 along the path toward r2 while the
-    // subtree stays larger than 4Δ/3.
-    let path_down: Vec<NodeId> = {
-        let mut p = o.path_up(r2, r1);
-        p.reverse(); // r1 … r2
-        p
-    };
+    // subtree stays larger than 4Δ/3. The next step is the one child
+    // whose subtree holds r2.
     let mut v = r1;
-    let mut it = path_down.iter().skip(1);
     while 3 * o.size(v) > 4 * delta && v != r2 {
-        match it.next() {
-            Some(&next) => v = next,
-            None => break, // v == r2 with a large subtree
-        }
+        v = o
+            .children(tree, v)
+            .into_iter()
+            .find(|&c| o.in_subtree(r2, c))
+            .expect("r2 lies below every node of the walk");
     }
 
     if v == r2 && 3 * o.size(r2) > 4 * delta {
-        case_both_in_s1(tree, placed, o, o2, r1, r2, delta)
+        case_both_in_s1(tree, placed, o, o2, runs, r1, r2, delta)
     } else if o.size(v) < delta {
-        case_small_subtree(tree, placed, o, o2, o3, r1, r2, delta, v)
+        case_small_subtree(tree, placed, o, o2, o3, runs, r1, r2, delta, v)
     } else {
-        case_medium_subtree(tree, placed, o, o2, r1, r2, delta, v)
+        case_medium_subtree(tree, placed, o, o2, runs, r1, r2, delta, v)
     }
 }
 
 /// Case 1: the walk reached `r2` and `|T(r2)| > 4Δ/3`. Both designated
 /// nodes go to `S1`; the mass for `T2` is carved out of `T(r2)` by find1,
 /// applied twice.
+#[allow(clippy::too_many_arguments)] // mirrors the lemma's case analysis
 fn case_both_in_s1(
     tree: &BinaryTree,
     placed: &[bool],
-    o: &mut Orientation,
+    o: &Orientation,
     o2: &mut Orientation,
+    runs: &mut Vec<(usize, usize)>,
     r1: NodeId,
     r2: NodeId,
     delta: u32,
@@ -155,7 +191,7 @@ fn case_both_in_s1(
         return Separation {
             s1: dedup(vec![r1, r2, pu1]),
             s2: vec![u1],
-            part2: o.subtree_nodes(tree, u1),
+            part2: o.subtree_nodes(u1).to_vec(),
             cut: vec![(pu1, u1)],
         };
     }
@@ -164,12 +200,8 @@ fn case_both_in_s1(
         let e = s_u1 - delta;
         let w = find1(o, tree, u1, e);
         let pw = o.parent(w).expect("find1 result has a father");
-        let wset: HashSet<NodeId> = o.subtree_nodes(tree, w).into_iter().collect();
-        let part2 = o
-            .subtree_nodes(tree, u1)
-            .into_iter()
-            .filter(|x| !wset.contains(x))
-            .collect();
+        let mut part2 = Vec::new();
+        extend_without(&mut part2, o, o.subtree_range(u1), o.subtree_nodes(w), runs);
         return Separation {
             s1: dedup(vec![r1, r2, pu1, w]),
             s2: dedup(vec![u1, pw]),
@@ -180,7 +212,6 @@ fn case_both_in_s1(
     // Undershoot: carve a second subtree, disjoint from T(u1), out of the
     // remainder of T(r2).
     let e = delta - s_u1;
-    let part2a = o.subtree_nodes(tree, u1);
     o2.orient(tree, placed, &[u1], r1);
     assert!(
         3 * o2.size(r2) > 4 * e,
@@ -193,13 +224,13 @@ fn case_both_in_s1(
         return Separation {
             s1: dedup(vec![r1, r2, pw]),
             s2: vec![w],
-            part2: o.subtree_nodes(tree, w),
+            part2: o.subtree_nodes(w).to_vec(),
             cut: vec![(pw, w)],
         };
     }
     let pw = o2.parent(w).expect("w is below r2");
-    let mut part2 = part2a;
-    part2.extend(o2.subtree_nodes(tree, w));
+    let mut part2 = o.subtree_nodes(u1).to_vec();
+    part2.extend_from_slice(o2.subtree_nodes(w));
     // The junction of the two carving paths must be laid out too, or the
     // component between r2, pu1 and pw would have three edges into S1.
     let j = o.junction(u1, w);
@@ -221,6 +252,7 @@ fn case_small_subtree(
     o: &Orientation,
     o2: &mut Orientation,
     o3: &mut Orientation,
+    runs: &mut Vec<(usize, usize)>,
     r1: NodeId,
     r2: NodeId,
     delta: u32,
@@ -229,8 +261,8 @@ fn case_small_subtree(
     let x = o.parent(v).expect("the walk moved at least one step");
     let delta1 = delta - o.size(v);
     debug_assert!(delta1 >= 1);
-    let base = o.subtree_nodes(tree, v);
-    debug_assert!(base.contains(&r2), "the walk follows the path to r2");
+    let base = o.subtree_nodes(v);
+    debug_assert!(o.in_subtree(r2, v), "the walk follows the path to r2");
 
     o2.orient(tree, placed, &[v], r1);
     assert!(
@@ -242,8 +274,8 @@ fn case_small_subtree(
     let s_u1 = o2.size(u1);
 
     if s_u1 == delta1 {
-        let mut part2 = base;
-        part2.extend(o2.subtree_nodes(tree, u1));
+        let mut part2 = base.to_vec();
+        part2.extend_from_slice(o2.subtree_nodes(u1));
         return Separation {
             s1: dedup(vec![r1, x, pu1]),
             s2: dedup(vec![r2, v, u1]),
@@ -255,12 +287,13 @@ fn case_small_subtree(
         let e = s_u1 - delta1;
         let w = find1(o2, tree, u1, e);
         let pw = o2.parent(w).expect("find1 result has a father");
-        let wset: HashSet<NodeId> = o2.subtree_nodes(tree, w).into_iter().collect();
-        let mut part2 = base;
-        part2.extend(
-            o2.subtree_nodes(tree, u1)
-                .into_iter()
-                .filter(|y| !wset.contains(y)),
+        let mut part2 = base.to_vec();
+        extend_without(
+            &mut part2,
+            o2,
+            o2.subtree_range(u1),
+            o2.subtree_nodes(w),
+            runs,
         );
         return Separation {
             s1: dedup(vec![r1, x, pu1, w]),
@@ -279,8 +312,8 @@ fn case_small_subtree(
         let pu2 = o2
             .parent(u2)
             .expect("u2 is below x or equals a child of it");
-        let mut part2 = base;
-        part2.extend(o2.subtree_nodes(tree, u2));
+        let mut part2 = base.to_vec();
+        part2.extend_from_slice(o2.subtree_nodes(u2));
         return Separation {
             s1: dedup(vec![r1, x, pu2]),
             s2: dedup(vec![r2, v, u2]),
@@ -289,9 +322,9 @@ fn case_small_subtree(
         };
     }
     let pu2 = o3.parent(u2).expect("find1 result has a father");
-    let mut part2 = base;
-    part2.extend(o2.subtree_nodes(tree, u1));
-    part2.extend(o3.subtree_nodes(tree, u2));
+    let mut part2 = base.to_vec();
+    part2.extend_from_slice(o2.subtree_nodes(u1));
+    part2.extend_from_slice(o3.subtree_nodes(u2));
     let j = o2.junction(u1, u2);
     Separation {
         s1: dedup(vec![r1, x, pu1, pu2, j]),
@@ -310,6 +343,7 @@ fn case_medium_subtree(
     placed: &[bool],
     o: &Orientation,
     o2: &mut Orientation,
+    runs: &mut Vec<(usize, usize)>,
     r1: NodeId,
     r2: NodeId,
     delta: u32,
@@ -321,17 +355,14 @@ fn case_medium_subtree(
         return Separation {
             s1: dedup(vec![r1, x]),
             s2: dedup(vec![v, r2]),
-            part2: o.subtree_nodes(tree, v),
+            part2: o.subtree_nodes(v).to_vec(),
             cut: vec![(x, v)],
         };
     }
+    // Lemma 1 runs on T(v) alone, so the piece it carves off lies in T(v).
     let inner = lemma1_ex(o2, tree, placed, &[x], v, r2, dp);
-    let removed: HashSet<NodeId> = inner.part2.iter().copied().collect();
-    let part2 = o
-        .subtree_nodes(tree, v)
-        .into_iter()
-        .filter(|y| !removed.contains(y))
-        .collect();
+    let mut part2 = Vec::new();
+    extend_without(&mut part2, o, o.subtree_range(v), &inner.part2, runs);
     let mut s1 = vec![r1, x];
     s1.extend(inner.s2);
     let mut cut = vec![(x, v)];

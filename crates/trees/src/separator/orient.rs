@@ -9,7 +9,9 @@
 //! each edge directed away from the designated node `r1`").
 //!
 //! Reusable buffers with epoch stamps keep a lemma call `O(|piece|)` without
-//! per-call allocation of tree-sized arrays.
+//! per-call allocation of tree-sized arrays. The orientation also keeps
+//! each node's preorder position, so a subtree is a contiguous slice of the
+//! preorder and "is `v` below `u`?" is a range test.
 
 use crate::tree::{Adjacency, BinaryTree, NodeId};
 
@@ -22,10 +24,12 @@ pub struct Orientation {
     epoch: u32,
     par: Vec<u32>,
     size: Vec<u32>,
-    order: Vec<u32>,
-    /// Root-path stamps for [`Self::junction`], on their own epoch.
-    jstamp: Vec<u32>,
-    jepoch: u32,
+    /// Position of each piece node in `order`: the subtree of `v` is
+    /// `order[pos[v] .. pos[v] + size[v]]`.
+    pos: Vec<u32>,
+    order: Vec<NodeId>,
+    /// The DFS stack, kept between calls.
+    stack: Vec<u32>,
 }
 
 impl Orientation {
@@ -36,9 +40,9 @@ impl Orientation {
             epoch: 0,
             par: vec![NONE; n],
             size: vec![0; n],
+            pos: vec![0; n],
             order: Vec::new(),
-            jstamp: vec![0; n],
-            jepoch: 0,
+            stack: Vec::new(),
         }
     }
 
@@ -52,7 +56,8 @@ impl Orientation {
 
     /// Orients the piece containing `root`: the component of nodes that are
     /// neither placed nor listed in `excluded`, reachable from `root`.
-    /// Computes parents (toward `root`) and subtree sizes.
+    /// Computes parents (toward `root`), preorder positions and subtree
+    /// sizes.
     ///
     /// # Panics
     /// Panics if `root` itself is placed or excluded.
@@ -72,12 +77,15 @@ impl Orientation {
             self.epoch = 1;
         }
         self.order.clear();
-        // Preorder DFS.
-        let mut stack = vec![root.0];
+        // Preorder DFS: a node's subtree is popped before anything pushed
+        // earlier, so every subtree is a contiguous run of `order`.
+        self.stack.clear();
+        self.stack.push(root.0);
         self.stamp[root.index()] = self.epoch;
         self.par[root.index()] = NONE;
-        while let Some(v) = stack.pop() {
-            self.order.push(v);
+        while let Some(v) = self.stack.pop() {
+            self.pos[v as usize] = self.order.len() as u32;
+            self.order.push(NodeId(v));
             self.size[v as usize] = 1;
             for w in tree.neighbors(NodeId(v)) {
                 if blocked(w) || self.stamp[w.index()] == self.epoch {
@@ -85,12 +93,12 @@ impl Orientation {
                 }
                 self.stamp[w.index()] = self.epoch;
                 self.par[w.index()] = v;
-                stack.push(w.0);
+                self.stack.push(w.0);
             }
         }
         // Accumulate sizes bottom-up (reverse preorder).
         for i in (1..self.order.len()).rev() {
-            let v = self.order[i] as usize;
+            let v = self.order[i].index();
             let p = self.par[v] as usize;
             self.size[p] += self.size[v];
         }
@@ -136,62 +144,53 @@ impl Orientation {
     }
 
     /// All nodes of the oriented piece, in preorder.
-    pub fn piece_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.order.iter().map(|&v| NodeId(v))
+    #[inline]
+    pub fn piece_nodes(&self) -> &[NodeId] {
+        &self.order
     }
 
-    /// The nodes of `v`'s oriented subtree, in preorder.
-    pub fn subtree_nodes(&self, tree: &BinaryTree, v: NodeId) -> Vec<NodeId> {
+    /// The positions of `v`'s oriented subtree in
+    /// [`piece_nodes`](Self::piece_nodes).
+    #[inline]
+    pub(crate) fn subtree_range(&self, v: NodeId) -> std::ops::Range<usize> {
         debug_assert!(self.contains(v));
-        let mut out = Vec::new();
-        let mut stack = vec![v];
-        while let Some(u) = stack.pop() {
-            out.push(u);
-            stack.extend(self.children(tree, u));
-        }
-        debug_assert_eq!(out.len() as u32, self.size(v));
-        out
+        let lo = self.pos[v.index()] as usize;
+        lo..lo + self.size[v.index()] as usize
     }
 
-    /// The path from `from` up to `to` (both inclusive), following parents.
-    ///
-    /// # Panics
-    /// Panics if `to` is not an ancestor of `from` in the orientation.
-    pub fn path_up(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
-        let mut path = vec![from];
-        let mut cur = from;
-        while cur != to {
-            cur = self
-                .parent(cur)
-                .unwrap_or_else(|| panic!("{to:?} is not an ancestor of {from:?}"));
-            path.push(cur);
-        }
-        path
+    /// The nodes of `v`'s oriented subtree, in preorder: a slice of the
+    /// piece's preorder, no walk.
+    #[inline]
+    pub fn subtree_nodes(&self, v: NodeId) -> &[NodeId] {
+        &self.order[self.subtree_range(v)]
+    }
+
+    /// Position of `v` in [`piece_nodes`](Self::piece_nodes).
+    #[inline]
+    pub(crate) fn position(&self, v: NodeId) -> usize {
+        debug_assert!(self.contains(v));
+        self.pos[v.index()] as usize
+    }
+
+    /// True if `v` lies in the oriented subtree of `top` (`v == top`
+    /// included): a range test on preorder positions.
+    #[inline]
+    pub(crate) fn in_subtree(&self, v: NodeId, top: NodeId) -> bool {
+        debug_assert!(self.contains(v) && self.contains(top));
+        let off = self.pos[v.index()].wrapping_sub(self.pos[top.index()]);
+        off < self.size[top.index()]
     }
 
     /// The deepest node common to the root paths of `a` and `b` — the
     /// junction point where the two paths from the orientation root part.
-    pub fn junction(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        // Mark a's root path with a fresh stamp epoch, then climb from b —
-        // O(depth) and allocation-free (a Vec scan would be quadratic on
-        // path-shaped pieces; the old HashSet allocated per call).
-        self.jepoch += 1;
-        if self.jepoch == u32::MAX {
-            self.jstamp.fill(0);
-            self.jepoch = 1;
-        }
-        let mut cur = Some(a);
-        while let Some(v) = cur {
-            self.jstamp[v.index()] = self.jepoch;
-            cur = self.parent(v);
-        }
+    /// Climbs from `b` to the first node whose subtree holds `a`:
+    /// O(depth), with no marks to write.
+    pub fn junction(&self, a: NodeId, b: NodeId) -> NodeId {
         let mut cur = b;
-        loop {
-            if self.jstamp[cur.index()] == self.jepoch {
-                return cur;
-            }
+        while !self.in_subtree(a, cur) {
             cur = self.parent(cur).expect("nodes are in the same piece");
         }
+        cur
     }
 }
 
@@ -207,6 +206,8 @@ pub struct SeparatorScratch {
     pub(crate) o1: Orientation,
     pub(crate) o2: Orientation,
     pub(crate) o3: Orientation,
+    /// Runs of preorder positions, for Lemma 2's set differences.
+    pub(crate) runs: Vec<(usize, usize)>,
 }
 
 impl Default for SeparatorScratch {
@@ -224,6 +225,7 @@ impl SeparatorScratch {
             o1: Orientation::new(n),
             o2: Orientation::new(n),
             o3: Orientation::new(n),
+            runs: Vec::new(),
         }
     }
 
@@ -337,9 +339,15 @@ mod tests {
         let t = generate::left_complete(15);
         let mut o = Orientation::new(15);
         o.orient(&t, &[false; 15], &[], t.root());
-        let sub = o.subtree_nodes(&t, NodeId(1));
+        let sub = o.subtree_nodes(NodeId(1));
         assert_eq!(sub.len(), 7);
-        let path = o.path_up(NodeId(9), NodeId(0));
+        assert_eq!(sub[0], NodeId(1));
+        for v in t.nodes() {
+            let below = std::iter::successors(Some(v), |&u| t.parent(u)).any(|u| u == NodeId(1));
+            assert_eq!(o.in_subtree(v, NodeId(1)), below, "{v:?}");
+            assert_eq!(sub.contains(&v), below, "{v:?}");
+        }
+        let path: Vec<NodeId> = std::iter::successors(Some(NodeId(9)), |&v| o.parent(v)).collect();
         assert_eq!(path, vec![NodeId(9), NodeId(4), NodeId(1), NodeId(0)]);
     }
 
