@@ -30,12 +30,13 @@
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+use xtree_bench::serving::{LocalCluster, Tally};
+use xtree_cli::Args;
 use xtree_json::Value;
 use xtree_server::wire::{decode_response, read_frame, write_request_host};
 use xtree_server::{
-    ChaosPlan, ChaosProfile, Client, ReconnectPolicy, Request, Response, Router, RouterConfig,
-    Server, ServerConfig, ShardCount, ERR_BAD_REQUEST, ERR_DEADLINE, ERR_EXHAUSTED,
-    ERR_SHUTTING_DOWN, ERR_UNREACHABLE,
+    ChaosPlan, ChaosProfile, Client, ReconnectPolicy, Request, Response, RouterConfig, Server,
+    ServerConfig, ShardCount, ERR_DEADLINE,
 };
 
 /// `random-bst` in `TreeFamily::ALL`.
@@ -45,36 +46,36 @@ const FAMILY: u8 = 4;
 const NODES: u64 = 496;
 const SEED_BASE: u64 = 3000;
 
+const USAGE: &str = "[--seed N] [--profile P] [--conns N] [--requests N] [--out FILE]";
+
 struct Opts {
-    seed: u64,
     profile: String,
+    plan: ChaosPlan,
     conns: usize,
     requests: usize,
     out: String,
 }
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        seed: 1991,
-        profile: "heavy".into(),
-        conns: 4,
-        requests: 75,
-        out: "results/BENCH_chaos.json".into(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = || args.next().unwrap_or_else(|| panic!("{arg} needs a value"));
-        match arg.as_str() {
-            "--seed" => opts.seed = take().parse().expect("--seed takes a u64"),
-            "--profile" => opts.profile = take(),
-            "--conns" => opts.conns = take().parse().expect("--conns takes a count"),
-            "--requests" => opts.requests = take().parse().expect("--requests takes a count"),
-            "--out" => opts.out = take(),
-            other => panic!("unknown argument: {other}"),
+impl Opts {
+    fn read(a: &Args) -> Result<Opts, String> {
+        let seed = a.num_or("seed", 1991)?;
+        let profile = a.get_or("profile", "heavy").to_string();
+        let plan = ChaosPlan::new(
+            seed,
+            ChaosProfile::parse(&profile).map_err(|e| format!("--profile: {e}"))?,
+        );
+        let (conns, requests) = (a.num_or("conns", 4)?, a.num_or("requests", 75)?);
+        if conns == 0 || requests == 0 {
+            return Err("--conns and --requests need work to do (≥ 1)".into());
         }
+        Ok(Opts {
+            profile,
+            plan,
+            conns,
+            requests,
+            out: a.get_or("out", "results/BENCH_chaos.json").to_string(),
+        })
     }
-    assert!(opts.conns >= 1 && opts.requests >= 1, "need work to do");
-    opts
 }
 
 /// The deterministic request stream for connection `conn`: 3:1
@@ -101,64 +102,6 @@ fn requests_for(conn: usize, count: usize) -> Vec<Request> {
             }
         })
         .collect()
-}
-
-/// Where every request of a phase landed. `unclassified` must be zero in
-/// every phase; the other buckets are phase-specific.
-#[derive(Default)]
-struct Tally {
-    ok: usize,
-    overloaded: usize,
-    deadline: usize,
-    unavailable: usize,
-    transport: usize,
-    corrupted: usize,
-    unclassified: usize,
-}
-
-impl Tally {
-    fn total(&self) -> usize {
-        self.ok
-            + self.overloaded
-            + self.deadline
-            + self.unavailable
-            + self.transport
-            + self.corrupted
-            + self.unclassified
-    }
-
-    fn classify(&mut self, result: Result<Response, xtree_server::WireError>, chaos: bool) -> bool {
-        match result {
-            Ok(Response::EmbedOk { .. } | Response::SimulateOk { .. }) => self.ok += 1,
-            Ok(Response::Overloaded { .. }) => self.overloaded += 1,
-            Ok(Response::Error { code, .. }) if code == ERR_DEADLINE => self.deadline += 1,
-            Ok(Response::Error { code, .. })
-                if [ERR_UNREACHABLE, ERR_EXHAUSTED, ERR_SHUTTING_DOWN].contains(&code) =>
-            {
-                self.unavailable += 1;
-            }
-            Ok(Response::Error { code, .. }) if code == ERR_BAD_REQUEST && chaos => {
-                // The peer bounced our garbled bytes; the stream is
-                // desynced and the caller must resync with a fresh dial.
-                self.corrupted += 1;
-                return true;
-            }
-            Ok(other) => {
-                self.unclassified += 1;
-                eprintln!("chaosbench: unexpected response: {other:?}");
-            }
-            Err(e) if e.is_transport() => self.transport += 1,
-            Err(_) if chaos => {
-                self.corrupted += 1;
-                return true;
-            }
-            Err(e) => {
-                self.unclassified += 1;
-                eprintln!("chaosbench: unexpected error: {e}");
-            }
-        }
-        false
-    }
 }
 
 /// Phase 1: frames that arrive already out of budget. Raw wire calls —
@@ -285,15 +228,8 @@ fn phase_server_chaos_cluster(plan: ChaosPlan, conns: usize, requests: usize) ->
         chaos: Some(plan),
         ..ServerConfig::default()
     };
-    let mut servers: Vec<Server> = (0..2)
-        .map(|_| Server::spawn(&shard_config).expect("bind shard"))
-        .collect();
-    let mut router = Router::spawn(&RouterConfig {
-        shards: servers.iter().map(Server::local_addr).collect(),
-        ..RouterConfig::default()
-    })
-    .expect("bind router");
-    let addr = router.local_addr();
+    let cluster = LocalCluster::spawn(2, &shard_config, &RouterConfig::default());
+    let addr = cluster.router.local_addr();
 
     let start = Instant::now();
     let budget = Duration::from_secs(5);
@@ -319,15 +255,9 @@ fn phase_server_chaos_cluster(plan: ChaosPlan, conns: usize, requests: usize) ->
 
     let mut tally = Tally::default();
     for t in &tallies {
-        tally.ok += t.ok;
-        tally.overloaded += t.overloaded;
-        tally.deadline += t.deadline;
-        tally.unavailable += t.unavailable;
-        tally.transport += t.transport;
-        tally.corrupted += t.corrupted;
-        tally.unclassified += t.unclassified;
+        tally.add(t);
     }
-    let metrics = router.metrics();
+    let metrics = cluster.router.metrics();
     eprintln!(
         "server-chaos-cluster: {} reqs in {:.2}s — {} ok, {} deadline, {} unavailable, \
          {} transport, {} corrupted ({} routed, {} failed, {} replayed)",
@@ -343,16 +273,7 @@ fn phase_server_chaos_cluster(plan: ChaosPlan, conns: usize, requests: usize) ->
         metrics.total(ShardCount::Replayed),
     );
 
-    // Drain: the router forwards Shutdown to every shard; under server
-    // chaos the acknowledgement itself can be eaten, so fall back to
-    // dropping the processes directly.
-    if let Ok(mut client) = Client::connect(addr) {
-        let _ = client.call_retrying(&Request::Shutdown, &ReconnectPolicy::default(), None, None);
-    }
-    router.wait();
-    for s in &mut servers {
-        s.wait();
-    }
+    cluster.drain();
 
     let total = conns * requests;
     assert_eq!(tally.total(), total, "every request must be accounted for");
@@ -367,19 +288,17 @@ fn phase_server_chaos_cluster(plan: ChaosPlan, conns: usize, requests: usize) ->
 }
 
 fn main() {
-    let opts = parse_opts();
-    let profile = ChaosProfile::parse(&opts.profile).unwrap_or_else(|e| panic!("--profile: {e}"));
-    let plan = ChaosPlan::new(opts.seed, profile);
+    let opts = xtree_cli::parse_env("chaosbench", USAGE, Opts::read);
 
     let phases = vec![
         phase_zero_budget(opts.conns * opts.requests),
-        phase_client_chaos(plan, opts.conns, opts.requests),
-        phase_server_chaos_cluster(plan, opts.conns, opts.requests),
+        phase_client_chaos(opts.plan, opts.conns, opts.requests),
+        phase_server_chaos_cluster(opts.plan, opts.conns, opts.requests),
     ];
 
     let doc = Value::object()
         .with("bench", "chaos")
-        .with("chaos_seed", opts.seed)
+        .with("chaos_seed", opts.plan.seed)
         .with("chaos_profile", opts.profile.as_str())
         .with("conns", opts.conns)
         .with("requests_per_conn", opts.requests)

@@ -22,10 +22,12 @@
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
+use xtree_bench::serving::{quantile, LocalCluster};
+use xtree_cli::Args;
 use xtree_json::Value;
 use xtree_server::{
-    Client, ClusterCount, ReconnectPolicy, Request, Response, Router, RouterConfig, Server,
-    ServerConfig, ShardCount,
+    Client, ClusterCount, ReconnectPolicy, Request, Response, RouterConfig, ServerConfig,
+    ShardCount,
 };
 use xtree_sim::Backoff;
 
@@ -37,6 +39,8 @@ const NODES: u64 = 2032;
 /// Default key-space base; `--seed` moves it (DESIGN.md §15 convention).
 const SEED_BASE: u64 = 7_000;
 
+const USAGE: &str = "[--smoke] [--conns N] [--requests N] [--seed N] [--out FILE]";
+
 struct Opts {
     conns: usize,
     requests: usize,
@@ -45,43 +49,21 @@ struct Opts {
     out: String,
 }
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        conns: 8,
-        requests: 32,
-        smoke: false,
-        seed: SEED_BASE,
-        out: "results/BENCH_cluster.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--conns" => opts.conns = value("--conns").parse().expect("--conns"),
-            "--requests" => opts.requests = value("--requests").parse().expect("--requests"),
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed"),
-            "--out" => opts.out = value("--out"),
-            "--smoke" => opts.smoke = true,
-            other => panic!("unknown argument: {other}"),
+impl Opts {
+    fn read(a: &Args) -> Result<Opts, String> {
+        let smoke = a.flag("smoke");
+        let (conns, requests): (usize, usize) = (a.num_or("conns", 8)?, a.num_or("requests", 32)?);
+        if conns == 0 || requests == 0 {
+            return Err("--conns and --requests need work to do (≥ 1)".into());
         }
+        Ok(Opts {
+            conns: if smoke { conns.min(4) } else { conns },
+            requests: if smoke { requests.min(6) } else { requests },
+            smoke,
+            seed: a.num_or("seed", SEED_BASE)?,
+            out: a.get_or("out", "results/BENCH_cluster.json").to_string(),
+        })
     }
-    if opts.smoke {
-        opts.conns = opts.conns.min(4);
-        opts.requests = opts.requests.min(6);
-    }
-    assert!(opts.conns >= 1 && opts.requests >= 1, "need work to do");
-    opts
-}
-
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// One measured run through a router: counts and client-side latency.
@@ -165,44 +147,19 @@ fn drive(
     }
 }
 
+/// Two workers per shard: the cluster's throughput is its worker count.
 fn shard_config() -> ServerConfig {
     ServerConfig {
-        addr: "127.0.0.1:0".into(),
         workers: 2,
-        queue_cap: 64,
-        cache_cap: 256,
-        io_timeout: None,
-        chaos: None,
         ..ServerConfig::default()
-    }
-}
-
-fn spawn_cluster(shards: usize, config: &RouterConfig) -> (Vec<Server>, Router) {
-    let servers: Vec<Server> = (0..shards)
-        .map(|_| Server::spawn(&shard_config()).expect("bind shard"))
-        .collect();
-    let router = Router::spawn(&RouterConfig {
-        shards: servers.iter().map(Server::local_addr).collect(),
-        ..config.clone()
-    })
-    .expect("bind router");
-    (servers, router)
-}
-
-fn drain_cluster(mut servers: Vec<Server>, mut router: Router) {
-    let mut client = Client::connect(router.local_addr()).expect("connect for shutdown");
-    client.call(&Request::Shutdown).expect("cluster shutdown");
-    router.wait();
-    for s in &mut servers {
-        s.wait();
     }
 }
 
 /// One point of the scaling curve: `shards` shards, all healthy.
 fn scaling_point(shards: usize, conns: usize, count: usize, seed: u64) -> Value {
-    let (servers, router) = spawn_cluster(shards, &RouterConfig::default());
+    let cluster = LocalCluster::spawn(shards, &shard_config(), &RouterConfig::default());
     let run = drive(
-        router.local_addr(),
+        cluster.router.local_addr(),
         conns,
         count,
         seed + ((shards as u64) << 32),
@@ -210,7 +167,7 @@ fn scaling_point(shards: usize, conns: usize, count: usize, seed: u64) -> Value 
     );
     assert_eq!(run.errors, 0, "{shards}-shard run must not error");
     assert_eq!(run.ok, run.requests, "{shards}-shard run must serve all");
-    let metrics = router.metrics();
+    let metrics = cluster.router.metrics();
     eprintln!(
         "{shards} shard(s): {} reqs in {:.2}s — {:.0} req/s, p50 {}us p95 {}us p99 {}us",
         run.requests,
@@ -230,7 +187,7 @@ fn scaling_point(shards: usize, conns: usize, count: usize, seed: u64) -> Value 
         .with("latency_p99_us", run.p99_us)
         .with("routed", metrics.total(ShardCount::Routed))
         .with("replayed", metrics.total(ShardCount::Replayed));
-    drain_cluster(servers, router);
+    cluster.drain();
     point
 }
 
@@ -246,10 +203,10 @@ fn failover_probe(conns: usize, count: usize, seed: u64) -> Value {
         },
         ..RouterConfig::default()
     };
-    let (servers, router) = spawn_cluster(2, &config);
-    let victim = &servers[0];
+    let cluster = LocalCluster::spawn(2, &shard_config(), &config);
+    let victim = &cluster.shards[0];
     let run = drive(
-        router.local_addr(),
+        cluster.router.local_addr(),
         conns,
         count,
         seed + (101u64 << 32),
@@ -261,8 +218,8 @@ fn failover_probe(conns: usize, count: usize, seed: u64) -> Value {
         run.errors
     );
     assert_eq!(run.ok, run.requests, "every request must be served");
-    let metrics = router.metrics();
-    let shard_set = router.shard_set();
+    let metrics = cluster.router.metrics();
+    let shard_set = cluster.router.shard_set();
     assert_eq!(shard_set.live_count(), 1, "the victim must be ejected");
     assert_eq!(metrics.get(ClusterCount::Unreachable), 0);
     assert_eq!(metrics.get(ClusterCount::Exhausted), 0);
@@ -288,12 +245,12 @@ fn failover_probe(conns: usize, count: usize, seed: u64) -> Value {
         .with("exhausted", metrics.get(ClusterCount::Exhausted))
         .with("failovers", failovers)
         .with("failover_p99_us", failover_p99_us);
-    drain_cluster(servers, router);
+    cluster.drain();
     column
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = xtree_cli::parse_env("clusterbench", USAGE, Opts::read);
     let rosters: &[usize] = if opts.smoke { &[1, 2] } else { &[1, 2, 4] };
 
     let curve: Vec<Value> = rosters

@@ -182,12 +182,17 @@ fn read_baseline(path: &str) -> u64 {
         .expect("baseline must carry serving.allocs_serial")
 }
 
+const USAGE: &str = "[--smoke] [--gate] [--write-baseline] [--seed N]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate = args.iter().any(|a| a == "--gate");
-    let write_baseline = args.iter().any(|a| a == "--write-baseline");
-    let base_seed = xtree_bench::seed_from_args(0x5EED_E3B3);
+    let (smoke, gate, write_baseline, base_seed) = xtree_cli::parse_env("embedbench", USAGE, |a| {
+        Ok((
+            a.flag("smoke"),
+            a.flag("gate"),
+            a.flag("write-baseline"),
+            a.num_or("seed", 0x5EED_E3B3)?,
+        ))
+    });
     let baseline_path = "results/BENCH_embed_baseline.json";
 
     let gated = GATE_FLOORS.map(|(r, _)| r);
@@ -203,7 +208,6 @@ fn main() {
 
     let mut results = Vec::new();
     for &r in sizes {
-        let reps = if r >= 11 { 3.min(reps) } else { reps };
         let s = bench_size(r, reps, base_seed);
         print_size(&s);
         results.push(s);

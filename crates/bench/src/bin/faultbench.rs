@@ -129,9 +129,12 @@ fn run_recovered(
     d
 }
 
+const USAGE: &str = "[--smoke] [--seed N]";
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let base_seed = xtree_bench::seed_from_args(0x5EED_FA17);
+    let (smoke, base_seed) = xtree_cli::parse_env("faultbench", USAGE, |a| {
+        Ok((a.flag("smoke"), a.num_or("seed", 0x5EED_FA17)?))
+    });
     let heights: &[u8] = if smoke { &[5, 6] } else { &[8, 9, 10, 11, 12] };
     let rates = [0.0, 0.01, 0.02, 0.05, 0.1];
     let mut hosts = Vec::new();

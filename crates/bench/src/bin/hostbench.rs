@@ -23,6 +23,7 @@
 //!
 //! Run with: cargo run --release -p xtree-bench --bin hostbench
 
+use xtree_cli::Args;
 use xtree_core::theorem1;
 use xtree_host::{guest_map, AnyHost, Host, HOST_LABELS};
 use xtree_json::Value;
@@ -42,32 +43,22 @@ const FAMILIES: [TreeFamily; 5] = [
     TreeFamily::Balanced,
 ];
 
+const USAGE: &str = "[--smoke] [--seed N] [--out FILE]";
+
 struct Opts {
     smoke: bool,
     seed: u64,
     out: String,
 }
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        smoke: false,
-        seed: DEFAULT_SEED,
-        out: "results/BENCH_hosts.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed"),
-            "--out" => opts.out = value("--out"),
-            other => panic!("unknown argument: {other}"),
-        }
+impl Opts {
+    fn read(a: &Args) -> Result<Opts, String> {
+        Ok(Opts {
+            smoke: a.flag("smoke"),
+            seed: a.num_or("seed", DEFAULT_SEED)?,
+            out: a.get_or("out", "results/BENCH_hosts.json").to_string(),
+        })
     }
-    opts
 }
 
 /// One host column of a cell: the embedding scored on host `tag`.
@@ -102,7 +93,7 @@ fn host_column(
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = xtree_cli::parse_env("hostbench", USAGE, Opts::read);
     let sizes: &[usize] = if opts.smoke {
         &[112, 496]
     } else {

@@ -22,8 +22,7 @@
 //! (default 4 uniform / 64 skewed, preserving the historical workload);
 //! `--traffic MODEL` draws keys from an `xtree-scenario` traffic model
 //! (`zipf:1.1`, `hotspot:25:16`, `diurnal:4:8`, …) in an extra warm
-//! phase; `--zipf s` is back-compat sugar for `--traffic zipf:s`;
-//! `--seed N` moves every request stream (default = the historical
+//! phase; `--seed N` moves every request stream (default = the historical
 //! constant, DESIGN.md §15); `--host xtree|hypercube|universal` stamps
 //! every request with a host-topology tag (absent = legacy frames,
 //! byte-identical on the wire).
@@ -47,13 +46,14 @@
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 use xtree_bench::seeded_batches;
+use xtree_bench::serving::{quantile, LocalCluster, Tally};
+use xtree_cli::Args;
 use xtree_host::parse_host_label;
 use xtree_json::Value;
 use xtree_scenario::TrafficModel;
 use xtree_server::{
-    ChaosPlan, ChaosProfile, Client, ClusterCount, ReconnectPolicy, Request, Response, Router,
-    RouterConfig, Server, ServerConfig, ShardCount, WireStats, ERR_BAD_REQUEST, ERR_DEADLINE,
-    ERR_EXHAUSTED, ERR_SHUTTING_DOWN, ERR_UNREACHABLE,
+    ChaosPlan, ChaosProfile, Client, ClusterCount, ReconnectPolicy, Request, Response,
+    RouterConfig, Server, ServerConfig, ShardCount, WireStats,
 };
 
 /// Key pool: `random-bst` in `TreeFamily::ALL`.
@@ -67,7 +67,7 @@ const NODES: u64 = 2032;
 const DEFAULT_POOL: u64 = 4;
 const SEED_BASE: u64 = 1000;
 
-/// Default key pool for the skewed (`--traffic`/`--zipf`) phase — much
+/// Default key pool for the skewed (`--traffic`) phase — much
 /// larger than the uniform pool, so the distribution's tail actually
 /// misses the cache and the hit rate tracks the head's skew.
 const DEFAULT_TRAFFIC_POOL: u64 = 64;
@@ -75,13 +75,17 @@ const DEFAULT_TRAFFIC_POOL: u64 = 64;
 /// Historical batch seed; `--seed` moves it (DESIGN.md §15 convention).
 const DEFAULT_SEED: u64 = 0x5EED_10AD;
 
+const USAGE: &str = "[--addr HOST:PORT] [--conns N] [--requests N] [--smoke] [--traffic MODEL] [--key-pool N] [--seed N] [--via-router M] [--out FILE] [--chaos-seed S] [--chaos-profile P] [--deadline-ms T] [--allow-typed-errors] [--host xtree|hypercube|universal]";
+
 struct Opts {
-    addr: Option<String>,
+    addr: Option<SocketAddr>,
     conns: usize,
     requests: usize,
     smoke: bool,
-    /// Key distribution for the skewed phase (`None` = uniform only).
-    traffic: Option<TrafficModel>,
+    /// Key distribution of the uniform phases.
+    uniform: KeyDist,
+    /// Key distribution of the skewed phase (`--traffic`, `None` = skip).
+    skewed: Option<KeyDist>,
     /// `--key-pool`: distinct keys per phase. `None` keeps the
     /// historical defaults (4 uniform / 64 skewed).
     key_pool: Option<u64>,
@@ -94,39 +98,80 @@ struct Opts {
     chaos_profile: String,
     /// Per-request deadline budget (`--deadline-ms`).
     deadline_ms: Option<u64>,
-    /// Tolerate failures as long as every one lands in a typed bucket.
-    allow_typed_errors: bool,
-    /// Host topology tag every request is stamped with (`--host`);
-    /// `None` keeps the frames bit-identical to pre-host traffic.
-    host: Option<u8>,
+    /// How the drive loop rides over trouble, from the resilience flags.
+    resil: Resilience,
 }
 
 impl Opts {
-    /// Key-pool size of the uniform phases (default preserves the
-    /// historical 4-key pool and its 99% warm hit rate).
-    fn uniform_pool(&self) -> u64 {
-        self.key_pool.unwrap_or(DEFAULT_POOL)
-    }
-
-    /// Key-pool size of the skewed-traffic phase.
-    fn traffic_pool(&self) -> u64 {
-        self.key_pool.unwrap_or(DEFAULT_TRAFFIC_POOL)
-    }
-
-    /// How the drive loop should ride over trouble, from the resilience
-    /// flags.
-    fn resilience(&self) -> Resilience {
-        let chaos = self.chaos_seed.map(|seed| {
-            let profile = ChaosProfile::parse(&self.chaos_profile)
-                .unwrap_or_else(|e| panic!("--chaos-profile: {e}"));
-            ChaosPlan::new(seed, profile)
-        });
-        Resilience {
-            chaos,
-            deadline: self.deadline_ms.map(Duration::from_millis),
-            tolerant: self.allow_typed_errors || chaos.is_some() || self.deadline_ms.is_some(),
-            host: self.host,
+    fn read(a: &Args) -> Result<Opts, String> {
+        let smoke = a.flag("smoke");
+        let (conns, requests): (usize, usize) = (a.num_or("conns", 8)?, a.num_or("requests", 64)?);
+        if conns == 0 || requests == 0 {
+            return Err("--conns and --requests need work to do (≥ 1)".into());
         }
+        let traffic = a
+            .get("traffic")
+            .map(|l| TrafficModel::parse(l).ok_or(format!("--traffic: unknown model `{l}`")))
+            .transpose()?;
+        let key_pool = a.num_opt("key-pool")?;
+        if key_pool == Some(0) {
+            return Err("--key-pool needs at least one key".into());
+        }
+        let via_router = a.num_opt("via-router")?;
+        if via_router.is_some_and(|m| !(1..=64).contains(&m)) {
+            return Err("--via-router needs 1..=64 shards".into());
+        }
+        let chaos_seed = a.num_opt("chaos-seed")?;
+        if chaos_seed.is_none() && a.get("chaos-profile").is_some() {
+            return Err("--chaos-profile requires --chaos-seed".into());
+        }
+        let chaos_profile = a.get_or("chaos-profile", "medium").to_string();
+        let profile =
+            ChaosProfile::parse(&chaos_profile).map_err(|e| format!("--chaos-profile: {e}"))?;
+        let chaos = chaos_seed.map(|seed| ChaosPlan::new(seed, profile));
+        let deadline_ms = a.num_opt("deadline-ms")?;
+        if deadline_ms == Some(0) {
+            return Err("--deadline-ms needs at least 1ms".into());
+        }
+        let host = a
+            .get("host")
+            .map(|l| parse_host_label(l).ok_or(format!("--host: unknown host `{l}`")))
+            .transpose()?;
+        let tolerant = a.flag("allow-typed-errors") || chaos.is_some() || deadline_ms.is_some();
+        let seed = a.num_or("seed", DEFAULT_SEED)?;
+        let dist = |default_pool, traffic| KeyDist {
+            pool: key_pool.unwrap_or(default_pool),
+            traffic,
+            seed,
+        };
+        let addr = a
+            .get("addr")
+            .map(|s| {
+                s.parse()
+                    .map_err(|_| format!("--addr: `{s}` is not HOST:PORT"))
+            })
+            .transpose()?;
+        Ok(Opts {
+            addr,
+            conns: if smoke { conns.min(4) } else { conns },
+            requests: if smoke { requests.min(8) } else { requests },
+            smoke,
+            uniform: dist(DEFAULT_POOL, None),
+            skewed: traffic.map(|t| dist(DEFAULT_TRAFFIC_POOL, Some(t))),
+            key_pool,
+            seed,
+            via_router,
+            out: a.get_or("out", "results/BENCH_server.json").to_string(),
+            chaos_seed,
+            chaos_profile,
+            deadline_ms,
+            resil: Resilience {
+                chaos,
+                deadline: deadline_ms.map(Duration::from_millis),
+                tolerant,
+                host,
+            },
+        })
     }
 }
 
@@ -145,86 +190,6 @@ struct Resilience {
     host: Option<u8>,
 }
 
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        addr: None,
-        conns: 8,
-        requests: 64,
-        smoke: false,
-        traffic: None,
-        key_pool: None,
-        seed: DEFAULT_SEED,
-        via_router: None,
-        out: "results/BENCH_server.json".to_string(),
-        chaos_seed: None,
-        chaos_profile: "medium".to_string(),
-        deadline_ms: None,
-        allow_typed_errors: false,
-        host: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => opts.addr = Some(value("--addr")),
-            "--conns" => opts.conns = value("--conns").parse().expect("--conns"),
-            "--requests" => opts.requests = value("--requests").parse().expect("--requests"),
-            "--zipf" => {
-                // Back-compat sugar for `--traffic zipf:s`.
-                let s: f64 = value("--zipf").parse().expect("--zipf");
-                assert!(s > 0.0 && s.is_finite(), "--zipf needs s > 0");
-                opts.traffic = Some(TrafficModel::Zipf { s });
-            }
-            "--traffic" => {
-                let label = value("--traffic");
-                let model = TrafficModel::parse(&label)
-                    .unwrap_or_else(|| panic!("--traffic: unknown model `{label}`"));
-                opts.traffic = Some(model);
-            }
-            "--key-pool" => {
-                let n: u64 = value("--key-pool").parse().expect("--key-pool");
-                assert!(n >= 1, "--key-pool needs at least one key");
-                opts.key_pool = Some(n);
-            }
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed"),
-            "--via-router" => {
-                let m: usize = value("--via-router").parse().expect("--via-router");
-                assert!((1..=64).contains(&m), "--via-router needs 1..=64 shards");
-                opts.via_router = Some(m);
-            }
-            "--out" => opts.out = value("--out"),
-            "--chaos-seed" => {
-                opts.chaos_seed = Some(value("--chaos-seed").parse().expect("--chaos-seed"));
-            }
-            "--chaos-profile" => opts.chaos_profile = value("--chaos-profile"),
-            "--deadline-ms" => {
-                let ms: u64 = value("--deadline-ms").parse().expect("--deadline-ms");
-                assert!(ms >= 1, "--deadline-ms needs at least 1ms");
-                opts.deadline_ms = Some(ms);
-            }
-            "--allow-typed-errors" => opts.allow_typed_errors = true,
-            "--host" => {
-                let label = value("--host");
-                let tag = parse_host_label(&label).unwrap_or_else(|| {
-                    panic!("--host: unknown host `{label}` (xtree|hypercube|universal)")
-                });
-                opts.host = Some(tag);
-            }
-            "--smoke" => opts.smoke = true,
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if opts.smoke {
-        opts.conns = opts.conns.min(4);
-        opts.requests = opts.requests.min(8);
-    }
-    assert!(opts.conns >= 1 && opts.requests >= 1, "need work to do");
-    opts
-}
-
 /// One phase's key distribution: pool size plus an optional skew model
 /// from `xtree-scenario` (which also drives the scenario matrix, so "the
 /// bench saw Zipf traffic" means the same thing on both axes).
@@ -236,59 +201,17 @@ struct KeyDist {
 }
 
 impl KeyDist {
-    fn uniform(opts: &Opts) -> KeyDist {
-        KeyDist {
-            pool: opts.uniform_pool(),
-            traffic: None,
-            seed: opts.seed,
-        }
-    }
-
-    fn skewed(opts: &Opts, traffic: TrafficModel) -> KeyDist {
-        KeyDist {
-            pool: opts.traffic_pool(),
-            traffic: Some(traffic),
-            seed: opts.seed,
-        }
-    }
-
     fn label(&self) -> String {
         self.traffic
             .map_or_else(|| "uniform".to_string(), |t| t.label())
     }
 }
 
-/// Per-connection tally of where every request landed. Buckets are
-/// mutually exclusive; `unclassified` is the one that must stay zero.
-#[derive(Default)]
-struct Tally {
-    ok: usize,
-    overloaded: usize,
-    /// Typed `ERR_DEADLINE`: the budget died before an answer.
-    deadline: usize,
-    /// Typed `ERR_UNREACHABLE`/`ERR_EXHAUSTED`/`ERR_SHUTTING_DOWN`.
-    unavailable: usize,
-    /// Transport failures surviving the retry budget (refused / reset /
-    /// timed out / closed), tolerated only under chaos or a deadline.
-    transport: usize,
-    /// Stream desync from injected byte corruption: a frame that decoded
-    /// to garbage, or the peer bouncing our garbled bytes.
-    corrupted: usize,
-    /// Anything else — asserted zero in every mode.
-    unclassified: usize,
-}
-
 /// What one phase of driving measured, client side plus server stats.
 struct Phase {
     name: String,
     requests: usize,
-    ok: usize,
-    overloaded: usize,
-    deadline: usize,
-    unavailable: usize,
-    transport: usize,
-    corrupted: usize,
-    errors: usize,
+    tally: Tally,
     wall_s: f64,
     p50_us: u64,
     p95_us: u64,
@@ -314,13 +237,13 @@ impl Phase {
         Value::object()
             .with("phase", self.name.as_str())
             .with("requests", self.requests)
-            .with("ok", self.ok)
-            .with("overloaded", self.overloaded)
-            .with("deadline_rejected", self.deadline)
-            .with("unavailable", self.unavailable)
-            .with("transport_errors", self.transport)
-            .with("corrupted", self.corrupted)
-            .with("errors", self.errors)
+            .with("ok", self.tally.ok)
+            .with("overloaded", self.tally.overloaded)
+            .with("deadline_rejected", self.tally.deadline)
+            .with("unavailable", self.tally.unavailable)
+            .with("transport_errors", self.tally.transport)
+            .with("corrupted", self.tally.corrupted)
+            .with("errors", self.tally.unclassified)
             .with("wall_s", self.wall_s)
             .with("throughput_rps", self.throughput_rps())
             .with("latency_p50_us", self.p50_us)
@@ -382,14 +305,6 @@ fn requests_for(
         .collect()
 }
 
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 /// One connection's request loop. In the historical (intolerant) mode any
 /// failure panics, exactly as before. In tolerant mode — chaos, a
 /// deadline budget, or `--allow-typed-errors` — every outcome must land
@@ -430,39 +345,10 @@ fn drive_conn(
             }
             continue;
         }
-        match result {
-            Ok(Response::EmbedOk { .. } | Response::SimulateOk { .. }) => tally.ok += 1,
-            Ok(Response::Overloaded { .. }) => tally.overloaded += 1,
-            Ok(Response::Error { code, .. }) if code == ERR_DEADLINE => tally.deadline += 1,
-            Ok(Response::Error { code, .. })
-                if [ERR_UNREACHABLE, ERR_EXHAUSTED, ERR_SHUTTING_DOWN].contains(&code) =>
-            {
-                tally.unavailable += 1;
-            }
-            Ok(Response::Error { code, .. })
-                if code == ERR_BAD_REQUEST && resil.chaos.is_some() =>
-            {
-                // The peer bounced our chaos-garbled bytes and is closing
-                // the connection; resync with a fresh dial.
-                tally.corrupted += 1;
-                let _ = client.reconnect();
-            }
-            Ok(other) => {
-                tally.unclassified += 1;
-                eprintln!("loadgen: unexpected response: {other:?}");
-            }
-            Err(e) if e.is_transport() => tally.transport += 1,
-            Err(e) if resil.chaos.is_some() => {
-                // A decode failure under injected corruption: the stream
-                // position is untrustworthy, so resync.
-                tally.corrupted += 1;
-                let _ = e;
-                let _ = client.reconnect();
-            }
-            Err(e) => {
-                tally.unclassified += 1;
-                eprintln!("loadgen: unexpected error: {e}");
-            }
+        if tally.classify(result, resil.chaos.is_some()) {
+            // Chaos-garbled bytes desynced the stream; resync with a
+            // fresh dial.
+            let _ = client.reconnect();
         }
     }
     (tally, latencies)
@@ -496,16 +382,14 @@ fn drive(
     let mut latencies: Vec<u64> = per_conn.iter().flat_map(|p| p.1.iter().copied()).collect();
     latencies.sort_unstable();
     let stats = fetch_stats(addr, resil);
+    let mut tally = Tally::default();
+    for (t, _) in &per_conn {
+        tally.add(t);
+    }
     Phase {
         name: name.to_string(),
         requests: conns * count,
-        ok: per_conn.iter().map(|p| p.0.ok).sum(),
-        overloaded: per_conn.iter().map(|p| p.0.overloaded).sum(),
-        deadline: per_conn.iter().map(|p| p.0.deadline).sum(),
-        unavailable: per_conn.iter().map(|p| p.0.unavailable).sum(),
-        transport: per_conn.iter().map(|p| p.0.transport).sum(),
-        corrupted: per_conn.iter().map(|p| p.0.corrupted).sum(),
-        errors: per_conn.iter().map(|p| p.0.unclassified).sum(),
+        tally,
         wall_s,
         p50_us: quantile(&latencies, 0.50),
         p95_us: quantile(&latencies, 0.95),
@@ -551,32 +435,20 @@ fn spawn_cluster_and_drive(
     resil: &Resilience,
 ) -> (Phase, Value) {
     let config = ServerConfig {
-        addr: "127.0.0.1:0".into(),
         workers: 2,
-        queue_cap: 64,
-        cache_cap: 256,
-        io_timeout: None,
-        chaos: None,
         ..ServerConfig::default()
     };
-    let mut servers: Vec<Server> = (0..shards)
-        .map(|_| Server::spawn(&config).expect("bind shard"))
-        .collect();
-    let mut router = Router::spawn(&RouterConfig {
-        shards: servers.iter().map(Server::local_addr).collect(),
-        ..RouterConfig::default()
-    })
-    .expect("bind router");
+    let cluster = LocalCluster::spawn(shards, &config, &RouterConfig::default());
     let phase = drive(
         "via-router",
-        router.local_addr(),
+        cluster.router.local_addr(),
         conns,
         count,
         nodes,
         dist,
         resil,
     );
-    let metrics = router.metrics();
+    let metrics = cluster.router.metrics();
     let (failover_p99_us, failovers) = metrics.failover_quantile_us(0.99);
     let column = Value::object()
         .with("shards", shards)
@@ -594,12 +466,7 @@ fn spawn_cluster_and_drive(
         .with("warmup_keys", metrics.get(ClusterCount::WarmupKeys))
         .with("failovers", failovers)
         .with("failover_p99_us", failover_p99_us);
-    let mut client = Client::connect(router.local_addr()).expect("connect for shutdown");
-    client.call(&Request::Shutdown).expect("cluster shutdown");
-    router.wait();
-    for s in &mut servers {
-        s.wait();
-    }
+    cluster.drain();
     (phase, column)
 }
 
@@ -635,20 +502,19 @@ fn print_phase(phase: &Phase) {
         phase.p95_us,
         phase.p99_us,
         phase.hit_rate() * 100.0,
-        phase.overloaded,
-        phase.deadline,
-        phase.unavailable,
-        phase.transport,
-        phase.corrupted,
-        phase.errors,
+        phase.tally.overloaded,
+        phase.tally.deadline,
+        phase.tally.unavailable,
+        phase.tally.transport,
+        phase.tally.corrupted,
+        phase.tally.unclassified,
     );
 }
 
 fn main() {
-    let opts = parse_opts();
-    let resil = opts.resilience();
-    let uniform = KeyDist::uniform(&opts);
-    let skewed = opts.traffic.map(|t| KeyDist::skewed(&opts, t));
+    let opts = xtree_cli::parse_env("loadgen", USAGE, Opts::read);
+    let resil = opts.resil;
+    let (uniform, skewed) = (opts.uniform.clone(), opts.skewed.clone());
     let mut doc = Value::object()
         .with("bench", "server")
         .with("conns", opts.conns)
@@ -670,10 +536,9 @@ fn main() {
     }
 
     let mut phases = Vec::new();
-    if let Some(addr) = &opts.addr {
+    if let Some(addr) = opts.addr {
         // External mode: one bounded phase against a live daemon; leave
         // it running for whoever started it.
-        let addr: SocketAddr = addr.parse().expect("--addr must be HOST:PORT");
         let phase = drive(
             "external",
             addr,
@@ -685,21 +550,17 @@ fn main() {
         );
         print_phase(&phase);
         assert_eq!(
-            phase.errors, 0,
+            phase.tally.unclassified, 0,
             "external run must have zero unclassified errors"
         );
         if !resil.tolerant {
-            assert!(phase.ok >= 1, "external run must serve something");
+            assert!(phase.tally.ok >= 1, "external run must serve something");
         }
         phases.push(phase);
     } else {
         let warm_config = ServerConfig {
-            addr: "127.0.0.1:0".into(),
             workers: 4,
-            queue_cap: 64,
             cache_cap: 256,
-            io_timeout: None,
-            chaos: None,
             ..ServerConfig::default()
         };
         let cold_config = ServerConfig {
@@ -749,12 +610,9 @@ fn main() {
         // Saturation probe: one worker, a queue of two, a burst of
         // distinct expensive keys — backpressure must be explicit.
         let tight = ServerConfig {
-            addr: "127.0.0.1:0".into(),
             workers: 1,
             queue_cap: 2,
             cache_cap: 0,
-            io_timeout: None,
-            chaos: None,
             ..ServerConfig::default()
         };
         let burst_conns = opts.conns.max(8);
@@ -775,13 +633,13 @@ fn main() {
         // deadline budget the exact ok/overloaded split is fault-schedule
         // dependent, so only the zero-unclassified invariant stays hard.
         assert_eq!(
-            warm.errors + cold.errors,
+            warm.tally.unclassified + cold.tally.unclassified,
             0,
             "no request may fail unclassified"
         );
         if !resil.tolerant {
             assert_eq!(
-                warm.overloaded + cold.overloaded,
+                warm.tally.overloaded + cold.tally.overloaded,
                 0,
                 "sized queue must not bounce the throughput phases"
             );
@@ -806,11 +664,11 @@ fn main() {
         }
         if !resil.tolerant {
             assert!(
-                saturation.overloaded >= 1,
+                saturation.tally.overloaded >= 1,
                 "saturation probe must observe Overloaded"
             );
             assert_eq!(
-                saturation.overloaded as u64, saturation.stats.overloaded,
+                saturation.tally.overloaded as u64, saturation.stats.overloaded,
                 "client-observed bounces must match server telemetry"
             );
         }
@@ -862,9 +720,15 @@ fn main() {
         let (phase, column) =
             spawn_cluster_and_drive(shards, opts.conns, opts.requests, NODES, &uniform, &resil);
         print_phase(&phase);
-        assert_eq!(phase.errors, 0, "via-router run must not fail unclassified");
+        assert_eq!(
+            phase.tally.unclassified, 0,
+            "via-router run must not fail unclassified"
+        );
         if !resil.tolerant {
-            assert_eq!(phase.ok, phase.requests, "router must serve every request");
+            assert_eq!(
+                phase.tally.ok, phase.requests,
+                "router must serve every request"
+            );
         }
         doc.set("cluster", column);
         phases.push(phase);

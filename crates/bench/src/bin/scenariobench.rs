@@ -20,58 +20,40 @@
 //!
 //! Run with: cargo run --release -p xtree-bench --bin scenariobench
 
+use xtree_cli::Args;
 use xtree_scenario::{matrix_to_json, run_matrix, ScenarioSpec};
+
+const USAGE: &str = "[--smoke] [--spec FILE] [--seed N] [--out FILE]";
 
 struct Opts {
     spec: ScenarioSpec,
-    seed: Option<u64>,
     out: String,
 }
 
-fn parse_opts() -> Opts {
-    let mut spec = None;
-    let mut smoke = false;
-    let mut opts = Opts {
-        spec: ScenarioSpec::default_matrix(),
-        seed: None,
-        out: "results/BENCH_scenarios.json".to_string(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--spec" => {
-                let path = value("--spec");
+impl Opts {
+    fn read(a: &Args) -> Result<Opts, String> {
+        let mut spec = match (a.flag("smoke"), a.get("spec")) {
+            (true, Some(_)) => return Err("--smoke and --spec are mutually exclusive".into()),
+            (true, None) => ScenarioSpec::smoke(),
+            (false, Some(path)) => {
                 let text =
-                    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-                spec = Some(ScenarioSpec::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}")));
+                    std::fs::read_to_string(path).map_err(|e| format!("--spec {path}: {e}"))?;
+                ScenarioSpec::parse(&text).map_err(|e| format!("--spec {path}: {e}"))?
             }
-            "--seed" => opts.seed = Some(value("--seed").parse().expect("--seed")),
-            "--out" => opts.out = value("--out"),
-            other => panic!("unknown argument: {other}"),
+            (false, None) => ScenarioSpec::default_matrix(),
+        };
+        if let Some(seed) = a.num_opt("seed")? {
+            spec.seed = seed;
         }
+        Ok(Opts {
+            spec,
+            out: a.get_or("out", "results/BENCH_scenarios.json").to_string(),
+        })
     }
-    assert!(
-        !(smoke && spec.is_some()),
-        "--smoke and --spec are mutually exclusive"
-    );
-    if let Some(spec) = spec {
-        opts.spec = spec;
-    } else if smoke {
-        opts.spec = ScenarioSpec::smoke();
-    }
-    if let Some(seed) = opts.seed {
-        opts.spec.seed = seed;
-    }
-    opts
 }
 
 fn main() {
-    let opts = parse_opts();
+    let opts = xtree_cli::parse_env("scenariobench", USAGE, Opts::read);
     let reports = run_matrix(&opts.spec).expect("scenario cell failed");
     assert!(!reports.is_empty(), "matrix must have cells");
 

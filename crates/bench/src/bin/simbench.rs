@@ -102,8 +102,10 @@ fn measure(rounds: &[Vec<Message>], mut run: impl FnMut(&[Message]) -> BatchStat
     }
 }
 
+const USAGE: &str = "[--seed N]";
+
 fn main() {
-    let seed = xtree_bench::seed_from_args(0x5EED_BEEF);
+    let seed = xtree_cli::parse_env("simbench", USAGE, |a| a.num_or("seed", 0x5EED_BEEF));
     let mut hosts = Vec::new();
     for (r, batches) in [(8u8, 192usize), (10, 64), (13, 16)] {
         let net = XTreeHost::new(r);

@@ -170,9 +170,12 @@ fn time_pass(
 
 const MODES: [&str; 5] = ["baseline", "noop", "counters", "metrics", "trace"];
 
+const USAGE: &str = "[--smoke] [--seed N]";
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let seed = xtree_bench::seed_from_args(0x5EED_7E1E);
+    let (smoke, seed) = xtree_cli::parse_env("telbench", USAGE, |a| {
+        Ok((a.flag("smoke"), a.num_or("seed", 0x5EED_7E1E)?))
+    });
     let heights: &[(u8, usize)] = if smoke {
         &[(5, 2), (6, 2)]
     } else {

@@ -937,27 +937,27 @@ pub const ALL_IDS: [&str; 16] = [
 /// Slow experiment ids appended by `tables all`.
 pub const SLOW_IDS: [&str; 2] = ["s1", "s2"];
 
-/// Dispatch by id (lowercase). `s1` is separate because it is slow.
-pub fn run(id: &str) -> Option<Table> {
+/// The experiment named `id` (lowercase), found before any of them runs.
+pub fn find(id: &str) -> Option<fn() -> Table> {
     Some(match id {
-        "t1" => t1(),
-        "t2" => t2(),
-        "t3" => t3(),
-        "t4" => t4(),
-        "l1" => l1(),
-        "l2" => l2(),
-        "l3" => l3(),
-        "io" => io(),
-        "f1" => f1(),
-        "f2" => f2(),
-        "delta" | "d" => delta(),
-        "b1" => b1(),
-        "b2" => b2(),
-        "a1" => a1(),
-        "a2" => a2(),
-        "n1" => n1(),
-        "s1" => s1(),
-        "s2" => s2(),
+        "t1" => t1,
+        "t2" => t2,
+        "t3" => t3,
+        "t4" => t4,
+        "l1" => l1,
+        "l2" => l2,
+        "l3" => l3,
+        "io" => io,
+        "f1" => f1,
+        "f2" => f2,
+        "delta" | "d" => delta,
+        "b1" => b1,
+        "b2" => b2,
+        "a1" => a1,
+        "a2" => a2,
+        "n1" => n1,
+        "s1" => s1,
+        "s2" => s2,
         _ => return None,
     })
 }

@@ -4,6 +4,7 @@
 
 pub mod experiments;
 pub mod legacy_theorem1;
+pub mod serving;
 
 use xtree_json::Value;
 use xtree_sim::Message;
@@ -30,22 +31,6 @@ pub fn seeded_batches(seed: u64, n: u64, batches: usize, count: usize) -> Vec<Ve
                 .collect()
         })
         .collect()
-}
-
-/// The `--seed N` convention shared by every bench binary (DESIGN.md
-/// §15): scan argv for the flag, fall back to the bin's historical
-/// constant, so flag-less runs keep reproducing the published numbers.
-/// Derived streams (per-rank, per-phase) mix this base seed rather than
-/// introducing fresh constants.
-pub fn seed_from_args(default: u64) -> u64 {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--seed" {
-            let v = args.next().expect("--seed needs a value");
-            return v.parse().expect("--seed must be an integer");
-        }
-    }
-    default
 }
 
 /// A formatted experiment result.

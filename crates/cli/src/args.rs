@@ -1,106 +1,126 @@
-//! A small, dependency-free argument parser: `--key value` pairs and bare
-//! flags after a subcommand.
+//! Option readers several subcommands share, on top of [`xtree_cli::Args`].
 
-use std::collections::HashMap;
+use crate::{Args, CliError};
+use std::time::Duration;
+use xtree_scenario::TrafficModel;
+use xtree_sim::telemetry::Format;
+use xtree_sim::Backoff;
+use xtree_trees::{BinaryTree, TreeFamily};
 
-/// Parsed command line: subcommand, key-value options, and bare flags.
-#[derive(Debug, Default, Clone)]
-pub struct Args {
-    pub command: String,
-    options: HashMap<String, String>,
-    flags: Vec<String>,
+/// `--family F --nodes N [--seed S]` on `embed`, `simulate` and `trace`:
+/// the seeded guest tree and its family label.
+pub(crate) fn make_tree(a: &Args) -> Result<(BinaryTree, String), String> {
+    let name = a.get_or("family", "random-bst");
+    let family = TreeFamily::parse(name).ok_or_else(|| format!("unknown family `{name}`"))?;
+    let n: usize = a.num_or("nodes", 1008usize)?;
+    if n == 0 {
+        return Err("--nodes must be ≥ 1".into());
+    }
+    let seed: u64 = a.num_or("seed", 7u64)?;
+    Ok((family.generate_seeded(n, seed), family.label()))
 }
 
-impl Args {
-    /// Parses `argv` (without the program name).
-    ///
-    /// # Errors
-    /// Returns a message when an option is missing its value or an argument
-    /// is not of the form `--name [value]`.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
-        let mut it = argv.into_iter().peekable();
-        let command = it.next().unwrap_or_default();
-        let mut args = Args {
-            command,
-            ..Default::default()
+/// `--traffic MODEL` on `embed`/`simulate`: a scenario traffic model, or
+/// `None` when the flag is absent.
+pub(crate) fn parse_traffic(a: &Args) -> Result<Option<TrafficModel>, String> {
+    let parse = |l| TrafficModel::parse(l).ok_or_else(|| format!("unknown traffic model `{l}`"));
+    a.get("traffic").map(parse).transpose()
+}
+
+/// `--backoff fixed:K|exp:B:C` on `simulate` and `cluster`, and the
+/// policy stored in a checkpoint.
+pub(crate) fn parse_backoff(spec: &str) -> Result<Backoff, String> {
+    let bad = || format!("--backoff: `{spec}` is not fixed:K or exp:BASE:CAP");
+    let parts: Vec<&str> = spec.split(':').collect();
+    match parts.as_slice() {
+        ["fixed", k] => k.parse().map(Backoff::Fixed).map_err(|_| bad()),
+        ["exp", b, c] => {
+            let base = b.parse().map_err(|_| bad())?;
+            let cap = c.parse().map_err(|_| bad())?;
+            Ok(Backoff::Exponential { base, cap })
+        }
+        _ => Err(bad()),
+    }
+}
+
+/// The `--backoff` spelling of `b`.
+pub(crate) fn backoff_str(b: Backoff) -> String {
+    match b {
+        Backoff::Fixed(k) => format!("fixed:{k}"),
+        Backoff::Exponential { base, cap } => format!("exp:{base}:{cap}"),
+    }
+}
+
+/// `--metrics FILE --metrics-format jsonl|prom`: the metrics file that
+/// `simulate`, `resume`, `serve` and `cluster` write when they finish.
+pub(crate) struct MetricsOut<'a> {
+    pub(crate) path: Option<&'a str>,
+    format: Format,
+}
+
+impl<'a> MetricsOut<'a> {
+    pub(crate) fn parse(a: &'a Args) -> Result<Self, String> {
+        let format = a.get_or("metrics-format", "jsonl").parse();
+        let format = format.map_err(|e| format!("--metrics-format: {e}"))?;
+        Ok(MetricsOut {
+            path: a.get("metrics"),
+            format,
+        })
+    }
+
+    /// Writes the metrics `render` produces in the chosen format, if a
+    /// file was asked for.
+    pub(crate) fn write(&self, render: impl FnOnce(Format) -> String) -> Result<(), CliError> {
+        let Some(path) = self.path else {
+            return Ok(());
         };
-        while let Some(a) = it.next() {
-            let Some(name) = a.strip_prefix("--") else {
-                return Err(format!("unexpected argument `{a}` (options start with --)"));
-            };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("--{name} is missing its value"))?;
-                    args.options.insert(name.to_string(), v);
-                }
-                _ => args.flags.push(name.to_string()),
-            }
+        std::fs::write(path, render(self.format))
+            .map_err(|e| CliError::Io(format!("--metrics {path}: {e}")))
+    }
+}
+
+/// `--chaos-seed S [--chaos-profile P]` on `serve`/`cluster`: the seeded
+/// fault-injection plan, or `None` when the seed flag is absent.
+pub(crate) fn parse_chaos(a: &Args) -> Result<Option<xtree_server::ChaosPlan>, CliError> {
+    let Some(seed) = a.num_opt("chaos-seed")? else {
+        if a.get("chaos-profile").is_some() {
+            return Err("--chaos-profile requires --chaos-seed".into());
         }
-        Ok(args)
-    }
+        return Ok(None);
+    };
+    let profile = xtree_server::ChaosProfile::parse(a.get_or("chaos-profile", "medium"))
+        .map_err(|e| CliError::Usage(format!("--chaos-profile: {e}")))?;
+    Ok(Some(xtree_server::ChaosPlan::new(seed, profile)))
+}
 
-    /// String option, `None` when absent.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.options.get(name).map(String::as_str)
-    }
-
-    /// String option with a default.
-    pub fn get_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
-        self.options
-            .get(name)
-            .map(String::as_str)
-            .unwrap_or(default)
-    }
-
-    /// Parsed numeric option with a default.
-    ///
-    /// # Errors
-    /// Returns a message when the value does not parse.
-    pub fn num_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.options.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name}: cannot parse `{v}`")),
-        }
-    }
-
-    /// Parsed numeric option, `None` when absent.
-    ///
-    /// # Errors
-    /// Returns a message naming the flag when the value does not parse.
-    pub fn num_opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
-        match self.options.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{name}: cannot parse `{v}`")),
-        }
-    }
-
-    /// True if the bare flag was given.
-    pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
-    }
+/// `--io-timeout-ms T`: per-direction socket timeout for server-side
+/// connections; 0 (the default) keeps blocking I/O.
+pub(crate) fn parse_io_timeout(a: &Args) -> Result<Option<Duration>, CliError> {
+    let ms: u64 = a.num_or("io-timeout-ms", 0u64)?;
+    Ok((ms > 0).then(|| Duration::from_millis(ms)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses an `xtree-cli` command line against its subcommand's usage.
+    fn parse_command(s: &str) -> Result<(&'static str, Args), String> {
+        crate::parse(s.split_whitespace().map(String::from).collect())
+            .map(|(command, a)| (command.0, a))
+            .map_err(|e| e.message().to_string())
+    }
+
     fn parse(s: &str) -> Result<Args, String> {
-        Args::parse(s.split_whitespace().map(String::from))
+        parse_command(s).map(|(_, a)| a)
     }
 
     #[test]
     fn parses_command_options_flags() {
-        let a = parse("embed --family path --nodes 240 --json").unwrap();
-        assert_eq!(a.command, "embed");
+        let (command, a) = parse_command("embed --family path --nodes 240 --json").unwrap();
+        assert_eq!(command, "embed");
         assert_eq!(a.get("family"), Some("path"));
-        assert_eq!(a.get("trace"), None);
+        assert_eq!(a.get("traffic"), None);
         assert_eq!(a.get_or("family", "x"), "path");
         assert_eq!(a.num_or("nodes", 0usize).unwrap(), 240);
         assert!(a.flag("json"));
@@ -146,5 +166,34 @@ mod tests {
         let a = parse("embed --json --nodes 48").unwrap();
         assert!(a.flag("json"));
         assert_eq!(a.num_or("nodes", 0usize).unwrap(), 48);
+    }
+
+    #[test]
+    fn every_usage_name_parses_as_shown() {
+        for (command, usage, _) in &crate::COMMANDS {
+            let names = xtree_cli::options(usage);
+            assert!(!names.is_empty(), "{command}: no options");
+            // Fill a positional first where the synopsis shows one.
+            let lead = if usage.starts_with("--") || usage.starts_with('[') {
+                ""
+            } else {
+                "x "
+            };
+            for (name, takes_value) in names {
+                let with_value = parse(&format!("{command} {lead}--{name} v"));
+                let bare = parse(&format!("{command} {lead}--{name}"));
+                if takes_value {
+                    assert_eq!(
+                        with_value.unwrap().get(name),
+                        Some("v"),
+                        "{command} --{name}"
+                    );
+                    assert!(bare.is_err(), "{command} --{name} needs a value");
+                } else {
+                    assert!(bare.unwrap().flag(name), "{command} --{name}");
+                    assert!(with_value.is_err(), "{command} --{name} takes none");
+                }
+            }
+        }
     }
 }
