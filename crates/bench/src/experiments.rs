@@ -539,7 +539,6 @@ pub fn b1() -> Table {
         let n = generate::theorem1_size(r);
         let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_0002);
         let t = TreeFamily::RandomBst.generate(n, &mut rng);
-        let host = XTree::new(r);
         let entries = [
             ("theorem-1", theorem1::embed(&t).emb),
             ("level-order", baseline::level_order(&t)),
@@ -548,11 +547,11 @@ pub fn b1() -> Table {
         ];
         let mut row = vec![format!("{r}"), format!("{n}")];
         for (_, e) in &entries {
-            let s = metrics::evaluate_on(&t, e, &host);
+            let s = metrics::evaluate(&t, e);
             row.push(format!("{}", s.dilation));
         }
         for (_, e) in &entries {
-            let s = metrics::evaluate_on(&t, e, &host);
+            let s = metrics::evaluate(&t, e);
             row.push(format!("{:.2}", metrics::mean_dilation(&s)));
         }
         rows.push(row);
@@ -762,7 +761,7 @@ pub fn a1() -> Table {
         let t = f.generate(n, &mut rng);
         for (name, opts) in configs {
             let res = theorem1::embed_with(&t, opts);
-            let s = metrics::evaluate_on(&t, &res.emb, &host);
+            let s = metrics::evaluate(&t, &res.emb);
             let congestion = metrics::edge_congestion(&t, &res.emb, &host);
             rows.push(vec![
                 f.name().into(),
@@ -844,7 +843,6 @@ pub fn a2() -> Table {
     let mut rows = Vec::new();
     for cap in [2u16, 4, 8, 16, 32] {
         let n = cap as usize * ((1usize << (r + 1)) - 1);
-        let host = XTree::new(r);
         let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_0006);
         for f in [TreeFamily::Path, TreeFamily::RandomBst] {
             let t = f.generate(n, &mut rng);
@@ -853,7 +851,7 @@ pub fn a2() -> Table {
                 ..Default::default()
             };
             let res = theorem1::embed_with(&t, opts);
-            let s = metrics::evaluate_on(&t, &res.emb, &host);
+            let s = metrics::evaluate(&t, &res.emb);
             rows.push(vec![
                 format!("{cap}"),
                 format!("{n}"),

@@ -9,7 +9,8 @@ use xtree_sim::workload::WORKLOADS;
 use xtree_trees::TreeFamily;
 
 pub(crate) const USAGE: &str = "OP --addr HOST:PORT [--family F] [--nodes N] [--seed S] [--theorem 1|2] [--workload W|all] [--host xtree|hypercube|universal] [--deadline-ms T] [--json]
-                     (OP: embed simulate stats health shutdown)";
+                     (OP: embed simulate stats health shutdown; only embed and simulate take
+                     --family --nodes --seed --theorem --host, and only simulate --workload)";
 
 /// Resolves `--workload W|all` to the wire's workload byte.
 fn wire_workload(name: &str) -> Result<u8, CliError> {
@@ -32,6 +33,18 @@ pub(crate) fn run(a: &Args) -> Result<String, CliError> {
         .map(String::as_str)
         .ok_or("request: missing operation (usage: xtree-cli request OP --addr HOST:PORT)")?;
     let addr = a.get("addr").ok_or("request: missing --addr HOST:PORT")?;
+    // One synopsis serves every OP, so the parser takes each flag for all
+    // of them: refuse the guest flags this OP would ignore.
+    let ignored: &[&str] = match op {
+        "embed" => &["workload"],
+        "stats" | "health" | "shutdown" => {
+            &["family", "nodes", "seed", "theorem", "host", "workload"]
+        }
+        _ => &[],
+    };
+    if let Some(flag) = ignored.iter().find(|f| a.get(f).is_some()) {
+        return Err(format!("request {op} does not read --{flag}").into());
+    }
     let family_name = a.get_or("family", "random-bst");
     let family = TreeFamily::ALL
         .iter()

@@ -10,9 +10,9 @@ use xtree_json::Value;
 use xtree_sim::host::HOST_UNIVERSAL;
 use xtree_sim::telemetry::{Event, MetricsSink, NopSink, Sink, Tee, TraceRecorder};
 use xtree_sim::{
-    encode_checkpoint, simulate_all_faulted_with, simulate_all_with, weighted_congestion,
-    Checkpoint, FaultPlan, FaultSimReport, Host, HostMap, HypercubeHost, RecoveryPolicy,
-    RecoveryTotals, Session, SessionStatus, SimReport, XTreeHost,
+    encode_checkpoint, simulate_all_with, weighted_congestion, Checkpoint, FaultPlan,
+    FaultSimReport, Host, HypercubeHost, RecoveryPolicy, RecoveryTotals, RepairableHost, Session,
+    SessionStatus, SimReport, XTreeHost,
 };
 use xtree_topology::{Csr, Graph};
 use xtree_trees::BinaryTree;
@@ -145,26 +145,26 @@ enum Reports {
     Faulted(Vec<FaultSimReport>),
 }
 
-fn simulate_reports<H: Host, M: HostMap + Sync, S: Sink>(
+fn simulate_reports<H: Host, M: RepairableHost + Clone + Sync, S: Sink>(
     net: &H,
     tree: &BinaryTree,
     emb: &M,
     faults: &Option<FaultArgs>,
     sink: &mut S,
 ) -> Result<Reports, CliError> {
+    let runtime = |e: xtree_sim::SimError| CliError::Runtime(e.to_string());
     match faults {
         // No faults requested: the plan-free path, bit-identical to the
         // pre-fault simulator.
         None => Ok(Reports::Plain(
-            simulate_all_with(net, tree, emb, sink)
-                .map_err(|e| CliError::Runtime(e.to_string()))?,
+            simulate_all_with(net, tree, emb, sink).map_err(runtime)?,
         )),
+        // Faults without `--recover`: a policy-free session, run through.
         Some(f) => {
             let plan = f.plan(net.csr())?;
-            Ok(Reports::Faulted(
-                simulate_all_faulted_with(net, tree, emb, &plan, sink)
-                    .map_err(|e| CliError::Runtime(e.to_string()))?,
-            ))
+            let session = Session::new(net, tree, emb.clone(), plan, None);
+            let (reports, _, _) = session.run_to_completion_with(sink).map_err(runtime)?;
+            Ok(Reports::Faulted(reports))
         }
     }
 }
@@ -173,7 +173,7 @@ fn simulate_reports<H: Host, M: HostMap + Sync, S: Sink>(
 /// the engine when any telemetry flag is present and writing/verifying the
 /// requested files afterwards. `Sink` dispatch is static, so the
 /// no-telemetry path monomorphizes to the uninstrumented loop.
-fn simulate_telemetry<H: Host, M: HostMap + Sync>(
+fn simulate_telemetry<H: Host, M: RepairableHost + Clone + Sync>(
     net: &H,
     tree: &BinaryTree,
     emb: &M,

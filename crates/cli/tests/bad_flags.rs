@@ -32,6 +32,16 @@ fn cli(args: &[&str], limit: Duration) -> (Option<i32>, String, String) {
     )
 }
 
+/// Asserts that `xtree-cli args` exits 2 with no output, naming `named`
+/// and printing the usage.
+fn assert_usage_error(args: &[&str], named: &str) {
+    let (code, stdout, stderr) = cli(args, Duration::from_secs(30));
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert!(stdout.is_empty(), "{args:?} printed {stdout:?}");
+    assert!(stderr.contains(named), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+}
+
 #[test]
 fn bad_embed_flags_exit_2_before_any_work() {
     for (args, named) in [
@@ -40,11 +50,22 @@ fn bad_embed_flags_exit_2_before_any_work() {
         (&["embed", "--nodes"][..], "--nodes"),
         (&["embed", "--json", "extra"][..], "extra"),
     ] {
-        let (code, stdout, stderr) = cli(args, Duration::from_secs(30));
-        assert_eq!(code, Some(2), "{args:?}: {stderr}");
-        assert!(stdout.is_empty(), "{args:?} printed {stdout:?}");
-        assert!(stderr.contains(named), "{args:?}: {stderr}");
-        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert_usage_error(args, named);
+    }
+}
+
+#[test]
+fn request_refuses_a_flag_its_op_does_not_read_before_connecting() {
+    // Nothing listens on port 1: a request that got as far as connecting
+    // would exit 3, not 2.
+    for (op, flag, value) in [
+        ("stats", "--theorem", "9"),
+        ("embed", "--workload", "nosuch"),
+        ("health", "--family", "path"),
+        ("shutdown", "--host", "xtree"),
+    ] {
+        let args = ["request", op, "--addr", "127.0.0.1:1", flag, value];
+        assert_usage_error(&args, flag);
     }
 }
 

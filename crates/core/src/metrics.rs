@@ -6,7 +6,7 @@
 //! deeper image lies in the `N(a)` neighbourhood of the shallower one.
 
 use crate::embedding::XEmbedding;
-use xtree_topology::{neighborhood, XTree};
+use xtree_topology::{analytic_distance, neighborhood, XTree, XTREE_MAX_HEIGHT};
 use xtree_trees::BinaryTree;
 
 /// Summary statistics of an X-tree embedding.
@@ -35,7 +35,12 @@ pub struct EmbeddingStats {
 /// Computes all statistics of `emb` on the X-tree host it names.
 ///
 /// Distances use the exact closed form (`xtree_topology::analytic_distance`),
-/// so evaluation is linear in the number of guest edges.
+/// so evaluation is linear in the number of guest edges and builds no
+/// host.
+///
+/// # Panics
+/// If `emb` does not map every node of `tree`, maps one below its X-tree,
+/// or names an X-tree taller than [`XTREE_MAX_HEIGHT`].
 pub fn evaluate(tree: &BinaryTree, emb: &XEmbedding) -> EmbeddingStats {
     assert_eq!(
         tree.len(),
@@ -43,20 +48,18 @@ pub fn evaluate(tree: &BinaryTree, emb: &XEmbedding) -> EmbeddingStats {
         "embedding does not cover the tree"
     );
     emb.validate();
-    let host = XTree::new(emb.height);
-    evaluate_on(tree, emb, &host)
-}
-
-/// Like [`evaluate`] but reuses an already-built host (for sweeps).
-pub fn evaluate_on(tree: &BinaryTree, emb: &XEmbedding, host: &XTree) -> EmbeddingStats {
-    assert_eq!(host.height(), emb.height);
+    assert!(
+        emb.height <= XTREE_MAX_HEIGHT,
+        "X-tree of height {} would not fit in memory",
+        emb.height
+    );
     let mut histogram = Vec::new();
     let mut dilation = 0u32;
     let mut c3 = 0usize;
     let mut c4 = 0usize;
     for (u, v) in tree.edges() {
         let (a, b) = (emb.image(u), emb.image(v));
-        let d = host.distance(a, b);
+        let d = analytic_distance(a, b);
         dilation = dilation.max(d);
         if histogram.len() <= d as usize {
             histogram.resize(d as usize + 1, 0);

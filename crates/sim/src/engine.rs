@@ -26,15 +26,20 @@
 //! across batches, so the buffers grow once and a batch costs its hops,
 //! not the host's link count.
 //!
-//! **Faults.** [`Engine::run_batch_faulted`] delivers a batch while a
-//! [`FaultState`] kills and repairs links/nodes mid-flight. Routing then
-//! comes from cached survivor-graph BFS tables instead of the closed-form
-//! router, messages whose destination is currently unreachable wait for
-//! repairs, and the result is a [`BatchOutcome`] instead of bare stats:
-//! full delivery, partial delivery with the stranded messages, or a
-//! `Stalled` diagnosis from the progress watchdog — never a hang and
-//! never a panic. The fault-free path does not check a single fault flag,
-//! so scheduling no faults costs nothing.
+//! **One cycle, two loops.** [`Engine::run_batch`] and
+//! [`Engine::run_batch_faulted`] load a batch the same way, run the same
+//! delivery cycle (pass 1 claims links, pass 2 advances the winners), and
+//! fold the same [`BatchStats`]. They differ only in the router the cycle
+//! takes and in what each loop checks between cycles. The fault-free loop
+//! routes with the host's closed-form `next_hop` and keeps a `Diverged`
+//! bound. The faulted loop routes on [`FaultState`]'s survivor tables,
+//! applies due faults and re-routes everything after each, parks messages
+//! whose destination is cut off, jumps the idle clock to the next repair,
+//! and ends in a [`BatchOutcome`]: full delivery, partial delivery with
+//! the stranded messages, or a `Stalled` diagnosis from its watchdog —
+//! never a hang and never a panic. A state with nothing down and nothing
+//! scheduled takes the fault-free loop, so scheduling no faults costs
+//! nothing.
 //!
 //! **Telemetry.** [`Engine::run_batch_with`] and
 //! [`Engine::run_batch_faulted_with`] thread a [`Sink`] through the cycle
@@ -199,7 +204,12 @@ impl Engine {
         self.clock = self.clock.max(clock);
     }
 
-    fn reserve(&mut self, links: usize, messages: usize) {
+    /// Loads a batch, reporting its start to `sink`: every message at its
+    /// source, and the ascending ids of those not already home, unrouted.
+    /// Returns the longest route on the undamaged host, the batch's ideal
+    /// cycles.
+    fn load<H: Host, S: Sink>(&mut self, net: &H, messages: &[Message], sink: &mut S) -> u32 {
+        let links = net.csr().directed_edge_count();
         if self.claim.len() < links {
             // Every slot is zero between batches, so nothing needs copying:
             // free the old buffers first, then take zeroed ones.
@@ -211,14 +221,122 @@ impl Engine {
         self.at.clear();
         self.dst.clear();
         self.active.clear();
-        self.at.reserve(messages);
-        self.dst.reserve(messages);
-        self.active.reserve(messages);
-        self.claimed.reserve(messages.min(links));
-        if self.hop_to.len() < messages {
-            self.hop_to.resize(messages, 0);
-            self.hop_edge.resize(messages, 0);
+        self.at.reserve(messages.len());
+        self.dst.reserve(messages.len());
+        self.active.reserve(messages.len());
+        self.claimed.reserve(messages.len().min(links));
+        if self.hop_to.len() < messages.len() {
+            self.hop_to.resize(messages.len(), 0);
+            self.hop_edge.resize(messages.len(), 0);
         }
+        if S::ACTIVE {
+            sink.record(Event::BatchStarted {
+                messages: messages.len() as u32,
+            });
+        }
+        let mut ideal_cycles = 0u32;
+        let mut route_hops = 0usize;
+        for (i, m) in messages.iter().enumerate() {
+            self.at.push(m.src);
+            self.dst.push(m.dst);
+            if m.src != m.dst {
+                self.active.push(i as u32);
+            }
+            let d = net.distance(m.src, m.dst);
+            ideal_cycles = ideal_cycles.max(d);
+            route_hops += d as usize;
+        }
+        // On the undamaged host every message walks a shortest route, so
+        // the batch crosses at most this many distinct links.
+        self.touched.reserve(route_hops.min(links));
+        ideal_cycles
+    }
+
+    /// Routes every undelivered message afresh.
+    fn reroute(
+        &mut self,
+        graph: &Csr,
+        route: &mut impl FnMut(u32, u32) -> Option<u32>,
+    ) -> Result<(), SimError> {
+        for k in 0..self.active.len() {
+            let i = self.active[k] as usize;
+            (self.hop_to[i], self.hop_edge[i]) = hop(graph, self.at[i], self.dst[i], route)?;
+        }
+        Ok(())
+    }
+
+    /// One delivery cycle, the batch's `cycle`th, shared by both loops;
+    /// returns the hops taken. Inlined into each loop, so the fault-free
+    /// router folds into it.
+    #[inline(always)]
+    fn cycle<S: Sink>(
+        &mut self,
+        graph: &Csr,
+        cycle: u64,
+        sink: &mut S,
+        route: &mut impl FnMut(u32, u32) -> Option<u32>,
+    ) -> Result<u64, SimError> {
+        self.clock += 1;
+        // Pass 1: the lowest id claims each link (active ids are
+        // ascending, so first writer wins); parked messages claim nothing.
+        // Hops were routed when the message last moved.
+        for &i in &self.active {
+            let e = self.hop_edge[i as usize];
+            if e != UNROUTABLE && self.claim[e as usize] == 0 {
+                self.claim[e as usize] = i + 1;
+                self.claimed.push(e);
+            }
+        }
+        // Pass 2: advance claim winners and route their next hop; compact
+        // survivors in place, preserving ascending id order.
+        let mut hops = 0u64;
+        let mut w = 0usize;
+        for k in 0..self.active.len() {
+            let i = self.active[k];
+            let e = self.hop_edge[i as usize];
+            if e != UNROUTABLE && self.claim[e as usize] == i + 1 {
+                let to = self.hop_to[i as usize];
+                if S::ACTIVE {
+                    sink.record(Event::HopTaken {
+                        cycle,
+                        msg: i,
+                        from: self.at[i as usize],
+                        to,
+                        edge: e,
+                    });
+                }
+                self.at[i as usize] = to;
+                hops += 1;
+                if self.traffic[e as usize] == 0 {
+                    self.touched.push(e);
+                }
+                self.traffic[e as usize] += 1;
+                let dst = self.dst[i as usize];
+                if to == dst {
+                    if S::ACTIVE {
+                        sink.record(Event::MessageDelivered {
+                            cycle,
+                            msg: i,
+                            at: to,
+                        });
+                    }
+                    continue; // delivered — drop from the active list
+                }
+                (self.hop_to[i as usize], self.hop_edge[i as usize]) = hop(graph, to, dst, route)?;
+            } else if S::ACTIVE && e != UNROUTABLE {
+                sink.record(Event::LinkContended {
+                    cycle,
+                    edge: e,
+                    msg: i,
+                    winner: self.claim[e as usize] - 1,
+                });
+            }
+            self.active[w] = i;
+            w += 1;
+        }
+        self.active.truncate(w);
+        self.release_claims();
+        Ok(hops)
     }
 
     /// Releases this cycle's link claims.
@@ -229,8 +347,19 @@ impl Engine {
         self.claimed.clear();
     }
 
-    /// Folds the per-link traffic counters into the batch congestion and
-    /// resets them, leaving the scratch ready for the next batch.
+    /// The stats of a finished batch. Folds the per-link traffic counters
+    /// into its congestion and resets them for the next batch.
+    fn stats(&mut self, cycles: u32, ideal_cycles: u32, messages: usize, hops: u64) -> BatchStats {
+        BatchStats {
+            cycles,
+            ideal_cycles,
+            messages,
+            max_link_traffic: self.drain_traffic(),
+            total_hops: hops,
+        }
+    }
+
+    /// Resets the traffic counters, returning the largest.
     fn drain_traffic(&mut self) -> u32 {
         let mut max_link_traffic = 0u32;
         for &e in &self.touched {
@@ -283,44 +412,20 @@ impl Engine {
         out
     }
 
-    /// The fault-free cycle loop behind [`Engine::run_batch_with`], which
-    /// cleans up after its errors.
+    /// The fault-free loop behind [`Engine::run_batch_with`], which cleans
+    /// up after its errors: the host's router, and the `Diverged` bound.
     fn deliver<H: Host, S: Sink>(
         &mut self,
         net: &H,
         messages: &[Message],
         sink: &mut S,
     ) -> Result<BatchStats, SimError> {
-        let graph: &Csr = net.csr();
-        self.reserve(graph.directed_edge_count(), messages.len());
-        if S::ACTIVE {
-            sink.record(Event::BatchStarted {
-                messages: messages.len() as u32,
-            });
-        }
-        let mut ideal_cycles = 0u32;
-        let mut route_hops = 0usize;
-        for (i, m) in messages.iter().enumerate() {
-            self.at.push(m.src);
-            self.dst.push(m.dst);
-            if m.src != m.dst {
-                self.active.push(i as u32);
-                let to = net.next_hop(m.src, m.dst);
-                self.hop_to[i] = to;
-                self.hop_edge[i] = graph
-                    .directed_edge_index(m.src, to)
-                    .ok_or(SimError::RouterInvariant { at: m.src, to })?;
-            }
-            let d = net.distance(m.src, m.dst);
-            ideal_cycles = ideal_cycles.max(d);
-            route_hops += d as usize;
-        }
-        // Every message walks a shortest route, so the batch crosses at
-        // most this many distinct links.
-        self.touched
-            .reserve(route_hops.min(graph.directed_edge_count()));
+        let graph = net.csr();
+        let ideal_cycles = self.load(net, messages, sink);
+        let mut route = |at, dst| Some(net.next_hop(at, dst));
+        self.reroute(graph, &mut route)?;
         let mut cycles = 0u32;
-        let mut total_hops = 0u64;
+        let mut hops = 0u64;
         while !self.active.is_empty() {
             cycles += 1;
             if cycles > 4 * (ideal_cycles + 1) * (messages.len() as u32 + 1) {
@@ -329,98 +434,9 @@ impl Engine {
                     undelivered: self.active.len(),
                 });
             }
-            self.clock += 1;
-            // Pass 1: the lowest id claims each link (active ids are
-            // ascending, so first writer wins). Hops were routed when the
-            // message last moved.
-            for &i in &self.active {
-                let e = self.hop_edge[i as usize] as usize;
-                if self.claim[e] == 0 {
-                    self.claim[e] = i + 1;
-                    self.claimed.push(e as u32);
-                }
-            }
-            // Pass 2: advance claim winners and route their next hop;
-            // compact survivors in place, preserving ascending id order.
-            let mut w = 0usize;
-            for k in 0..self.active.len() {
-                let i = self.active[k];
-                let e = self.hop_edge[i as usize] as usize;
-                if self.claim[e] == i + 1 {
-                    let to = self.hop_to[i as usize];
-                    if S::ACTIVE {
-                        sink.record(Event::HopTaken {
-                            cycle: u64::from(cycles),
-                            msg: i,
-                            from: self.at[i as usize],
-                            to,
-                            edge: e as u32,
-                        });
-                    }
-                    self.at[i as usize] = to;
-                    total_hops += 1;
-                    if self.traffic[e] == 0 {
-                        self.touched.push(e as u32);
-                    }
-                    self.traffic[e] += 1;
-                    let dst = self.dst[i as usize];
-                    if to == dst {
-                        if S::ACTIVE {
-                            sink.record(Event::MessageDelivered {
-                                cycle: u64::from(cycles),
-                                msg: i,
-                                at: to,
-                            });
-                        }
-                        continue; // delivered — drop from the active list
-                    }
-                    let next = net.next_hop(to, dst);
-                    self.hop_to[i as usize] = next;
-                    self.hop_edge[i as usize] = graph
-                        .directed_edge_index(to, next)
-                        .ok_or(SimError::RouterInvariant { at: to, to: next })?;
-                } else if S::ACTIVE {
-                    sink.record(Event::LinkContended {
-                        cycle: u64::from(cycles),
-                        edge: e as u32,
-                        msg: i,
-                        winner: self.claim[e] - 1,
-                    });
-                }
-                self.active[w] = i;
-                w += 1;
-            }
-            self.active.truncate(w);
-            self.release_claims();
+            hops += self.cycle(graph, u64::from(cycles), sink, &mut route)?;
         }
-        Ok(BatchStats {
-            cycles,
-            ideal_cycles,
-            messages: messages.len(),
-            max_link_traffic: self.drain_traffic(),
-            total_hops,
-        })
-    }
-
-    /// Routes message `i` on the survivor graph, parking it as
-    /// [`UNROUTABLE`] when its destination is currently cut off.
-    fn route_survivor(
-        &mut self,
-        graph: &Csr,
-        faults: &mut FaultState,
-        i: usize,
-    ) -> Result<(), SimError> {
-        let (at, dst) = (self.at[i], self.dst[i]);
-        match faults.next_hop(graph, at, dst) {
-            Some(to) if to != at => {
-                self.hop_to[i] = to;
-                self.hop_edge[i] = graph
-                    .directed_edge_index(at, to)
-                    .ok_or(SimError::RouterInvariant { at, to })?;
-            }
-            _ => self.hop_edge[i] = UNROUTABLE,
-        }
-        Ok(())
+        Ok(self.stats(cycles, ideal_cycles, messages.len(), hops))
     }
 
     /// Delivers `messages` on `net` while `faults` damages and repairs the
@@ -477,8 +493,8 @@ impl Engine {
         faults: &mut FaultState,
         sink: &mut S,
     ) -> Result<BatchOutcome, SimError> {
-        // A trivial state never affects delivery: take the fault-free fast
-        // path, which checks no fault flags at all.
+        // A trivial state never affects delivery: take the fault-free
+        // loop, which reads no fault state at all.
         if faults.is_trivial() {
             return Ok(BatchOutcome::Delivered(
                 self.run_batch_with(net, messages, sink)?,
@@ -491,8 +507,10 @@ impl Engine {
         out
     }
 
-    /// The faulted cycle loop behind [`Engine::run_batch_faulted_with`],
-    /// which cleans up after its errors.
+    /// The faulted loop behind [`Engine::run_batch_faulted_with`], which
+    /// cleans up after its errors: fault application, the re-route sweep,
+    /// the idle jump, stranding, and the `Stalled` bound around the
+    /// survivor router.
     fn deliver_faulted<H: Host, S: Sink>(
         &mut self,
         net: &H,
@@ -507,21 +525,7 @@ impl Engine {
         }
         let graph: &Csr = net.csr();
         faults.check_host(graph)?;
-        self.reserve(graph.directed_edge_count(), messages.len());
-        if S::ACTIVE {
-            sink.record(Event::BatchStarted {
-                messages: messages.len() as u32,
-            });
-        }
-        let mut ideal_cycles = 0u32;
-        for (i, m) in messages.iter().enumerate() {
-            self.at.push(m.src);
-            self.dst.push(m.dst);
-            if m.src != m.dst {
-                self.active.push(i as u32);
-            }
-            ideal_cycles = ideal_cycles.max(net.distance(m.src, m.dst));
-        }
+        let ideal_cycles = self.load(net, messages, sink);
         let horizon = faults
             .horizon()
             .map_or(0, |h| u64::from(h.saturating_sub(faults.clock())));
@@ -529,7 +533,7 @@ impl Engine {
             + (graph.node_count() as u64 + 1) * (messages.len() as u64 + 1)
             + u64::from(faults.max_idle_wait());
         let mut cycles = 0u64;
-        let mut total_hops = 0u64;
+        let mut hops = 0u64;
         let mut need_reroute = true;
         let end = loop {
             if self.active.is_empty() {
@@ -548,10 +552,7 @@ impl Engine {
                 }
             }
             if need_reroute {
-                for k in 0..self.active.len() {
-                    let i = self.active[k] as usize;
-                    self.route_survivor(graph, faults, i)?;
-                }
+                self.reroute(graph, &mut survivor(graph, faults))?;
                 need_reroute = false;
                 if S::ACTIVE {
                     sink.record(Event::RerouteComputed {
@@ -593,78 +594,13 @@ impl Engine {
             if cycles > hard_limit {
                 break End::Stalled(None);
             }
-            self.clock += 1;
-            // Pass 1: claims, exactly as in the fault-free loop — waiting
-            // messages do not claim, and routes are never stale here (they
-            // are rebuilt on every topology change), so a claimed link is
-            // always alive.
-            for &i in &self.active {
-                let e = self.hop_edge[i as usize];
-                if e == UNROUTABLE {
-                    continue;
-                }
-                let e = e as usize;
-                if self.claim[e] == 0 {
-                    self.claim[e] = i + 1;
-                    self.claimed.push(e as u32);
-                }
-            }
-            // Pass 2: advance winners, re-route them on the survivor graph.
-            let mut w = 0usize;
-            for k in 0..self.active.len() {
-                let i = self.active[k];
-                let e = self.hop_edge[i as usize];
-                if e != UNROUTABLE && self.claim[e as usize] == i + 1 {
-                    let e = e as usize;
-                    let to = self.hop_to[i as usize];
-                    if S::ACTIVE {
-                        sink.record(Event::HopTaken {
-                            cycle: cycles,
-                            msg: i,
-                            from: self.at[i as usize],
-                            to,
-                            edge: e as u32,
-                        });
-                    }
-                    self.at[i as usize] = to;
-                    total_hops += 1;
-                    if self.traffic[e] == 0 {
-                        self.touched.push(e as u32);
-                    }
-                    self.traffic[e] += 1;
-                    if to == self.dst[i as usize] {
-                        if S::ACTIVE {
-                            sink.record(Event::MessageDelivered {
-                                cycle: cycles,
-                                msg: i,
-                                at: to,
-                            });
-                        }
-                        continue; // delivered
-                    }
-                    self.route_survivor(graph, faults, i as usize)?;
-                } else if S::ACTIVE && e != UNROUTABLE {
-                    sink.record(Event::LinkContended {
-                        cycle: cycles,
-                        edge: e,
-                        msg: i,
-                        winner: self.claim[e as usize] - 1,
-                    });
-                }
-                self.active[w] = i;
-                w += 1;
-            }
-            self.active.truncate(w);
-            self.release_claims();
+            // Routes are rebuilt on every topology change, so a claimed
+            // link is always alive.
+            hops += self.cycle(graph, cycles, sink, &mut survivor(graph, faults))?;
         };
         let undelivered: Vec<u32> = std::mem::take(&mut self.active);
-        let stats = BatchStats {
-            cycles: u32::try_from(cycles).unwrap_or(u32::MAX),
-            ideal_cycles,
-            messages: messages.len(),
-            max_link_traffic: self.drain_traffic(),
-            total_hops,
-        };
+        let cycles = u32::try_from(cycles).unwrap_or(u32::MAX);
+        let stats = self.stats(cycles, ideal_cycles, messages.len(), hops);
         Ok(match end {
             End::Delivered => BatchOutcome::Delivered(stats),
             End::Stranded => BatchOutcome::Partial {
@@ -678,6 +614,33 @@ impl Engine {
             },
         })
     }
+}
+
+/// The hop `route` names from `at` toward `dst` and its link, or
+/// [`UNROUTABLE`] (the message parks) when `route` names none.
+#[inline(always)]
+fn hop(
+    graph: &Csr,
+    at: u32,
+    dst: u32,
+    route: &mut impl FnMut(u32, u32) -> Option<u32>,
+) -> Result<(u32, u32), SimError> {
+    match route(at, dst) {
+        Some(to) => match graph.directed_edge_index(at, to) {
+            Some(e) => Ok((to, e)),
+            None => Err(SimError::RouterInvariant { at, to }),
+        },
+        None => Ok((at, UNROUTABLE)),
+    }
+}
+
+/// The faulted loop's router: the next hop on `faults`' survivor tables,
+/// or none (park) while the destination is cut off.
+fn survivor<'a>(
+    graph: &'a Csr,
+    faults: &'a mut FaultState,
+) -> impl FnMut(u32, u32) -> Option<u32> + 'a {
+    move |at, dst| faults.next_hop(graph, at, dst).filter(|&to| to != at)
 }
 
 /// Delivers one batch on a throwaway [`Engine`].
@@ -696,29 +659,6 @@ pub fn run_batch<H: Host>(net: &H, messages: &[Message]) -> Result<BatchStats, S
 pub fn run_rounds<H: Host>(net: &H, rounds: &[Vec<Message>]) -> Result<Vec<BatchStats>, SimError> {
     let mut engine = Engine::new();
     rounds.iter().map(|r| engine.run_batch(net, r)).collect()
-}
-
-/// Runs a batch sequence under one persistent [`FaultState`]: damage and
-/// the fault clock carry across rounds, so a link that dies in round 2
-/// stays dead for round 3 unless the plan repairs it.
-///
-/// # Errors
-/// See [`Engine::run_batch_faulted`].
-pub fn run_rounds_faulted<H: Host>(
-    net: &H,
-    rounds: &[Vec<Message>],
-    faults: &mut FaultState,
-) -> Result<Vec<BatchOutcome>, SimError> {
-    let mut engine = Engine::new();
-    rounds
-        .iter()
-        .map(|r| engine.run_batch_faulted(net, r, faults))
-        .collect()
-}
-
-/// Total cycles across a batch sequence.
-pub fn total_cycles(stats: &[BatchStats]) -> u32 {
-    stats.iter().map(|s| s.cycles).sum()
 }
 
 #[cfg(test)]
@@ -870,7 +810,7 @@ mod tests {
             vec![Message { src: 2, dst: 4 }],
         ];
         let stats = run_rounds(&net, &rounds).unwrap();
-        assert_eq!(total_cycles(&stats), 4);
+        assert_eq!(stats.iter().map(|s| s.cycles).sum::<u32>(), 4);
     }
 
     #[test]
@@ -1150,14 +1090,13 @@ mod tests {
         let net = cycle_net(6);
         let plan = FaultPlan::new().link_down(0, 0, 1).link_up(5, 0, 1);
         let mut faults = FaultState::new(net.csr(), plan).unwrap();
-        let rounds = vec![
-            vec![Message { src: 0, dst: 1 }], // detours: 5 cycles
-            vec![Message { src: 0, dst: 1 }], // healed: 1 cycle
-        ];
-        let outs = run_rounds_faulted(&net, &rounds, &mut faults).unwrap();
-        assert_eq!(outs[0].stats().cycles, 5);
-        assert_eq!(outs[1].stats().cycles, 1);
-        assert!(outs.iter().all(|o| o.delivered_all()));
+        let mut engine = Engine::new();
+        let msgs = [Message { src: 0, dst: 1 }];
+        let detour = engine.run_batch_faulted(&net, &msgs, &mut faults).unwrap();
+        let healed = engine.run_batch_faulted(&net, &msgs, &mut faults).unwrap();
+        assert_eq!(detour.stats().cycles, 5);
+        assert_eq!(healed.stats().cycles, 1);
+        assert!(detour.delivered_all() && healed.delivered_all());
     }
 
     #[test]

@@ -12,17 +12,19 @@
 //!   message rounds derived from a guest tree and an embedding, built
 //!   once per guest as flat arrays;
 //! * [`engine`] — cycle-accurate delivery with per-link contention, with
-//!   reusable allocation-free scratch state in [`engine::Engine`];
+//!   reusable allocation-free scratch state in [`engine::Engine`]; the
+//!   fault-free and faulted loops share one delivery cycle;
 //! * [`fault`] — deterministic link/node failure schedules and the cached
 //!   survivor-graph routing the engine falls back to under damage;
 //! * [`error`] — the [`SimError`] type every fallible entry point returns
 //!   instead of panicking;
-//! * [`stats`] — per-workload reports (fault-free and degraded) and
-//!   rayon-parallel sweeps;
+//! * [`stats`] — fault-free per-workload reports, congestion and load
+//!   scores, rayon-parallel sweeps, and the degraded-delivery report row;
 //! * [`recovery`] — the self-healing supervisor: embedding repair,
 //!   stranded-message retry with backoff, provable-unreachability cutoff;
-//! * [`session`] — the four-workload experiment as a resumable state
-//!   machine with deterministic snapshots;
+//! * [`session`] — the one driver of the four workloads under a fault
+//!   plan, supervised or not: a resumable state machine with
+//!   deterministic snapshots;
 //! * [`checkpoint`] — the versioned `XCKPT1` container tying a session
 //!   snapshot, the current embedding, and the telemetry trace together;
 //! * [`telemetry`] (re-export of `xtree-telemetry`) — event sinks, binary
@@ -40,9 +42,7 @@ pub mod stats;
 pub mod workload;
 
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, Checkpoint};
-pub use engine::{
-    run_batch, run_rounds, run_rounds_faulted, BatchOutcome, BatchStats, Engine, Message,
-};
+pub use engine::{run_batch, run_rounds, BatchOutcome, BatchStats, Engine, Message};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultState, DEFAULT_MAX_IDLE_WAIT};
 pub use recovery::{
@@ -51,9 +51,9 @@ pub use recovery::{
 };
 pub use session::{RecoveryTotals, Session, SessionSnapshot, SessionStatus};
 pub use stats::{
-    compute_load, congestion, simulate_all, simulate_all_faulted, simulate_all_faulted_with,
-    simulate_all_in, simulate_all_with, simulate_one_in, simulate_one_with, simulate_step, sweep,
-    sweep_counted, weighted_congestion, FaultSimReport, SimReport, StepReport,
+    compute_load, congestion, simulate_all, simulate_all_in, simulate_all_with, simulate_one_in,
+    simulate_one_with, simulate_step, sweep, weighted_congestion, FaultSimReport, SimReport,
+    StepReport,
 };
 pub use workload::HostMap;
 pub use xtree_host as host;

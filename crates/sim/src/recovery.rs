@@ -162,6 +162,11 @@ impl RepairableHost for XEmbedding {
 /// apply.
 impl RepairableHost for QEmbedding {}
 
+/// The flat guest map every host backend shares (`xtree_host::guest_map`)
+/// has no repair either: it lets a policy-free [`Session`](crate::Session)
+/// drive any host.
+impl RepairableHost for Vec<u32> {}
+
 /// Engine statistics of one supervisor attempt.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AttemptStats {

@@ -1,9 +1,9 @@
-//! Resumable experiment sessions: the canonical four-workload run as an
-//! explicit state machine.
+//! Resumable experiment sessions: the canonical four-workload run under a
+//! fault plan, as an explicit state machine.
 //!
-//! `stats::simulate_all_faulted_with` runs broadcast / reduce / exchange /
-//! divide-and-conquer to completion in one call. A [`Session`] is the same
-//! experiment unrolled into *rounds you can stop between*: it owns the
+//! A [`Session`] is the one driver of the four workloads (broadcast /
+//! reduce / exchange / divide-and-conquer) under a fault plan, supervised
+//! or not. It runs them as *rounds you can stop between*: it owns the
 //! engine, the embedding (recovery repairs mutate it), the per-workload
 //! [`FaultState`], and the partially-built reports, and it can
 //! [`snapshot`](Session::snapshot) all of that into a compact byte blob at
@@ -13,14 +13,19 @@
 //! telemetry trace the uninterrupted run would have (the checkpoint tests
 //! diff the bytes).
 //!
-//! Rounds are regenerated from the **current** embedding just before they
-//! run, so when a recovery pass migrates guests, every later round's
-//! traffic automatically follows them — and a snapshot only ever needs the
-//! current embedding, never the message backlog.
+//! Each workload's rounds are built once, from the **current** embedding,
+//! when the workload starts, and built again only after a recovery pass
+//! has migrated a guest, so every later round's traffic follows the moved
+//! guests. A round is a pure function of the guest and the embedding, so a
+//! snapshot only ever needs the current embedding, never the message
+//! backlog.
 //!
-//! Without a [`RecoveryPolicy`] the session drives the engine exactly like
-//! `simulate_all_faulted_with` (same calls, same event stream, same
-//! reports) — supervision is strictly opt-in.
+//! Without a [`RecoveryPolicy`] each round is one
+//! [`Engine::run_batch_faulted_with`] call on a fault clock that restarts
+//! with every workload, so each workload sees the same damage schedule.
+//! Rounds after a watchdog stall are skipped; stranded messages do not
+//! stop later rounds, as for a program that times out on lost peers and
+//! moves on. Supervision is strictly opt-in.
 
 use crate::engine::{BatchOutcome, Engine};
 use crate::error::SimError;
@@ -66,6 +71,8 @@ pub struct Session<'a, H: Host, M: RepairableHost> {
     policy: Option<RecoveryPolicy>,
     engine: Engine,
     faults: Option<FaultState>,
+    /// The rounds of workload `workload_idx`, once built.
+    rounds: Option<Rounds>,
     workload_idx: usize,
     round_idx: usize,
     completed: Vec<FaultSimReport>,
@@ -105,6 +112,7 @@ impl<'a, H: Host, M: RepairableHost> Session<'a, H, M> {
             policy,
             engine: Engine::new(),
             faults: None,
+            rounds: None,
             workload_idx: 0,
             round_idx: 0,
             completed: Vec::new(),
@@ -150,24 +158,26 @@ impl<'a, H: Host, M: RepairableHost> Session<'a, H, M> {
     ) -> Result<SessionStatus, SimError> {
         let mut done = 0usize;
         while self.workload_idx < WORKLOADS.len() {
-            let rounds = Rounds::new(self.tree, &self.emb, Some(self.workload_idx));
-            if self.partial.stalled || self.round_idx >= rounds.count(self.workload_idx) {
+            let idx = self.workload_idx;
+            let rounds = self
+                .rounds
+                .get_or_insert_with(|| Rounds::new(self.tree, &self.emb, Some(idx)));
+            if self.partial.stalled || self.round_idx >= rounds.count(idx) {
                 // Workload finished (or cut short): bank its report.
-                let next = self.workload_idx + 1;
                 self.completed
-                    .push(std::mem::replace(&mut self.partial, empty_report(next)));
-                self.workload_idx = next;
+                    .push(std::mem::replace(&mut self.partial, empty_report(idx + 1)));
+                self.workload_idx = idx + 1;
                 self.round_idx = 0;
                 self.faults = None;
+                self.rounds = None;
                 continue;
             }
             if done >= budget {
                 return Ok(SessionStatus::Paused);
             }
-            let batch = rounds.round(self.workload_idx, self.round_idx);
+            let batch = rounds.round(idx, self.round_idx);
             if self.faults.is_none() {
-                // Each workload replays the damage schedule from cycle 0,
-                // matching `simulate_all_faulted_with`.
+                // Each workload replays the damage schedule from cycle 0.
                 self.faults = Some(FaultState::new(self.net.csr(), self.plan.clone())?);
             }
             let faults = self.faults.as_mut().expect("initialised above");
@@ -221,6 +231,10 @@ impl<'a, H: Host, M: RepairableHost> Session<'a, H, M> {
                     self.totals.stranded += out.stranded().len() as u64;
                     if let Some(r) = &out.repair {
                         self.totals.migrated += r.migrated as u64;
+                        if r.migrated > 0 {
+                            // Later rounds follow the moved guests.
+                            self.rounds = None;
+                        }
                     }
                 }
             }
@@ -455,6 +469,7 @@ impl<'a, H: Host> Session<'a, H, XEmbedding> {
             policy,
             engine,
             faults,
+            rounds: None,
             workload_idx,
             round_idx,
             completed,
@@ -467,12 +482,55 @@ impl<'a, H: Host> Session<'a, H, XEmbedding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::simulate_all_faulted_with;
+    use crate::workload::HostMap;
     use xtree_core::metrics::heap_order_embedding;
     use xtree_host::XTreeHost;
     use xtree_telemetry::{NopSink, TraceRecorder};
     use xtree_topology::Graph;
     use xtree_trees::generate;
+
+    /// The policy-free four-workload fold `Session` replaced, verbatim:
+    /// the oracle a policy-free session must match call for call.
+    fn simulate_all_faulted_with<H: Host, M: HostMap + Sync, S: Sink>(
+        net: &H,
+        tree: &BinaryTree,
+        emb: &M,
+        plan: &FaultPlan,
+        sink: &mut S,
+    ) -> Result<Vec<FaultSimReport>, SimError> {
+        let mut engine = Engine::new();
+        let rounds = Rounds::new(tree, emb, None);
+        WORKLOADS
+            .iter()
+            .enumerate()
+            .map(|(idx, &name)| {
+                let mut faults = FaultState::new(net.csr(), plan.clone())?;
+                let mut rep = FaultSimReport {
+                    workload: name,
+                    cycles: 0,
+                    ideal_cycles: 0,
+                    messages: 0,
+                    delivered: 0,
+                    stranded: 0,
+                    stalled: false,
+                };
+                for round in rounds.workload(idx) {
+                    let out = engine.run_batch_faulted_with(net, round, &mut faults, sink)?;
+                    let s = out.stats();
+                    rep.cycles += s.cycles;
+                    rep.ideal_cycles += s.ideal_cycles;
+                    rep.messages += s.messages;
+                    rep.delivered += s.messages - out.undelivered().len();
+                    rep.stranded += out.stranded().len();
+                    if let BatchOutcome::Stalled { .. } = out {
+                        rep.stalled = true;
+                        break;
+                    }
+                }
+                Ok(rep)
+            })
+            .collect()
+    }
 
     fn setup(height: u8) -> (XTreeHost, BinaryTree, XEmbedding) {
         let net = XTreeHost::new(height);
@@ -555,6 +613,29 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn rounds_after_a_migration_follow_the_moved_guest() {
+        // Vertex 1 hosts guest 1 and dies before the first broadcast
+        // round, which repairs it away; guest 1 sends in the next round.
+        let (net, tree, emb) = setup(3);
+        let plan = FaultPlan::new().node_down(0, 1);
+        let policy = Some(RecoveryPolicy::default());
+        let session = Session::new(&net, &tree, emb.clone(), plan.clone(), policy.clone());
+        let (reports, totals, repaired) = session.run_to_completion_with(&mut NopSink).unwrap();
+        assert!(totals.migrated > 0, "the fault must move a guest");
+        // Oracle: a session resumed at every round boundary builds each
+        // round from the embedding as it stands then.
+        let mut step = Session::new(&net, &tree, emb, plan, policy.clone());
+        while step.run_with(1, &mut NopSink).unwrap() == SessionStatus::Paused {
+            let snap = step.snapshot();
+            step =
+                Session::resume(&net, &tree, step.into_embedding(), policy.clone(), &snap).unwrap();
+        }
+        assert_eq!(step.reports(), &reports[..]);
+        assert_eq!(step.totals(), totals);
+        assert_eq!(step.into_embedding().map, repaired.map);
     }
 
     #[test]

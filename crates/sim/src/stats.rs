@@ -1,14 +1,15 @@
-//! Aggregation of batch statistics into experiment-report rows, with a
-//! rayon-parallel sweep driver for running many (tree, embedding) pairs
-//! and a fault-injection variant that reports degraded delivery.
+//! Experiment-report rows. Fault-free runs fold their batches into a
+//! [`SimReport`] per workload, with congestion and load scores beside
+//! them and a rayon-parallel sweep over many (tree, embedding) pairs. A
+//! run under a fault plan is a [`Session`](crate::Session), which folds
+//! its batches into the [`FaultSimReport`] rows defined here.
 
-use crate::engine::{BatchOutcome, Engine};
+use crate::engine::Engine;
 use crate::error::SimError;
-use crate::fault::{FaultPlan, FaultState};
 use crate::workload::{self, Rounds, WORKLOADS};
 use rayon::prelude::*;
 use xtree_host::Host;
-use xtree_telemetry::{AtomicCounters, NopSink, Sink};
+use xtree_telemetry::{NopSink, Sink};
 use xtree_trees::BinaryTree;
 
 /// Cycle summary of one simulated program on one embedding.
@@ -266,7 +267,8 @@ fn run_workload<H: Host, S: Sink>(
     Ok(report)
 }
 
-/// Cycle-and-delivery summary of one workload run under fault injection.
+/// Cycle-and-delivery summary of one workload run under fault injection:
+/// one row of a [`Session`](crate::Session)'s reports.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultSimReport {
     /// Workload name (`broadcast`, `reduce`, `exchange`, `dnc`).
@@ -298,71 +300,6 @@ impl FaultSimReport {
     }
 }
 
-/// Runs the canonical tree workloads under one fault plan, restarting the
-/// fault clock for every workload so each sees the same damage schedule.
-///
-/// Rounds after a watchdog stall are skipped (their report reflects only
-/// the rounds run); stranded messages in one round do not stop later
-/// rounds, matching a program that times out on lost peers and moves on.
-///
-/// # Errors
-/// [`SimError::InvalidFault`] when `plan` does not fit the host, plus the
-/// engine errors of [`Engine::run_batch_faulted`].
-pub fn simulate_all_faulted<H: Host, M: workload::HostMap + Sync>(
-    net: &H,
-    tree: &BinaryTree,
-    emb: &M,
-    plan: &FaultPlan,
-) -> Result<Vec<FaultSimReport>, SimError> {
-    simulate_all_faulted_with(net, tree, emb, plan, &mut NopSink)
-}
-
-/// [`simulate_all_faulted`] with telemetry: the sink additionally sees
-/// fault applications, reroute sweeps, and watchdog clock jumps.
-///
-/// # Errors
-/// See [`simulate_all_faulted`].
-pub fn simulate_all_faulted_with<H: Host, M: workload::HostMap + Sync, S: Sink>(
-    net: &H,
-    tree: &BinaryTree,
-    emb: &M,
-    plan: &FaultPlan,
-    sink: &mut S,
-) -> Result<Vec<FaultSimReport>, SimError> {
-    let mut engine = Engine::new();
-    let rounds = Rounds::new(tree, emb, None);
-    WORKLOADS
-        .iter()
-        .enumerate()
-        .map(|(idx, &name)| {
-            let mut faults = FaultState::new(net.csr(), plan.clone())?;
-            let mut rep = FaultSimReport {
-                workload: name,
-                cycles: 0,
-                ideal_cycles: 0,
-                messages: 0,
-                delivered: 0,
-                stranded: 0,
-                stalled: false,
-            };
-            for round in rounds.workload(idx) {
-                let out = engine.run_batch_faulted_with(net, round, &mut faults, sink)?;
-                let s = out.stats();
-                rep.cycles += s.cycles;
-                rep.ideal_cycles += s.ideal_cycles;
-                rep.messages += s.messages;
-                rep.delivered += s.messages - out.undelivered().len();
-                rep.stranded += out.stranded().len();
-                if let BatchOutcome::Stalled { .. } = out {
-                    rep.stalled = true;
-                    break;
-                }
-            }
-            Ok(rep)
-        })
-        .collect()
-}
-
 /// Rayon-parallel sweep: simulates many (tree, embedding) pairs on one
 /// shared host network. The network's routing tables are read-only, so the
 /// sweep parallelises embarrassingly.
@@ -380,31 +317,12 @@ pub fn sweep<H: Host + Sync, M: workload::HostMap + Sync>(
     per_case.into_iter().collect()
 }
 
-/// [`sweep`] with lock-free counting: every worker thread records into
-/// the shared [`AtomicCounters`] (relaxed atomic adds, no locks), so a
-/// parallel sweep still produces an exact total event tally.
-///
-/// # Errors
-/// See [`sweep`].
-pub fn sweep_counted<H: Host + Sync, M: workload::HostMap + Sync>(
-    net: &H,
-    cases: &[(BinaryTree, M)],
-    counters: &AtomicCounters,
-) -> Result<Vec<Vec<SimReport>>, SimError> {
-    let per_case: Vec<Result<Vec<SimReport>, SimError>> = cases
-        .par_iter()
-        .map(|(tree, emb)| {
-            let mut sink = counters;
-            simulate_all_with(net, tree, emb, &mut sink)
-        })
-        .collect();
-    per_case.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{FaultPlan, Session};
     use xtree_core::metrics::heap_order_embedding;
+    use xtree_core::XEmbedding;
     use xtree_host::TableHost;
     use xtree_topology::{Graph, XTree};
     use xtree_trees::generate;
@@ -530,6 +448,17 @@ mod tests {
         }
     }
 
+    /// The four reports of a policy-free session of `e` under `plan`.
+    fn simulate_all_faulted(
+        net: &TableHost,
+        t: &BinaryTree,
+        e: &XEmbedding,
+        plan: &FaultPlan,
+    ) -> Vec<FaultSimReport> {
+        let session = Session::new(net, t, e.clone(), plan.clone(), None);
+        session.run_to_completion_with(&mut NopSink).unwrap().0
+    }
+
     #[test]
     fn faulted_run_with_empty_plan_matches_fault_free_reports() {
         let x = XTree::new(4);
@@ -537,7 +466,7 @@ mod tests {
         let t = generate::left_complete(31);
         let e = heap_order_embedding(&t, 4);
         let plain = simulate_all(&net, &t, &e).unwrap();
-        let faulted = simulate_all_faulted(&net, &t, &e, &FaultPlan::new()).unwrap();
+        let faulted = simulate_all_faulted(&net, &t, &e, &FaultPlan::new());
         for (p, f) in plain.iter().zip(&faulted) {
             assert_eq!(p.workload, f.workload);
             assert_eq!(p.cycles, f.cycles, "{}", p.workload);
@@ -560,7 +489,7 @@ mod tests {
         let e = heap_order_embedding(&t, 4);
         let n = x.graph().node_count() as u32;
         let plan = FaultPlan::new().link_down(0, (n - 2) / 2, n - 2);
-        let reports = simulate_all_faulted(&net, &t, &e, &plan).unwrap();
+        let reports = simulate_all_faulted(&net, &t, &e, &plan);
         for f in &reports {
             assert_eq!(f.delivered, f.messages, "{}", f.workload);
             assert_eq!(f.stranded, 0);

@@ -2,8 +2,10 @@
 //!
 //! Rounds are built once per guest as flat arrays, so a 2 032-node path
 //! (2 031 levels) must allocate no more often than a 2 032-node balanced
-//! guest (10 levels), through `simulate_all_with` and every
-//! `simulate_one_with`, on the X-tree and on the universal host.
+//! guest (10 levels), through `simulate_all_with`, every
+//! `simulate_one_with`, and a policy-free `Session` run to completion
+//! (which builds each workload's rounds once), on the X-tree and on the
+//! universal host.
 //!
 //! Allocation counts do not depend on the machine, so this gate holds on
 //! any CI runner. The counting allocator tallies per thread, so the test
@@ -14,7 +16,7 @@ use std::cell::Cell;
 use xtree_core::theorem1;
 use xtree_host::{guest_map, AnyHost, HOST_UNIVERSAL, HOST_XTREE};
 use xtree_sim::workload::WORKLOADS;
-use xtree_sim::{simulate_all_with, simulate_one_with, NopSink};
+use xtree_sim::{simulate_all_with, simulate_one_with, FaultPlan, NopSink, Session};
 use xtree_trees::TreeFamily;
 
 struct CountingAlloc;
@@ -62,7 +64,8 @@ fn allocs(f: impl FnOnce()) -> u64 {
 const NODES: usize = 2032;
 
 /// Allocations of `simulate_all_with`, then of `simulate_one_with` for
-/// each workload, for `family`'s guest on host `tag`.
+/// each workload, then of a policy-free `Session` under an empty plan,
+/// for `family`'s guest on host `tag`.
 fn profile(family: TreeFamily, tag: u8) -> Vec<u64> {
     let tree = family.generate_seeded(NODES, 1);
     let emb = theorem1::embed(&tree).emb;
@@ -77,6 +80,10 @@ fn profile(family: TreeFamily, tag: u8) -> Vec<u64> {
             simulate_one_with(&net, &tree, &map, idx, &mut NopSink).unwrap();
         }));
     }
+    let session = Session::new(&net, &tree, map, FaultPlan::new(), None);
+    counts.push(allocs(|| {
+        session.run_to_completion_with(&mut NopSink).unwrap();
+    }));
     counts
 }
 
@@ -86,7 +93,11 @@ fn deep_guests_allocate_no_more_than_shallow_ones() {
         let path = profile(TreeFamily::Path, tag);
         let balanced = profile(TreeFamily::Balanced, tag);
         for (k, (p, b)) in path.iter().zip(&balanced).enumerate() {
-            let run = if k == 0 { "all" } else { WORKLOADS[k - 1] };
+            let run = match k {
+                0 => "all",
+                5 => "session",
+                _ => WORKLOADS[k - 1],
+            };
             assert!(
                 p <= b,
                 "host {tag}, {run}: the path guest allocated {p} times, the balanced one {b}"

@@ -174,7 +174,17 @@ fn counted_sweep_matches_uncounted_and_tallies_hops() {
         })
         .collect();
     let counters = AtomicCounters::new();
-    let counted = xtree_sim::sweep_counted(&net, &cases, &counters).unwrap();
+    // One thread per case, every one recording into the shared tally.
+    let counted: Vec<_> = std::thread::scope(|scope| {
+        let runs: Vec<_> = cases
+            .iter()
+            .map(|(t, e)| {
+                let (net, mut sink) = (&net, &counters);
+                scope.spawn(move || xtree_sim::simulate_all_with(net, t, e, &mut sink).unwrap())
+            })
+            .collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
     assert_eq!(counted, xtree_sim::sweep(&net, &cases).unwrap());
     let snap = counters.snapshot();
     assert!(snap.hops > 0);
