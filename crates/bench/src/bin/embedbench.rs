@@ -2,7 +2,7 @@
 //! `results/BENCH_embed.json`.
 //!
 //! For each size on the curve X(6)–X(12) it builds the same seeded
-//! `random-bst` guest two ways:
+//! `random-bst` guest, and one `uniform` guest at X(12), two ways:
 //!
 //! * **legacy** — the frozen pre-refactor builder
 //!   (`xtree_bench::legacy_theorem1`), timed as the reference;
@@ -15,10 +15,11 @@
 //! the number the refactor drives toward zero on the steady-state path.
 //!
 //! **`--gate`** is the CI perf-regression mode (the telbench ±2% pattern,
-//! generalised to be machine-independent): each host in [`GATE_FLOORS`]
-//! requires the serial rebuild to beat legacy by its floor — the serving
-//! size X(6), and X(12), the largest host a cold build reaches — and the
-//! X(6) steady-state allocation count must stay within
+//! generalised to be machine-independent): each guest in [`GATE_FLOORS`]
+//! requires the serial rebuild to beat legacy by its floor — random-bst at
+//! the serving size X(6) and at X(12), the largest host a cold build
+//! reaches, and a uniform guest at X(12), whose build Lemma 2 dominates —
+//! and the X(6) steady-state allocation count must stay within
 //! [`GATE_ALLOC_SLACK`] of the checked-in
 //! `results/BENCH_embed_baseline.json`. Wall-clock is only ever compared
 //! *within* one run, never across machines.
@@ -37,12 +38,22 @@ use xtree_trees::generate::{theorem1_size, TreeFamily};
 use xtree_trees::BinaryTree;
 
 /// Gate: minimum cold-build speedup of the rebuilt serial path over the
-/// frozen legacy builder, per host height. At the serving size X(6) the
-/// target is 2x and the gate trips below 1.5x, so scheduler noise cannot
-/// flake CI. At X(12) the fragment derivation of DESIGN.md §13 measured
-/// 3.2x, against 1.6–2.0x for the flooding builder it replaced; 2.5x
-/// fails the latter and leaves the former a 25% margin.
-const GATE_FLOORS: [(u8, f64); 2] = [(SERVING_R, 1.5), (12, 2.5)];
+/// frozen legacy builder, per guest family and host height. At the
+/// serving size X(6) the target is 2x and the gate trips below 1.5x, so
+/// scheduler noise cannot flake CI. On random-bst at X(12) the fragment
+/// derivation of DESIGN.md §13 measured 3.2x, against 1.6–2.0x for the
+/// flooding builder it replaced; 2.5x fails the latter and leaves the
+/// former a 25% margin. Random-bst spends about 5% of a build in Lemma 2,
+/// so the uniform X(12) row holds the separator lemmas to their speed.
+const GATE_FLOORS: [(TreeFamily, u8, f64); 3] = [
+    (TreeFamily::RandomBst, SERVING_R, 1.5),
+    (TreeFamily::RandomBst, 12, 2.5),
+    // On 2 vCPUs this ratio read 1.54–1.71x while both builders oriented
+    // every separator piece, and 5.6–6.7x once the live lemmas read pieces
+    // off the static preorder: 3x fails the former and leaves the latter
+    // a margin of over 80%.
+    (TreeFamily::UniformRandom, 12, 3.0),
+];
 /// Gate: allowed growth of steady-state allocations per build over the
 /// checked-in baseline (counts, not bytes — fully machine-independent).
 const GATE_ALLOC_SLACK: f64 = 1.10;
@@ -88,6 +99,7 @@ fn median(xs: &mut [f64]) -> f64 {
 }
 
 struct SizeResult {
+    family: TreeFamily,
     r: u8,
     nodes: usize,
     legacy_p50_us: f64,
@@ -103,6 +115,7 @@ impl SizeResult {
 
     fn report(&self) -> Value {
         Value::object()
+            .with("family", self.family.name())
             .with("host", format!("X({})", self.r))
             .with("nodes", self.nodes)
             .with("legacy_p50_us", self.legacy_p50_us)
@@ -113,14 +126,14 @@ impl SizeResult {
     }
 }
 
-fn serving_tree(r: u8, base_seed: u64) -> BinaryTree {
-    // Match the serving layer's key shape: random-bst, per-rank seed
-    // derived from the base (default base = the historical constant).
-    TreeFamily::RandomBst.generate_seeded(theorem1_size(r), base_seed + u64::from(r))
+fn guest(family: TreeFamily, r: u8, base_seed: u64) -> BinaryTree {
+    // Match the serving layer's key shape: per-rank seed derived from the
+    // base (default base = the historical constant).
+    family.generate_seeded(theorem1_size(r), base_seed + u64::from(r))
 }
 
-fn bench_size(r: u8, reps: usize, base_seed: u64) -> SizeResult {
-    let tree = serving_tree(r, base_seed);
+fn bench_size(family: TreeFamily, r: u8, reps: usize, base_seed: u64) -> SizeResult {
+    let tree = guest(family, r, base_seed);
     let nodes = tree.len();
     let serial = EmbedOptions::default();
     // A long-lived scratch: the timed serial builds run in the steady
@@ -149,6 +162,7 @@ fn bench_size(r: u8, reps: usize, base_seed: u64) -> SizeResult {
     let (allocs_serial, _) = count_allocs(|| embed_with_scratch(&tree, serial, &mut scratch));
 
     SizeResult {
+        family,
         r,
         nodes,
         legacy_p50_us: median(&mut t_legacy) * 1e6,
@@ -160,8 +174,9 @@ fn bench_size(r: u8, reps: usize, base_seed: u64) -> SizeResult {
 
 fn print_size(s: &SizeResult) {
     eprintln!(
-        "X({}): {} nodes — legacy {:.0}us, serial {:.0}us ({:.2}x), \
+        "{} X({}): {} nodes — legacy {:.0}us, serial {:.0}us ({:.2}x), \
          allocs {} -> {} per build",
+        s.family.name(),
         s.r,
         s.nodes,
         s.legacy_p50_us,
@@ -195,26 +210,38 @@ fn main() {
     });
     let baseline_path = "results/BENCH_embed_baseline.json";
 
-    let gated = GATE_FLOORS.map(|(r, _)| r);
-    let (sizes, reps): (&[u8], usize) = if smoke {
-        (&[SERVING_R], 2)
+    let bst = TreeFamily::RandomBst;
+    let serving_only = [(bst, SERVING_R)];
+    let gated = GATE_FLOORS.map(|(family, r, _)| (family, r));
+    let curve = [
+        (bst, 6),
+        (bst, 7),
+        (bst, 8),
+        (bst, 9),
+        (bst, 10),
+        (bst, 11),
+        (bst, 12),
+        (TreeFamily::UniformRandom, 12),
+    ];
+    let (guests, reps): (&[(TreeFamily, u8)], usize) = if smoke {
+        (&serving_only, 2)
     } else if write_baseline {
-        (&[SERVING_R], 9)
+        (&serving_only, 9)
     } else if gate {
         (&gated, 9)
     } else {
-        (&[6, 7, 8, 9, 10, 11, 12], 9)
+        (&curve, 9)
     };
 
     let mut results = Vec::new();
-    for &r in sizes {
-        let s = bench_size(r, reps, base_seed);
+    for &(family, r) in guests {
+        let s = bench_size(family, r, reps, base_seed);
         print_size(&s);
         results.push(s);
     }
     let serving = results
         .iter()
-        .find(|s| s.r == SERVING_R)
+        .find(|s| s.family == bst && s.r == SERVING_R)
         .expect("sweep always includes the serving size");
 
     let doc = Value::object()
@@ -222,9 +249,10 @@ fn main() {
         .with("seed", base_seed)
         .with(
             "workload",
-            "seeded random-bst guests, one Theorem-1 build per rep; legacy (frozen pre-refactor \
-             builder) vs rebuilt serial (reused scratch); median over interleaved reps; \
-             allocation counts from a counting global allocator",
+            "seeded random-bst guests at X(6)-X(12) and a uniform guest at X(12), one \
+             Theorem-1 build per rep; legacy (frozen pre-refactor builder and \
+             orientation-based separator) vs rebuilt serial (reused scratch); median over \
+             interleaved reps; allocation counts from a counting global allocator",
         )
         .with("reps", reps)
         .with(
@@ -241,8 +269,9 @@ fn main() {
                     "gate_floors",
                     GATE_FLOORS
                         .iter()
-                        .map(|&(r, floor)| {
+                        .map(|&(family, r, floor)| {
                             Value::object()
+                                .with("family", family.name())
                                 .with("host", format!("X({r})"))
                                 .with("min_speedup", floor)
                         })
@@ -267,18 +296,19 @@ fn main() {
     if gate {
         let base_allocs = read_baseline(baseline_path);
         let limit = (base_allocs as f64 * GATE_ALLOC_SLACK) as u64;
-        for (r, floor) in GATE_FLOORS {
+        for (family, r, floor) in GATE_FLOORS {
             let s = results
                 .iter()
-                .find(|s| s.r == r)
-                .expect("gated sizes are swept");
+                .find(|s| s.family == family && s.r == r)
+                .expect("gated guests are swept");
+            let name = family.name();
             eprintln!(
-                "gate: X({r}) speedup {:.2}x (min {floor}x)",
+                "gate: {name} X({r}) speedup {:.2}x (min {floor}x)",
                 s.speedup_serial()
             );
             assert!(
                 s.speedup_serial() >= floor,
-                "perf gate: serial rebuild is only {:.2}x over legacy at X({r}) \
+                "perf gate: serial rebuild is only {:.2}x over legacy on {name} at X({r}) \
                  (minimum {floor}x)",
                 s.speedup_serial(),
             );
@@ -304,5 +334,5 @@ fn main() {
         xtree_json::write_pretty_file("results/BENCH_embed.json", &doc).expect("write results");
         eprintln!("wrote results/BENCH_embed.json");
     }
-    println!("{}", xtree_json::to_string_pretty(&doc));
+    xtree_bench::print_stdout(&xtree_json::to_string_pretty(&doc));
 }

@@ -272,5 +272,5 @@ fn main() {
         xtree_json::write_pretty_file("results/BENCH_faults.json", &doc)
             .expect("write BENCH_faults.json");
     }
-    println!("{}", xtree_json::to_string_pretty(&doc));
+    xtree_bench::print_stdout(&xtree_json::to_string_pretty(&doc));
 }

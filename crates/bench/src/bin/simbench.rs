@@ -168,5 +168,5 @@ fn main() {
         )
         .with("hosts", Value::from(hosts));
     xtree_json::write_pretty_file("results/BENCH_sim.json", &doc).expect("write BENCH_sim.json");
-    println!("{}", xtree_json::to_string_pretty(&doc));
+    xtree_bench::print_stdout(&xtree_json::to_string_pretty(&doc));
 }

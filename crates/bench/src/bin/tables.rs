@@ -37,10 +37,10 @@ fn main() {
     let tables: Vec<Table> = runs.iter().map(|run| run()).collect();
     if json {
         let doc: xtree_json::Value = tables.iter().map(|t| t.to_json()).collect();
-        println!("{}", xtree_json::to_string_pretty(&doc));
+        xtree_bench::print_stdout(&xtree_json::to_string_pretty(&doc));
     } else {
         for t in &tables {
-            println!("{}", t.render());
+            xtree_bench::print_stdout(&t.render());
         }
     }
 }

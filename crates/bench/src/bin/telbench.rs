@@ -299,7 +299,7 @@ fn main() {
         xtree_json::write_pretty_file("results/BENCH_telemetry.json", &doc)
             .expect("write BENCH_telemetry.json");
     }
-    println!("{}", xtree_json::to_string_pretty(&doc));
+    xtree_bench::print_stdout(&xtree_json::to_string_pretty(&doc));
     if let Some(pct) = x10_noop_overhead {
         assert!(
             pct <= NOOP_THRESHOLD_PCT,

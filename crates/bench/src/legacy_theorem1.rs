@@ -13,14 +13,22 @@
 //!   this copy, not against a checked-in wall-clock number, so the CI
 //!   gate is machine-independent.
 //!
+//! The separator lemmas it calls are frozen with it, in its `separator`
+//! submodule: the orientation-based `lemma2_with` as it stood before
+//! Lemmas 1 and 2 read pieces off the guest's static preorder. So both
+//! consumers compare the live separator too.
+//!
 //! Do not "improve" this module; its value is being frozen.
 
+mod separator;
+
+use separator::{lemma2_with, SeparatorScratch};
 use smallvec::SmallVec;
 use std::collections::HashMap;
 use xtree_core::theorem1::{BuildLog, EmbedOptions, Theorem1Embedding};
 use xtree_core::XEmbedding;
 use xtree_topology::Address;
-use xtree_trees::{lemma2_with, BinaryTree, NodeId, Separation, SeparatorScratch};
+use xtree_trees::{BinaryTree, NodeId, Separation};
 
 type IntId = u32;
 

@@ -9,6 +9,15 @@ pub mod serving;
 use xtree_json::Value;
 use xtree_sim::Message;
 
+/// Writes `text` and a newline to stdout, where every bench binary prints
+/// its result document. A reader that has gone away (`faultbench --smoke
+/// | head -1`) is no failure: the output is dropped and the binary goes on
+/// to its checks, as `xtree-cli` treats a closed pipe.
+pub fn print_stdout(text: &str) {
+    use std::io::Write;
+    let _ = writeln!(std::io::stdout().lock(), "{text}");
+}
+
 /// Seeded uniform-random message batches over `n` vertices from a cheap
 /// LCG, so every bench binary (and every rerun) sees an identical workload
 /// for a given `seed`. `simbench` seeds with `0x5EED_BEEF`, `faultbench`

@@ -1,10 +1,11 @@
 //! Every bench binary parses its command line through `xtree_cli::Args`
 //! against its usage synopsis: a flag the synopsis does not name is
 //! rejected with exit code 2 before any work, spawn or file write, and
-//! every name the synopsis shows parses the way it is shown.
+//! every name the synopsis shows parses the way it is shown. A binary
+//! whose stdout reader has gone away still exits 0.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const BINS: [(&str, &str); 10] = [
@@ -20,10 +21,8 @@ const BINS: [(&str, &str); 10] = [
     ("telbench", env!("CARGO_BIN_EXE_telbench")),
 ];
 
-/// Runs `exe --no-such-flag` from a fresh empty directory and returns its
-/// output, after checking that it left the directory empty.
-fn run_with_unknown_flag(name: &str, exe: &str) -> Output {
-    // One directory per run: the tests run in parallel.
+/// A fresh empty directory for one run: the tests run in parallel.
+fn fresh_dir(name: &str) -> PathBuf {
     static RUNS: AtomicUsize = AtomicUsize::new(0);
     let run = RUNS.fetch_add(1, Ordering::Relaxed);
     let dir: PathBuf = std::env::temp_dir().join(format!(
@@ -32,6 +31,13 @@ fn run_with_unknown_flag(name: &str, exe: &str) -> Output {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs `exe --no-such-flag` from a fresh empty directory and returns its
+/// output, after checking that it left the directory empty.
+fn run_with_unknown_flag(name: &str, exe: &str) -> Output {
+    let dir = fresh_dir(name);
     let out = Command::new(exe)
         .arg("--no-such-flag")
         .current_dir(&dir)
@@ -41,6 +47,29 @@ fn run_with_unknown_flag(name: &str, exe: &str) -> Output {
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(written.is_empty(), "{name} wrote {written:?}");
     out
+}
+
+#[test]
+fn a_closed_stdout_is_no_failure() {
+    // The reader end of stdout is closed before the binary prints its
+    // result document, as `faultbench --smoke | head -1` leaves it.
+    for (name, exe) in BINS {
+        if name != "faultbench" && name != "telbench" {
+            continue;
+        }
+        let dir = fresh_dir(name);
+        let mut child = Command::new(exe)
+            .arg("--smoke")
+            .current_dir(&dir)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap_or_else(|e| panic!("run {name}: {e}"));
+        drop(child.stdout.take());
+        let status = child.wait().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(status.code(), Some(0), "{name} --smoke with stdout closed");
+    }
 }
 
 /// The synopsis a binary prints after `usage: NAME `.

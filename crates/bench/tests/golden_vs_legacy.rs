@@ -4,10 +4,12 @@
 //! same Δ trace, same mechanism counters, same mass trace.
 //!
 //! The reference lives in `xtree_bench::legacy_theorem1`, a verbatim copy
-//! of the builder as it stood before the rewrite. This test drives both
-//! over seeded trees at X(6)–X(10): every family at X(6), spot checks at
-//! the larger sizes, and — for the new builder — a fresh scratch and a
-//! reused one, both of which must agree.
+//! of the builder as it stood before the rewrite, with the
+//! orientation-based separator lemmas it called frozen beside it. This
+//! test drives both over seeded trees at X(6)–X(10): the first eight
+//! families at X(6), spot checks at the larger sizes (broom, leaning,
+//! uniform and skewed guests at X(9)), and — for the new builder — a fresh
+//! scratch and a reused one, both of which must agree.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -44,6 +46,12 @@ fn new_builder_matches_legacy_in_every_mode() {
         (5, 8, 0xCAFE),
         (4, 9, 0xD00D),
         (4, 10, 0xE66),
+        // Guests whose pieces stay long, where Lemma 2 carries most of a
+        // build.
+        (3, 9, 0xD00D),
+        (7, 9, 0xD00D),
+        (9, 9, 0xD00D),
+        (11, 9, 0xD00D),
     ];
     // One scratch across every case: reuse across differing sizes is part
     // of the contract (the serving pool hands one scratch many trees).

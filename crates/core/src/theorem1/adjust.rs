@@ -31,7 +31,7 @@
 use super::state::{Builder, IntId};
 use std::ops::Range;
 use xtree_topology::Address;
-use xtree_trees::{lemma2_with, Separation, SeparatorScratch};
+use xtree_trees::{Separation, SeparatorScratch};
 
 /// What one sibling pair decided to do, computed read-only in phase one
 /// and committed in phase two.
@@ -187,14 +187,12 @@ fn decide(
             if b.free(d0) < 5 || b.free(r0) < 5 {
                 break;
             }
-            let iv = b.interval(id);
-            let (r1, r2) = iv.lemma_designated();
             // Lemma 2 needs Δ ≤ |piece|. The interval can be smaller than
             // the residual imbalance when whole moves are disabled (the A1
             // ablation): clamp, which turns the split into a lemma-driven
             // whole move of this interval.
             let delta = remaining.min(size) as u32;
-            let sep = lemma2_with(scr, b.tree, &b.s.placed, r1, r2, delta);
+            let sep = b.interval(id).lemma2(scr, b.tree, &b.s.placed, delta);
             split = Some((id, sep));
             break;
         }

@@ -20,7 +20,6 @@
 
 use super::state::{AttachRule, Builder, IntId};
 use xtree_topology::Address;
-use xtree_trees::lemma2_with;
 
 /// Runs the full SPLIT sweep of round `i ≥ 1`.
 pub(crate) fn split_phase(b: &mut Builder<'_>, i: u8) {
@@ -88,15 +87,11 @@ fn assign_children(b: &mut Builder<'_>, alpha: Address) {
         b.attach(id, light);
         return;
     }
-    let (r1, r2) = b.interval(id).lemma_designated();
-    let sep = lemma2_with(
-        &mut b.s.sep_scratch,
-        b.tree,
-        &b.s.placed,
-        r1,
-        r2,
-        delta as u32,
-    );
+    let mut scr = std::mem::take(&mut b.s.sep_scratch);
+    let sep = b
+        .interval(id)
+        .lemma2(&mut scr, b.tree, &b.s.placed, delta as u32);
+    b.s.sep_scratch = scr;
     b.detach_swap(heavy, pos);
     b.apply_separation(id, &sep, heavy, light, heavy, light);
     b.log.split_balances += 1;

@@ -29,7 +29,7 @@
 
 use std::ops::Deref;
 use xtree_topology::Address;
-use xtree_trees::{BinaryTree, NodeId, Separation, SeparatorScratch};
+use xtree_trees::{lemma2_with, BinaryTree, NodeId, Separation, SeparatorScratch};
 
 /// Handle of a live interval in the builder's slab.
 pub(crate) type IntId = u32;
@@ -99,16 +99,30 @@ pub(crate) struct Interval {
 }
 
 impl Interval {
-    /// The two designated nodes handed to the separator lemmas (duplicated
-    /// if the fragment has only one).
-    pub fn lemma_designated(&self) -> (NodeId, NodeId) {
+    /// Lemma 2 on this fragment, read off the guest's static preorder in
+    /// `scr`, with its first and last designated nodes as `r1` and `r2`
+    /// (the same node if it has only one). Every designated node is
+    /// passed: the holes of the fragment hang off all of them.
+    pub fn lemma2(
+        &self,
+        scr: &mut SeparatorScratch,
+        tree: &BinaryTree,
+        placed: &[bool],
+        delta: u32,
+    ) -> Separation {
         let r1 = self.designated[0].0;
         let r2 = self
             .designated
             .last()
             .expect("intervals have ≥ 1 designated")
             .0;
-        (r1, r2)
+        let nodes = self.designated.iter().map(|&(d, _)| d);
+        debug_assert_eq!(
+            scr.piece_len(tree, placed, nodes.clone()),
+            self.size,
+            "the piece view disagrees with the interval's size"
+        );
+        lemma2_with(scr, tree, placed, nodes, r1, r2, delta)
     }
 
     /// The shallowest anchor level — placement of the designated nodes is
@@ -202,11 +216,9 @@ pub struct Theorem1Scratch {
     /// sweep of `rebuild_components`.
     mark: Vec<u32>,
     epoch: u32,
-    /// Static preorder of the guest from its root, written once per build:
-    /// the subtree of `v` is the index range `pre[v] .. pre[v] + sz[v]`.
-    pre: Vec<u32>,
-    sz: Vec<u32>,
-    /// Orientation buffers reused by every separator-lemma call.
+    /// The guest's static preorder, indexed once per build, which
+    /// `rebuild_components` sizes fragments from and every separator-lemma
+    /// call reads its piece off, plus the lemmas' buffers.
     pub(crate) sep_scratch: SeparatorScratch,
     // Reusable arenas for flood orders, crown orders, freshly placed
     // node lists, fragment candidates, and the ADJUST/SPLIT work queues.
@@ -277,32 +289,6 @@ impl Theorem1Scratch {
         if self.mark.len() < n {
             self.mark.resize(n, 0);
         }
-        self.sep_scratch.ensure(n);
-    }
-
-    /// Writes the static preorder of `tree` into `pre` and `sz`, using
-    /// `flood_buf` and `order_buf` as its order and stack.
-    fn index_subtrees(&mut self, tree: &BinaryTree) {
-        let n = tree.len();
-        self.pre.clear();
-        self.pre.resize(n, 0);
-        self.sz.clear();
-        self.sz.resize(n, 1);
-        let order = &mut self.flood_buf;
-        let stack = &mut self.order_buf;
-        order.clear();
-        stack.clear();
-        stack.push(tree.root());
-        while let Some(v) = stack.pop() {
-            self.pre[v.index()] = order.len() as u32;
-            order.push(v);
-            stack.extend(tree.children(v));
-        }
-        for &v in order.iter().rev() {
-            if let Some(p) = tree.parent(v) {
-                self.sz[p.index()] += self.sz[v.index()];
-            }
-        }
     }
 }
 
@@ -353,7 +339,7 @@ impl<'t> Builder<'t> {
         let n = tree.len();
         let mut s = std::mem::take(scratch);
         s.prepare(n, (1usize << (r + 1)) - 1);
-        s.index_subtrees(tree);
+        s.sep_scratch.reindex(tree);
         Builder {
             tree,
             opts,
@@ -533,19 +519,13 @@ impl<'t> Builder<'t> {
 
     /// Begins a flood sweep: components found by subsequent flood calls
     /// within this sweep are not revisited. Epochs persist across builds
-    /// (scratch reuse), wrapping like `Orientation` stamps.
+    /// (scratch reuse) and wrap around at `u32::MAX`.
     fn begin_sweep(&mut self) {
         if self.s.epoch == u32::MAX {
             self.s.mark.fill(0);
             self.s.epoch = 0;
         }
         self.s.epoch += 1;
-    }
-
-    /// True if `v` lies in the guest subtree of `top`.
-    fn below(&self, v: NodeId, top: NodeId) -> bool {
-        let off = self.s.pre[v.index()].wrapping_sub(self.s.pre[top.index()]);
-        off < self.s.sz[top.index()]
     }
 
     /// After placing `newly`, all of them nodes of one removed interval
@@ -602,17 +582,19 @@ impl<'t> Builder<'t> {
                     entry: u,
                     other: u,
                     count: 0,
-                    size: self.s.sz[u.index()],
+                    size: self.s.sep_scratch.index().size(u),
                 });
             }
         }
+        let ix = self.s.sep_scratch.index();
         for c in &mut cands {
-            // The deepest top above `c` is its fragment's: any node on the
-            // path from the fragment's top down to `c` is in the fragment,
-            // so no other top lies between them.
+            // The deepest top above `c` (the one with the smallest subtree)
+            // is its fragment's: any node on the path from the fragment's
+            // top down to `c` is in the fragment, so no other top lies
+            // between them.
             let k = (0..frags.len())
-                .filter(|&k| self.below(c.node, frags[k].top))
-                .max_by_key(|&k| self.s.pre[frags[k].top.index()])
+                .filter(|&k| ix.below(c.node, frags[k].top))
+                .min_by_key(|&k| ix.size(frags[k].top))
                 .expect("every fragment has a top");
             c.frag = k as u32;
             let f = &mut frags[k];
@@ -624,7 +606,7 @@ impl<'t> Builder<'t> {
             f.count += 1;
             for w in self.tree.children(c.node) {
                 if self.s.placed[w.index()] {
-                    f.size -= self.s.sz[w.index()];
+                    f.size -= ix.size(w);
                 }
             }
         }

@@ -107,6 +107,13 @@ const CASES: &[(usize, u8, u64, u64)] = &[
     (7, 9, 0xD00D, 0xD2D493308A901CCC),
     (9, 9, 0xD00D, 0xAA6DA3130C249F2F),
     (11, 9, 0xD00D, 0x82F1CADA9C800690),
+    // Broom at X(9), then the long-fragment guests at X(10). Captured
+    // from the orientation-based separator at bd85bd2, before Lemmas 1
+    // and 2 read pieces off the guest's static preorder.
+    (3, 9, 0xD00D, 0xEF9BEFE4C5D4812F),
+    (2, 10, 0xE66, 0xF7DD9D09798E78DD),
+    (9, 10, 0xE66, 0x258F0B9BEEFD3174),
+    (11, 10, 0xE66, 0x61B6E812FEE9C029),
 ];
 
 #[test]

@@ -12,13 +12,14 @@
 //! to `u` and the path from `r1` to `r2` part, and take
 //! `S1 = {r1, r2, z, y}`, `S2 = {u}`.
 
-use super::orient::{find1, Orientation, SeparatorScratch};
-use super::Separation;
-use crate::tree::{BinaryTree, NodeId};
+use super::orient::{SeparatorScratch, View};
+use super::{designated_by_flood, Separation, Split};
+use crate::tree::{Adjacency, BinaryTree, NodeId};
 
 /// Applies Lemma 1 to the piece containing `r1` (the component of nodes not
-/// marked in `placed`), allocating fresh orientation buffers. Callers in a
-/// loop should hold a [`SeparatorScratch`] and use [`lemma1_with`].
+/// marked in `placed`). Indexes the guest and floods the piece first, so
+/// it costs O(n): callers in a loop should hold a [`SeparatorScratch`] and
+/// use [`lemma1_with`].
 ///
 /// # Preconditions (asserted)
 /// * `r1` and `r2` are un-placed and in the same component;
@@ -31,47 +32,38 @@ pub fn lemma1(
     r2: NodeId,
     delta: u32,
 ) -> Separation {
-    lemma1_ex(
-        &mut Orientation::new(tree.len()),
+    lemma1_with(
+        &mut SeparatorScratch::new(tree),
         tree,
         placed,
-        &[],
+        designated_by_flood(tree, placed, r1),
         r1,
         r2,
         delta,
     )
 }
 
-/// [`lemma1`] on reusable buffers: no allocation beyond the returned
-/// [`Separation`] once `scratch` has reached the tree's size.
+/// [`lemma1`] on the piece whose designated nodes (every node of it with a
+/// placed neighbour, `r1` and `r2` among them or not) are `designated`,
+/// read off the static preorder of `scratch`, which must index `tree`.
+/// Costs the `find1` walk and the copy of `part2`.
 pub fn lemma1_with(
     scratch: &mut SeparatorScratch,
     tree: &BinaryTree,
     placed: &[bool],
+    designated: impl IntoIterator<Item = NodeId>,
     r1: NodeId,
     r2: NodeId,
     delta: u32,
 ) -> Separation {
-    scratch.ensure(tree.len());
-    lemma1_ex(&mut scratch.o1, tree, placed, &[], r1, r2, delta)
+    let (o, events) = scratch.view(tree, placed, designated, r1);
+    lemma1_in(&o, r1, r2, delta).finish(&o, false, events)
 }
 
-/// Lemma 1 restricted to the piece that remains after additionally treating
-/// `excluded` as placed, oriented in the caller-provided buffer. Used by
-/// Lemma 2's case 3, which applies Lemma 1 inside the subtree `T(v)` by
-/// excluding `v`'s father.
-pub(crate) fn lemma1_ex(
-    o: &mut Orientation,
-    tree: &BinaryTree,
-    placed: &[bool],
-    excluded: &[NodeId],
-    r1: NodeId,
-    r2: NodeId,
-    delta: u32,
-) -> Separation {
-    o.ensure(tree.len());
-    o.orient(tree, placed, excluded, r1);
-    let n = o.piece_len() as u32;
+/// Lemma 1 on the view `o`, rooted at `r1`. Lemma 2's case 3 applies it
+/// inside an oriented subtree `T(v)`, rooted at `v`.
+pub(crate) fn lemma1_in(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32) -> Split {
+    let n = o.len();
     assert!(o.contains(r2), "r2 must lie in the piece of r1");
     assert!(delta >= 1, "lemma 1 needs Δ ≥ 1");
     assert!(
@@ -79,11 +71,10 @@ pub(crate) fn lemma1_ex(
         "lemma 1 needs n > 4Δ/3 (n = {n}, Δ = {delta})"
     );
 
-    let u = find1(o, tree, r1, delta);
+    let u = o.find1(r1, delta);
     let z = o
         .parent(u)
         .expect("find1 never returns the orientation root");
-    let part2 = o.subtree_nodes(u).to_vec();
 
     let mut s1: Vec<NodeId>;
     let s2: Vec<NodeId>;
@@ -100,12 +91,13 @@ pub(crate) fn lemma1_ex(
         s2 = vec![u];
     }
     s1 = dedup(s1);
-    debug_assert!(u32::abs_diff(part2.len() as u32, delta) <= Separation::lemma1_bound(delta));
-    Separation {
+    debug_assert!(u32::abs_diff(o.size(u), delta) <= Separation::lemma1_bound(delta));
+    Split {
         s1,
         s2,
-        part2,
         cut: vec![(z, u)],
+        add: Adjacency::of(&[u]),
+        remove: None,
     }
 }
 

@@ -13,15 +13,14 @@
 //! a detail the extended abstract leaves to the full version. This can push
 //! `|S1|` to 5.
 
-use super::lemma1::{dedup, lemma1_ex};
-use super::orient::{find1, Orientation, SeparatorScratch};
-use super::Separation;
-use crate::tree::{BinaryTree, NodeId};
-use std::ops::Range;
+use super::lemma1::{dedup, lemma1_in};
+use super::orient::{SeparatorScratch, View};
+use super::{designated_by_flood, Separation, Split};
+use crate::tree::{Adjacency, BinaryTree, NodeId};
 
-/// Applies Lemma 2 to the piece containing `r1`, allocating fresh
-/// orientation buffers. Callers in a loop should hold a
-/// [`SeparatorScratch`] and use [`lemma2_with`].
+/// Applies Lemma 2 to the piece containing `r1`. Indexes the guest and
+/// floods the piece first, so it costs O(n): callers in a loop should hold
+/// a [`SeparatorScratch`] and use [`lemma2_with`].
 ///
 /// # Preconditions (asserted)
 /// * `r1`, `r2` un-placed, same component; `1 ≤ Δ ≤ n`;
@@ -34,36 +33,33 @@ pub fn lemma2(
     delta: u32,
 ) -> Separation {
     lemma2_with(
-        &mut SeparatorScratch::new(tree.len()),
+        &mut SeparatorScratch::new(tree),
         tree,
         placed,
+        designated_by_flood(tree, placed, r1),
         r1,
         r2,
         delta,
     )
 }
 
-/// [`lemma2`] on reusable buffers: no allocation of tree-sized arrays once
-/// `scratch` has reached the tree's size (a call needs up to three live
-/// orientations — the main piece and two correction carves).
+/// [`lemma2`] on the piece whose designated nodes (every node of it with a
+/// placed neighbour, `r1` and `r2` among them or not) are `designated`,
+/// read off the static preorder of `scratch`, which must index `tree`.
+/// Costs the find2 and `find1` walks and the copy of `part2`, not a pass
+/// over the piece.
 pub fn lemma2_with(
     scratch: &mut SeparatorScratch,
     tree: &BinaryTree,
     placed: &[bool],
+    designated: impl IntoIterator<Item = NodeId>,
     r1: NodeId,
     r2: NodeId,
     delta: u32,
 ) -> Separation {
-    scratch.ensure(tree.len());
-    let SeparatorScratch {
-        o1: o,
-        o2,
-        o3,
-        runs,
-    } = scratch;
-    o.orient(tree, placed, &[], r1);
+    let (o, events) = scratch.view(tree, placed, designated, r1);
     assert!(o.contains(r2), "r2 must lie in the piece of r1");
-    let n = o.piece_len() as u32;
+    let n = o.len();
     assert!(
         delta >= 1 && delta <= n,
         "lemma 2 needs 1 ≤ Δ ≤ n (Δ = {delta}, n = {n})"
@@ -71,307 +67,195 @@ pub fn lemma2_with(
 
     if delta == n {
         // Take the whole piece: lay out the designated nodes, cut nothing.
-        return Separation {
+        return Split {
             s1: Vec::new(),
             s2: dedup(vec![r1, r2]),
-            part2: o.piece_nodes().to_vec(),
             cut: Vec::new(),
-        };
+            add: Adjacency::of(&[r1]),
+            remove: None,
+        }
+        .finish(&o, false, events);
     }
     if 3 * n > 4 * delta {
-        main_split(tree, placed, o, o2, o3, runs, r1, r2, delta)
+        main_split(&o, r1, r2, delta).finish(&o, false, events)
     } else {
         // Δ < n ≤ 4Δ/3: solve for Δ' = n − Δ < Δ/3 and swap the roles of
         // the two sides (paper's closing remark in the proof).
-        let inner = main_split(tree, placed, o, o2, o3, runs, r1, r2, n - delta);
-        invert(o, inner, runs)
+        main_split(&o, r1, r2, n - delta).finish(&o, true, events)
     }
 }
 
-/// Appends the nodes at positions `range` of `o`'s preorder to `out`,
-/// except those in `drop` (which all lie in `range`), keeping preorder.
-///
-/// Every `drop` here is a union of a few oriented subtrees, less at most
-/// one nested subtree, so walking it once yields a handful of runs of
-/// consecutive positions; the kept nodes are the slices between them, and
-/// no set is hashed.
-fn extend_without(
-    out: &mut Vec<NodeId>,
-    o: &Orientation,
-    range: Range<usize>,
-    drop: &[NodeId],
-    runs: &mut Vec<(usize, usize)>,
-) {
-    runs.clear();
-    for &v in drop {
-        let p = o.position(v);
-        debug_assert!(range.contains(&p), "{v:?} lies outside the range");
-        match runs.last_mut() {
-            Some(run) if run.1 == p => run.1 += 1,
-            _ => runs.push((p, p + 1)),
-        }
-    }
-    runs.sort_unstable();
-    let order = o.piece_nodes();
-    let mut at = range.start;
-    for &(lo, hi) in runs.iter() {
-        out.extend_from_slice(&order[at..lo]);
-        at = hi;
-    }
-    out.extend_from_slice(&order[at..range.end]);
-}
-
-/// Swaps part1 and part2 of a separation of `o`'s piece.
-fn invert(o: &Orientation, sep: Separation, runs: &mut Vec<(usize, usize)>) -> Separation {
-    let mut part2 = Vec::with_capacity(o.piece_len() - sep.part2.len());
-    extend_without(&mut part2, o, 0..o.piece_len(), &sep.part2, runs);
-    Separation {
-        s1: sep.s2,
-        s2: sep.s1,
-        part2,
-        cut: sep.cut.into_iter().map(|(a, b)| (b, a)).collect(),
-    }
-}
-
-/// The main construction, assuming `3n > 4Δ` and `Δ ≥ 1`.
-/// `o` is oriented from `r1` over the full piece; `o2`, `o3` are spare
-/// buffers for the correction carves, and `runs` for set differences.
-#[allow(clippy::too_many_arguments)] // mirrors the lemma's case analysis
-fn main_split(
-    tree: &BinaryTree,
-    placed: &[bool],
-    o: &Orientation,
-    o2: &mut Orientation,
-    o3: &mut Orientation,
-    runs: &mut Vec<(usize, usize)>,
-    r1: NodeId,
-    r2: NodeId,
-    delta: u32,
-) -> Separation {
-    // Procedure find2: walk from r1 along the path toward r2 while the
-    // subtree stays larger than 4Δ/3. The next step is the one child
-    // whose subtree holds r2.
-    let mut v = r1;
-    while 3 * o.size(v) > 4 * delta && v != r2 {
-        v = o
-            .children(tree, v)
-            .into_iter()
-            .find(|&c| o.in_subtree(r2, c))
-            .expect("r2 lies below every node of the walk");
-    }
-
+/// The main construction, assuming `3n > 4Δ` and `Δ ≥ 1`, on the whole
+/// piece `o`, rooted at `r1`.
+fn main_split(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32) -> Split {
+    let v = o.find2(r2, delta);
     if v == r2 && 3 * o.size(r2) > 4 * delta {
-        case_both_in_s1(tree, placed, o, o2, runs, r1, r2, delta)
+        case_both_in_s1(o, r1, r2, delta)
     } else if o.size(v) < delta {
-        case_small_subtree(tree, placed, o, o2, o3, runs, r1, r2, delta, v)
+        case_small_subtree(o, r1, r2, delta, v)
     } else {
-        case_medium_subtree(tree, placed, o, o2, runs, r1, r2, delta, v)
+        case_medium_subtree(o, r1, r2, delta, v)
     }
 }
 
 /// Case 1: the walk reached `r2` and `|T(r2)| > 4Δ/3`. Both designated
 /// nodes go to `S1`; the mass for `T2` is carved out of `T(r2)` by find1,
 /// applied twice.
-#[allow(clippy::too_many_arguments)] // mirrors the lemma's case analysis
-fn case_both_in_s1(
-    tree: &BinaryTree,
-    placed: &[bool],
-    o: &Orientation,
-    o2: &mut Orientation,
-    runs: &mut Vec<(usize, usize)>,
-    r1: NodeId,
-    r2: NodeId,
-    delta: u32,
-) -> Separation {
-    let u1 = find1(o, tree, r2, delta);
+fn case_both_in_s1(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32) -> Split {
+    let u1 = o.find1(r2, delta);
     let s_u1 = o.size(u1);
     let pu1 = o.parent(u1).expect("find1 result has a father");
 
     if s_u1 == delta {
-        return Separation {
+        return Split {
             s1: dedup(vec![r1, r2, pu1]),
             s2: vec![u1],
-            part2: o.subtree_nodes(u1).to_vec(),
             cut: vec![(pu1, u1)],
+            add: Adjacency::of(&[u1]),
+            remove: None,
         };
     }
     if s_u1 > delta {
         // Overshoot: carve a correction subtree T(w) back out of T(u1).
         let e = s_u1 - delta;
-        let w = find1(o, tree, u1, e);
+        let w = o.find1(u1, e);
         let pw = o.parent(w).expect("find1 result has a father");
-        let mut part2 = Vec::new();
-        extend_without(&mut part2, o, o.subtree_range(u1), o.subtree_nodes(w), runs);
-        return Separation {
+        return Split {
             s1: dedup(vec![r1, r2, pu1, w]),
             s2: dedup(vec![u1, pw]),
-            part2,
             cut: vec![(pu1, u1), (w, pw)],
+            add: Adjacency::of(&[u1]),
+            remove: Some(w),
         };
     }
     // Undershoot: carve a second subtree, disjoint from T(u1), out of the
     // remainder of T(r2).
     let e = delta - s_u1;
-    o2.orient(tree, placed, &[u1], r1);
+    let o2 = o.carve(u1);
     assert!(
         3 * o2.size(r2) > 4 * e,
         "case-1 second carve precondition (guaranteed by |T(r2)| > 4Δ/3)"
     );
-    let w = find1(o2, tree, r2, e);
+    let w = o2.find1(r2, e);
     if o.junction(w, u1) == w {
         // w is an ancestor of u1: the two carvings merge into T(w).
         let pw = o.parent(w).expect("w is below r2");
-        return Separation {
+        return Split {
             s1: dedup(vec![r1, r2, pw]),
             s2: vec![w],
-            part2: o.subtree_nodes(w).to_vec(),
             cut: vec![(pw, w)],
+            add: Adjacency::of(&[w]),
+            remove: None,
         };
     }
     let pw = o2.parent(w).expect("w is below r2");
-    let mut part2 = o.subtree_nodes(u1).to_vec();
-    part2.extend_from_slice(o2.subtree_nodes(w));
     // The junction of the two carving paths must be laid out too, or the
     // component between r2, pu1 and pw would have three edges into S1.
     let j = o.junction(u1, w);
-    Separation {
+    Split {
         s1: dedup(vec![r1, r2, pu1, pw, j]),
         s2: dedup(vec![u1, w]),
-        part2,
         cut: vec![(pu1, u1), (pw, w)],
+        add: Adjacency::of(&[u1, w]),
+        remove: None,
     }
 }
 
 /// Case 2: the walk stopped at `v` with `|T(v)| < Δ` (and `r2 ∈ T(v)`).
 /// `T2 = T(v)` plus `Δ − |T(v)|` nodes carved out of `T(x, v)`, the part of
 /// the father's subtree avoiding `v`.
-#[allow(clippy::too_many_arguments)] // mirrors the lemma's case analysis
-fn case_small_subtree(
-    tree: &BinaryTree,
-    placed: &[bool],
-    o: &Orientation,
-    o2: &mut Orientation,
-    o3: &mut Orientation,
-    runs: &mut Vec<(usize, usize)>,
-    r1: NodeId,
-    r2: NodeId,
-    delta: u32,
-    v: NodeId,
-) -> Separation {
+fn case_small_subtree(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32, v: NodeId) -> Split {
     let x = o.parent(v).expect("the walk moved at least one step");
     let delta1 = delta - o.size(v);
     debug_assert!(delta1 >= 1);
-    let base = o.subtree_nodes(v);
     debug_assert!(o.in_subtree(r2, v), "the walk follows the path to r2");
 
-    o2.orient(tree, placed, &[v], r1);
+    let o2 = o.carve(v);
     assert!(
         3 * o2.size(x) > 4 * delta1,
         "case-2 carve precondition (guaranteed by |T(x)| > 4Δ/3)"
     );
-    let u1 = find1(o2, tree, x, delta1);
+    let u1 = o2.find1(x, delta1);
     let pu1 = o2.parent(u1).expect("find1 result has a father");
     let s_u1 = o2.size(u1);
 
     if s_u1 == delta1 {
-        let mut part2 = base.to_vec();
-        part2.extend_from_slice(o2.subtree_nodes(u1));
-        return Separation {
+        return Split {
             s1: dedup(vec![r1, x, pu1]),
             s2: dedup(vec![r2, v, u1]),
-            part2,
             cut: vec![(x, v), (pu1, u1)],
+            add: Adjacency::of(&[v, u1]),
+            remove: None,
         };
     }
     if s_u1 > delta1 {
         let e = s_u1 - delta1;
-        let w = find1(o2, tree, u1, e);
+        let w = o2.find1(u1, e);
         let pw = o2.parent(w).expect("find1 result has a father");
-        let mut part2 = base.to_vec();
-        extend_without(
-            &mut part2,
-            o2,
-            o2.subtree_range(u1),
-            o2.subtree_nodes(w),
-            runs,
-        );
-        return Separation {
+        return Split {
             s1: dedup(vec![r1, x, pu1, w]),
             s2: dedup(vec![r2, v, u1, pw]),
-            part2,
             cut: vec![(x, v), (pu1, u1), (w, pw)],
+            add: Adjacency::of(&[v, u1]),
+            remove: Some(w),
         };
     }
     // Undershoot: second disjoint carve from T(x, v) − T(u1).
     let e = delta1 - s_u1;
-    o3.orient(tree, placed, &[v, u1], r1);
+    let o3 = o2.carve(u1);
     assert!(3 * o3.size(x) > 4 * e, "case-2 second carve precondition");
-    let u2 = find1(o3, tree, x, e);
+    let u2 = o3.find1(x, e);
     if o2.junction(u2, u1) == u2 {
         // u2 is an ancestor of u1: the carvings merge into T(u2) − T(v).
         let pu2 = o2
             .parent(u2)
             .expect("u2 is below x or equals a child of it");
-        let mut part2 = base.to_vec();
-        part2.extend_from_slice(o2.subtree_nodes(u2));
-        return Separation {
+        return Split {
             s1: dedup(vec![r1, x, pu2]),
             s2: dedup(vec![r2, v, u2]),
-            part2,
             cut: vec![(x, v), (pu2, u2)],
+            add: Adjacency::of(&[v, u2]),
+            remove: None,
         };
     }
     let pu2 = o3.parent(u2).expect("find1 result has a father");
-    let mut part2 = base.to_vec();
-    part2.extend_from_slice(o2.subtree_nodes(u1));
-    part2.extend_from_slice(o3.subtree_nodes(u2));
     let j = o2.junction(u1, u2);
-    Separation {
+    Split {
         s1: dedup(vec![r1, x, pu1, pu2, j]),
         s2: dedup(vec![r2, v, u1, u2]),
-        part2,
         cut: vec![(x, v), (pu1, u1), (pu2, u2)],
+        add: Adjacency::of(&[v, u1, u2]),
+        remove: None,
     }
 }
 
 /// Case 3: the walk stopped at `v` with `Δ ≤ |T(v)| ≤ 4Δ/3`. Apply Lemma 1
 /// *inside* `T(v)` with `Δ' = |T(v)| − Δ` and designated nodes `v, r2`; the
 /// piece Lemma 1 carves off returns to `T1`.
-#[allow(clippy::too_many_arguments)] // mirrors the lemma's case analysis
-fn case_medium_subtree(
-    tree: &BinaryTree,
-    placed: &[bool],
-    o: &Orientation,
-    o2: &mut Orientation,
-    runs: &mut Vec<(usize, usize)>,
-    r1: NodeId,
-    r2: NodeId,
-    delta: u32,
-    v: NodeId,
-) -> Separation {
+fn case_medium_subtree(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32, v: NodeId) -> Split {
     let x = o.parent(v).expect("the walk moved at least one step");
     let dp = o.size(v) - delta;
     if dp == 0 {
-        return Separation {
+        return Split {
             s1: dedup(vec![r1, x]),
             s2: dedup(vec![v, r2]),
-            part2: o.subtree_nodes(v).to_vec(),
             cut: vec![(x, v)],
+            add: Adjacency::of(&[v]),
+            remove: None,
         };
     }
     // Lemma 1 runs on T(v) alone, so the piece it carves off lies in T(v).
-    let inner = lemma1_ex(o2, tree, placed, &[x], v, r2, dp);
-    let mut part2 = Vec::new();
-    extend_without(&mut part2, o, o.subtree_range(v), &inner.part2, runs);
+    let inner = lemma1_in(&o.rooted_at(v), v, r2, dp);
     let mut s1 = vec![r1, x];
     s1.extend(inner.s2);
     let mut cut = vec![(x, v)];
     cut.extend(inner.cut.into_iter().map(|(a, b)| (b, a)));
-    Separation {
+    Split {
         s1: dedup(s1),
         s2: inner.s1,
-        part2,
         cut,
+        add: Adjacency::of(&[v]),
+        remove: Some(inner.add[0]),
     }
 }
 

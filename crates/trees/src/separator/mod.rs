@@ -27,9 +27,10 @@ mod orient;
 
 pub use lemma1::{lemma1, lemma1_with};
 pub use lemma2::{lemma2, lemma2_with};
-pub use orient::{find1, Orientation, SeparatorScratch};
+pub use orient::{SeparatorScratch, SubtreeIndex};
 
-use crate::tree::{BinaryTree, NodeId};
+use crate::tree::{Adjacency, BinaryTree, NodeId};
+use orient::View;
 use std::collections::{HashSet, VecDeque};
 
 /// Result of a separator-lemma application.
@@ -55,6 +56,68 @@ impl Separation {
     pub fn lemma2_bound(delta: u32) -> u32 {
         (delta + 4) / 9
     }
+}
+
+/// A separation whose `part2` is still a combination of oriented subtrees
+/// of the piece: the union of the disjoint subtrees of `add` less the
+/// subtree of `remove`. The lemmas' case analyses return it, and only the
+/// final [`finish`](Self::finish) copies the nodes.
+pub(crate) struct Split {
+    s1: Vec<NodeId>,
+    s2: Vec<NodeId>,
+    cut: Vec<(NodeId, NodeId)>,
+    add: Adjacency<3>,
+    remove: Option<NodeId>,
+}
+
+impl Split {
+    /// The separation of the piece `o`, with parts 1 and 2 swapped when
+    /// `invert`.
+    fn finish(self, o: &View<'_>, invert: bool, events: &mut Vec<(u32, i32)>) -> Separation {
+        let part2 = o.collect(&self.add, self.remove, invert, events);
+        if invert {
+            Separation {
+                s1: self.s2,
+                s2: self.s1,
+                part2,
+                cut: self.cut.into_iter().map(|(a, b)| (b, a)).collect(),
+            }
+        } else {
+            Separation {
+                s1: self.s1,
+                s2: self.s2,
+                part2,
+                cut: self.cut,
+            }
+        }
+    }
+}
+
+/// The designated nodes of the piece holding `r1` (its nodes with a placed
+/// neighbour), found by flooding the piece: what the O(n) entry points
+/// hand to the indexed ones.
+fn designated_by_flood(tree: &BinaryTree, placed: &[bool], r1: NodeId) -> Vec<NodeId> {
+    assert!(!placed[r1.index()], "r1 is not part of the piece");
+    let mut seen = vec![false; tree.len()];
+    seen[r1.index()] = true;
+    let mut nodes = vec![r1];
+    let mut designated = Vec::new();
+    let mut head = 0;
+    while head < nodes.len() {
+        let v = nodes[head];
+        head += 1;
+        for w in tree.neighbors(v) {
+            if placed[w.index()] {
+                if designated.last() != Some(&v) {
+                    designated.push(v);
+                }
+            } else if !seen[w.index()] {
+                seen[w.index()] = true;
+                nodes.push(w);
+            }
+        }
+    }
+    designated
 }
 
 /// Exhaustively checks every post-condition of a [`Separation`] against the

@@ -1,294 +1,750 @@
-//! Piece orientation: rooting a connected fragment of a binary tree at a
-//! designated node and computing subtree sizes, as required by the
-//! separator procedures `find1` / `find2`.
+//! Piece orientation, read off the guest's static preorder.
 //!
-//! During the Theorem-1 embedding, the *unplaced* nodes of the guest tree
-//! form a forest; each lemma call works on one component ("piece") of that
-//! forest. The orientation directs the piece away from the designated node
-//! `r1` ("we replace `T` with a directed tree containing the same vertices,
-//! each edge directed away from the designated node `r1`").
+//! During the Theorem-1 embedding the *unplaced* nodes of the guest form a
+//! forest; each lemma call splits one component ("piece") of it, directed
+//! away from a designated node `r1` ("we replace `T` with a directed tree
+//! containing the same vertices, each edge directed away from the
+//! designated node `r1`").
 //!
-//! Reusable buffers with epoch stamps keep a lemma call `O(|piece|)` without
-//! per-call allocation of tree-sized arrays. The orientation also keeps
-//! each node's preorder position, so a subtree is a contiguous slice of the
-//! preorder and "is `v` below `u`?" is a range test.
+//! No orientation is materialised. A piece is connected, so it has one
+//! node nearest the guest root, its *top*, and it is the static subtree of
+//! the top less the static subtrees of its nodes' placed children, its
+//! *holes*. Every hole hangs off a node with a placed neighbour, that is a
+//! designated node, so the designated list bounds the holes: at most two
+//! per designated node. Directing the piece away from `r1` keeps the
+//! static parent of every node except those on the static path from `r1`
+//! up to the top, the *spine*, which is reversed. So every oriented size,
+//! parent, child list, subtree test and junction costs a few reads of the
+//! guest's static preorder ([`SubtreeIndex`], built once per guest) and a
+//! pass over the holes, and a lemma call costs its walks, not a pass over
+//! its piece.
 
 use crate::tree::{Adjacency, BinaryTree, NodeId};
 
-const NONE: u32 = u32::MAX;
-
-/// A reusable orientation of one piece of a tree.
-#[derive(Debug)]
-pub struct Orientation {
-    stamp: Vec<u32>,
-    epoch: u32,
-    par: Vec<u32>,
-    size: Vec<u32>,
-    /// Position of each piece node in `order`: the subtree of `v` is
-    /// `order[pos[v] .. pos[v] + size[v]]`.
-    pos: Vec<u32>,
+/// The guest's static preorder from its root: `order[pre[v]] = v`, and the
+/// subtree of `v` is `order[pre[v] .. pre[v] + sz[v]]`, so "is `v` below
+/// `t`?" is a range test.
+#[derive(Debug, Default)]
+pub struct SubtreeIndex {
+    pre: Vec<u32>,
+    sz: Vec<u32>,
     order: Vec<NodeId>,
-    /// The DFS stack, kept between calls.
-    stack: Vec<u32>,
 }
 
-impl Orientation {
-    /// Allocates buffers for a tree with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Orientation {
-            stamp: vec![0; n],
-            epoch: 0,
-            par: vec![NONE; n],
-            size: vec![0; n],
-            pos: vec![0; n],
-            order: Vec::new(),
-            stack: Vec::new(),
+impl SubtreeIndex {
+    /// Indexes `tree`.
+    fn new(tree: &BinaryTree) -> Self {
+        let mut ix = SubtreeIndex::default();
+        ix.rebuild(tree);
+        ix
+    }
+
+    /// Re-indexes for `tree`, keeping the buffers.
+    fn rebuild(&mut self, tree: &BinaryTree) {
+        let n = tree.len();
+        // Breadth-first order (parents before children) in `order`, then
+        // sizes bottom-up, positions top-down, and finally the preorder
+        // itself written over the breadth-first order.
+        let order = &mut self.order;
+        order.clear();
+        order.push(tree.root());
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            order.extend(tree.children(v));
+        }
+        self.sz.clear();
+        self.sz.resize(n, 1);
+        for &v in order.iter().rev() {
+            if let Some(p) = tree.parent(v) {
+                self.sz[p.index()] += self.sz[v.index()];
+            }
+        }
+        self.pre.clear();
+        self.pre.resize(n, 0);
+        for &v in order.iter() {
+            let mut at = self.pre[v.index()] + 1;
+            for c in tree.children(v) {
+                self.pre[c.index()] = at;
+                at += self.sz[c.index()];
+            }
+        }
+        for v in tree.nodes() {
+            order[self.pre[v.index()] as usize] = v;
         }
     }
 
-    /// Grows the buffers to cover a tree with `n` nodes; a no-op when they
-    /// already do, which is what makes reuse across lemma calls free.
-    pub fn ensure(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            *self = Orientation::new(n);
+    /// True if `v` lies in the static subtree of `top` (`v == top`
+    /// included).
+    #[inline]
+    pub fn below(&self, v: NodeId, top: NodeId) -> bool {
+        let off = self.pre[v.index()].wrapping_sub(self.pre[top.index()]);
+        off < self.sz[top.index()]
+    }
+
+    /// Size of the static subtree of `v`.
+    #[inline]
+    pub fn size(&self, v: NodeId) -> u32 {
+        self.sz[v.index()]
+    }
+
+    /// The preorder positions of the static subtree of `v`.
+    #[inline]
+    fn range(&self, v: NodeId) -> (u32, u32) {
+        let lo = self.pre[v.index()];
+        (lo, lo + self.sz[v.index()])
+    }
+}
+
+/// Reusable state of the separator lemmas on one guest: its static
+/// preorder, which the Theorem-1 builder also reads to derive fragments,
+/// and the buffers of one lemma call.
+///
+/// Hold one `SeparatorScratch` per guest, [`reindex`](Self::reindex) it
+/// when the guest changes, and pass it to
+/// [`lemma1_with`](super::lemma1_with) / [`lemma2_with`](super::lemma2_with).
+#[derive(Debug, Default)]
+pub struct SeparatorScratch {
+    index: SubtreeIndex,
+    /// The current piece's holes, as preorder ranges.
+    pub(crate) holes: Vec<(u32, u32)>,
+    /// Signed preorder boundaries, for collecting `part2`.
+    pub(crate) events: Vec<(u32, i32)>,
+}
+
+impl SeparatorScratch {
+    /// Scratch indexed for `tree`.
+    pub fn new(tree: &BinaryTree) -> Self {
+        SeparatorScratch {
+            index: SubtreeIndex::new(tree),
+            holes: Vec::new(),
+            events: Vec::new(),
         }
     }
 
-    /// Orients the piece containing `root`: the component of nodes that are
-    /// neither placed nor listed in `excluded`, reachable from `root`.
-    /// Computes parents (toward `root`), preorder positions and subtree
-    /// sizes.
-    ///
-    /// # Panics
-    /// Panics if `root` itself is placed or excluded.
-    pub fn orient(
+    /// Re-indexes for a new guest, keeping the buffers.
+    pub fn reindex(&mut self, tree: &BinaryTree) {
+        self.index.rebuild(tree);
+    }
+
+    /// The guest's static preorder.
+    pub fn index(&self) -> &SubtreeIndex {
+        &self.index
+    }
+
+    /// The piece whose designated nodes (every node of it with a placed
+    /// neighbour) are `designated`, directed away from `root`, and the
+    /// buffer its `part2` is collected with.
+    pub(crate) fn view<'a>(
+        &'a mut self,
+        tree: &'a BinaryTree,
+        placed: &'a [bool],
+        designated: impl IntoIterator<Item = NodeId>,
+        root: NodeId,
+    ) -> (View<'a>, &'a mut Vec<(u32, i32)>) {
+        assert_eq!(
+            self.index.pre.len(),
+            tree.len(),
+            "the scratch indexes another guest"
+        );
+        let top = load_holes(&self.index, tree, placed, designated, &mut self.holes);
+        let view = View::new(&self.index, tree, placed, &self.holes, top, root);
+        (view, &mut self.events)
+    }
+
+    /// The size of the piece whose designated nodes (every node of it with
+    /// a placed neighbour) are `designated`, read off the static preorder.
+    pub fn piece_len(
         &mut self,
         tree: &BinaryTree,
         placed: &[bool],
-        excluded: &[NodeId],
-        root: NodeId,
-    ) {
-        let blocked = |v: NodeId| placed[v.index()] || excluded.contains(&v);
-        assert!(!blocked(root), "orientation root is not part of the piece");
-        self.epoch += 1;
-        if self.epoch == u32::MAX {
-            // Stamp wrap: reset all stamps once every 4 billion calls.
-            self.stamp.fill(0);
-            self.epoch = 1;
+        designated: impl IntoIterator<Item = NodeId>,
+    ) -> u32 {
+        let top = load_holes(&self.index, tree, placed, designated, &mut self.holes);
+        View::new(&self.index, tree, placed, &self.holes, top, top).len()
+    }
+}
+
+/// Writes the holes of the piece with these designated nodes into `holes`
+/// and returns its top: the designated node with a placed parent, or the
+/// guest root when the piece holds it.
+fn load_holes(
+    ix: &SubtreeIndex,
+    tree: &BinaryTree,
+    placed: &[bool],
+    designated: impl IntoIterator<Item = NodeId>,
+    holes: &mut Vec<(u32, u32)>,
+) -> NodeId {
+    holes.clear();
+    let mut top = None;
+    for d in designated {
+        if tree.parent(d).is_some_and(|p| placed[p.index()]) {
+            debug_assert!(top.is_none(), "a piece has one top");
+            top = Some(d);
         }
-        self.order.clear();
-        // Preorder DFS: a node's subtree is popped before anything pushed
-        // earlier, so every subtree is a contiguous run of `order`.
-        self.stack.clear();
-        self.stack.push(root.0);
-        self.stamp[root.index()] = self.epoch;
-        self.par[root.index()] = NONE;
-        while let Some(v) = self.stack.pop() {
-            self.pos[v as usize] = self.order.len() as u32;
-            self.order.push(NodeId(v));
-            self.size[v as usize] = 1;
-            for w in tree.neighbors(NodeId(v)) {
-                if blocked(w) || self.stamp[w.index()] == self.epoch {
-                    continue;
-                }
-                self.stamp[w.index()] = self.epoch;
-                self.par[w.index()] = v;
-                self.stack.push(w.0);
+        for c in tree.children(d) {
+            if placed[c.index()] {
+                holes.push(ix.range(c));
             }
         }
-        // Accumulate sizes bottom-up (reverse preorder).
-        for i in (1..self.order.len()).rev() {
-            let v = self.order[i].index();
-            let p = self.par[v] as usize;
-            self.size[p] += self.size[v];
+    }
+    top.unwrap_or_else(|| {
+        debug_assert!(
+            !placed[tree.root().index()],
+            "a piece without a top holds the root"
+        );
+        tree.root()
+    })
+}
+
+/// A piece directed away from its root `r1`, read off the static
+/// preorder, possibly narrowed to a part of it: the oriented subtree of a
+/// node (Lemma 2's case 3 runs Lemma 1 there), less up to two oriented
+/// subtrees (Lemma 2's correction carves). A narrowed view keeps the
+/// piece's orientation, so it agrees with the whole view on parents,
+/// subtree tests and junctions.
+#[derive(Clone, Copy)]
+pub(crate) struct View<'a> {
+    tree: &'a BinaryTree,
+    ix: &'a SubtreeIndex,
+    placed: &'a [bool],
+    holes: &'a [(u32, u32)],
+    /// The piece's node nearest the guest root.
+    top: NodeId,
+    /// The orientation root `r1`; the spine runs from it up to `top`.
+    root: NodeId,
+    /// Size of the whole piece.
+    n: u32,
+    /// The view's own root: `root`, or a node whose subtree alone is in
+    /// view.
+    base: NodeId,
+    /// Roots of the subtrees carved out of the view.
+    carved: Adjacency<2>,
+}
+
+impl<'a> View<'a> {
+    /// The piece with top `top` and holes `holes`, directed away from
+    /// `root`.
+    pub fn new(
+        ix: &'a SubtreeIndex,
+        tree: &'a BinaryTree,
+        placed: &'a [bool],
+        holes: &'a [(u32, u32)],
+        top: NodeId,
+        root: NodeId,
+    ) -> Self {
+        debug_assert!(ix.below(root, top), "the root lies below the piece's top");
+        let mut view = View {
+            tree,
+            ix,
+            placed,
+            holes,
+            top,
+            root,
+            n: 0,
+            base: root,
+            carved: Adjacency::default(),
+        };
+        view.n = view.static_part(top);
+        view
+    }
+
+    /// The same view less the oriented subtree of `v`, which must not hold
+    /// a subtree carved before.
+    pub fn carve(mut self, v: NodeId) -> Self {
+        debug_assert!(self.contains(v) && v != self.base);
+        debug_assert!(self.carved.iter().all(|&c| !self.in_subtree(c, v)));
+        self.carved.push(v);
+        self
+    }
+
+    /// The oriented subtree of `v` alone, rooted at `v`.
+    pub fn rooted_at(mut self, v: NodeId) -> Self {
+        debug_assert!(self.contains(v) && self.carved.is_empty());
+        self.base = v;
+        self
+    }
+
+    /// Nodes of the static subtree of `v` that lie in the piece.
+    #[inline]
+    fn static_part(&self, v: NodeId) -> u32 {
+        let (lo, hi) = self.ix.range(v);
+        let mut s = hi - lo;
+        for &(a, b) in self.holes {
+            if lo <= a && a < hi {
+                s -= b - a;
+            }
+        }
+        s
+    }
+
+    /// True if `v` lies on the spine, the static path from the root up to
+    /// the top (`v` in the piece).
+    #[inline]
+    fn on_spine(&self, v: NodeId) -> bool {
+        self.ix.below(self.root, v)
+    }
+
+    /// The static child of spine node `v ≠ root` that leads to the root:
+    /// `v`'s parent in the orientation.
+    #[inline]
+    fn toward_root(&self, v: NodeId) -> NodeId {
+        self.tree
+            .children(v)
+            .into_iter()
+            .find(|&c| self.ix.below(self.root, c))
+            .expect("a spine node above the root has a child toward it")
+    }
+
+    /// Size of the oriented subtree of `v` in the whole piece.
+    #[inline]
+    fn full_size(&self, v: NodeId) -> u32 {
+        if v == self.root {
+            self.n
+        } else if self.on_spine(v) {
+            self.n - self.static_part(self.toward_root(v))
+        } else {
+            self.static_part(v)
         }
     }
 
-    /// True if `v` belongs to the currently oriented piece.
+    /// Parent of `v` in the whole piece's orientation.
     #[inline]
-    pub fn contains(&self, v: NodeId) -> bool {
-        self.stamp[v.index()] == self.epoch
+    fn full_parent(&self, v: NodeId) -> Option<NodeId> {
+        if v == self.root {
+            None
+        } else if self.on_spine(v) {
+            Some(self.toward_root(v))
+        } else {
+            self.tree.parent(v)
+        }
     }
 
-    /// Subtree size of `v` within the oriented piece.
+    /// True if `v` belongs to the view.
+    pub fn contains(&self, v: NodeId) -> bool {
+        let p = self.ix.pre[v.index()];
+        !self.placed[v.index()]
+            && self.ix.below(v, self.top)
+            && self.holes.iter().all(|&(a, b)| p < a || b <= p)
+            && self.in_subtree(v, self.base)
+            && self.carved.iter().all(|&c| !self.in_subtree(v, c))
+    }
+
+    /// Size of the view.
+    #[inline]
+    pub fn len(&self) -> u32 {
+        self.size(self.base)
+    }
+
+    /// Size of `v`'s oriented subtree within the view.
     #[inline]
     pub fn size(&self, v: NodeId) -> u32 {
-        debug_assert!(self.contains(v));
-        self.size[v.index()]
+        let mut s = self.full_size(v);
+        for &c in &self.carved {
+            if self.in_subtree(c, v) {
+                s -= self.full_size(c);
+            }
+        }
+        s
     }
 
-    /// Size of the whole piece.
-    #[inline]
-    pub fn piece_len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Parent of `v` toward the orientation root; `None` at the root.
+    /// Parent of `v` toward the view's root; `None` at that root.
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        debug_assert!(self.contains(v));
-        let p = self.par[v.index()];
-        (p != NONE).then_some(NodeId(p))
+        if v == self.base {
+            None
+        } else {
+            self.full_parent(v)
+        }
     }
 
-    /// Children of `v` in the oriented piece.
-    pub fn children(&self, tree: &BinaryTree, v: NodeId) -> Adjacency<3> {
-        debug_assert!(self.contains(v));
+    /// Children of `v` in the view, in `tree.neighbors` order.
+    #[inline]
+    pub fn children(&self, v: NodeId) -> Adjacency<3> {
+        let up = self.full_parent(v);
         let mut out = Adjacency::default();
-        for w in tree.neighbors(v) {
-            if self.contains(w) && self.par[w.index()] == v.0 {
+        for w in self.tree.neighbors(v) {
+            if !self.placed[w.index()] && Some(w) != up && !self.carved.contains(&w) {
                 out.push(w);
             }
         }
         out
     }
 
-    /// All nodes of the oriented piece, in preorder.
+    /// True if `v` lies in the oriented subtree of `u` (`v == u`
+    /// included).
     #[inline]
-    pub fn piece_nodes(&self) -> &[NodeId] {
-        &self.order
-    }
-
-    /// The positions of `v`'s oriented subtree in
-    /// [`piece_nodes`](Self::piece_nodes).
-    #[inline]
-    pub(crate) fn subtree_range(&self, v: NodeId) -> std::ops::Range<usize> {
-        debug_assert!(self.contains(v));
-        let lo = self.pos[v.index()] as usize;
-        lo..lo + self.size[v.index()] as usize
-    }
-
-    /// The nodes of `v`'s oriented subtree, in preorder: a slice of the
-    /// piece's preorder, no walk.
-    #[inline]
-    pub fn subtree_nodes(&self, v: NodeId) -> &[NodeId] {
-        &self.order[self.subtree_range(v)]
-    }
-
-    /// Position of `v` in [`piece_nodes`](Self::piece_nodes).
-    #[inline]
-    pub(crate) fn position(&self, v: NodeId) -> usize {
-        debug_assert!(self.contains(v));
-        self.pos[v.index()] as usize
-    }
-
-    /// True if `v` lies in the oriented subtree of `top` (`v == top`
-    /// included): a range test on preorder positions.
-    #[inline]
-    pub(crate) fn in_subtree(&self, v: NodeId, top: NodeId) -> bool {
-        debug_assert!(self.contains(v) && self.contains(top));
-        let off = self.pos[v.index()].wrapping_sub(self.pos[top.index()]);
-        off < self.size[top.index()]
+    pub fn in_subtree(&self, v: NodeId, u: NodeId) -> bool {
+        if u == self.root {
+            true
+        } else if self.on_spine(u) {
+            !self.ix.below(v, self.toward_root(u))
+        } else {
+            self.ix.below(v, u)
+        }
     }
 
     /// The deepest node common to the root paths of `a` and `b` — the
-    /// junction point where the two paths from the orientation root part.
-    /// Climbs from `b` to the first node whose subtree holds `a`:
-    /// O(depth), with no marks to write.
+    /// junction point where the two paths from the view's root part.
+    /// Climbs from `b` to the first node whose subtree holds `a`.
     pub fn junction(&self, a: NodeId, b: NodeId) -> NodeId {
         let mut cur = b;
         while !self.in_subtree(a, cur) {
-            cur = self.parent(cur).expect("nodes are in the same piece");
+            cur = self.parent(cur).expect("nodes are in the same view");
         }
         cur
     }
-}
 
-/// Reusable orientation buffers for the separator lemmas.
-///
-/// One Lemma-2 call needs up to three simultaneous orientations (the main
-/// piece plus two correction carves); allocating them per call is the
-/// dominant cost of a lemma application on large trees (DESIGN.md §9).
-/// Hold one `SeparatorScratch` for the whole embedding and pass it to
-/// [`lemma1_with`](super::lemma1_with) / [`lemma2_with`](super::lemma2_with).
-#[derive(Debug)]
-pub struct SeparatorScratch {
-    pub(crate) o1: Orientation,
-    pub(crate) o2: Orientation,
-    pub(crate) o3: Orientation,
-    /// Runs of preorder positions, for Lemma 2's set differences.
-    pub(crate) runs: Vec<(usize, usize)>,
-}
-
-impl Default for SeparatorScratch {
-    /// An empty scratch; `ensure` (called by every lemma entry point)
-    /// grows it on first use.
-    fn default() -> Self {
-        SeparatorScratch::new(0)
-    }
-}
-
-impl SeparatorScratch {
-    /// Allocates scratch for a tree with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        SeparatorScratch {
-            o1: Orientation::new(n),
-            o2: Orientation::new(n),
-            o3: Orientation::new(n),
-            runs: Vec::new(),
+    /// Procedure `find1` of the paper: starting from `u`, repeatedly
+    /// descend to the child of maximal subtree cardinality (the last one
+    /// in neighbour order on a tie) while `|T(u)| > 4Δ/3` (implemented
+    /// exactly as `3·|T(u)| > 4·Δ`).
+    ///
+    /// On return, `|T(u)| ≤ ⌊4Δ/3⌋` and `| |T(u)| − Δ | ≤ ⌊(Δ+1)/3⌋`, and
+    /// the returned node differs from `start`.
+    ///
+    /// # Preconditions (asserted)
+    /// * `Δ ≥ 1` and `3·size(start) > 4·Δ`;
+    /// * `start` has at most 2 children in the view (true whenever
+    ///   `start` is a designated node: one of its ≤ 3 tree neighbours is
+    ///   already placed). A third child would weaken the heavy-child bound.
+    pub fn find1(&self, start: NodeId, delta: u32) -> NodeId {
+        assert!(delta >= 1, "find1 needs Δ ≥ 1");
+        let mut s = self.size(start);
+        assert!(3 * s > 4 * delta, "find1 precondition |T| > 4Δ/3");
+        // Hard assert (the documented bounds silently degrade otherwise):
+        // a third child weakens the heavy-child lower bound. Designated
+        // nodes always satisfy this (one neighbour is placed).
+        assert!(
+            self.children(start).len() <= 2,
+            "find1 start must have ≤ 2 children in the piece"
+        );
+        let mut u = start;
+        while 3 * s > 4 * delta {
+            // The children's subtrees partition T(u) − u, so the last
+            // child's size is what the others leave.
+            let kids = self.children(u);
+            let (&last, rest) = kids
+                .split_last()
+                .expect("a subtree larger than 4Δ/3 ≥ 1 has children");
+            let mut left = s - 1;
+            let mut best = (u, 0);
+            for &c in rest {
+                let sc = self.size(c);
+                left -= sc;
+                if sc >= best.1 {
+                    best = (c, sc);
+                }
+            }
+            if left >= best.1 {
+                best = (last, left);
+            }
+            (u, s) = best;
         }
+        debug_assert_ne!(u, start);
+        debug_assert!(u32::abs_diff(s, delta) <= (delta + 1) / 3);
+        u
     }
 
-    /// Grows the scratch to cover a tree with `n` nodes.
-    pub fn ensure(&mut self, n: usize) {
-        self.o1.ensure(n);
-        self.o2.ensure(n);
-        self.o3.ensure(n);
+    /// Procedure `find2` of the paper on the whole piece: walks from the
+    /// root along the path toward `r2` while the subtree stays larger than
+    /// `4Δ/3`, and returns where it stops. The path climbs the spine to
+    /// the first node above `r2`, then descends the static tree.
+    pub fn find2(&self, r2: NodeId, delta: u32) -> NodeId {
+        debug_assert!(self.base == self.root && self.carved.is_empty());
+        let (mut v, mut s) = (self.root, self.n);
+        while 3 * s > 4 * delta && v != r2 {
+            if self.ix.below(r2, v) {
+                v = self
+                    .tree
+                    .children(v)
+                    .into_iter()
+                    .find(|&c| self.ix.below(r2, c))
+                    .expect("r2 lies below one child");
+                s = self.static_part(v);
+            } else {
+                // Climbing: the orientation's subtree of the static
+                // parent is the piece less the static part below `v`.
+                s = self.n - self.static_part(v);
+                v = self.tree.parent(v).expect("r2 lies above");
+            }
+        }
+        v
     }
-}
 
-/// Procedure `find1` of the paper: starting from `u`, repeatedly descend to
-/// the child of maximal subtree cardinality while `|T(u)| > 4Δ/3`
-/// (implemented exactly as `3·|T(u)| > 4·Δ`).
-///
-/// On return, `|T(u)| ≤ ⌊4Δ/3⌋` and `| |T(u)| − Δ | ≤ ⌊(Δ+1)/3⌋`, and the
-/// returned node differs from `start`.
-///
-/// # Preconditions (asserted)
-/// * `Δ ≥ 1` and `3·size(start) > 4·Δ`;
-/// * `start` has at most 2 children in the oriented piece (true whenever
-///   `start` is a designated node: one of its ≤ 3 tree neighbours is
-///   already placed). A third child would weaken the heavy-child bound.
-pub fn find1(o: &Orientation, tree: &BinaryTree, start: NodeId, delta: u32) -> NodeId {
-    assert!(delta >= 1, "find1 needs Δ ≥ 1");
-    assert!(
-        3 * o.size(start) > 4 * delta,
-        "find1 precondition |T| > 4Δ/3"
-    );
-    // Hard assert (the documented bounds silently degrade otherwise): a
-    // third child weakens the heavy-child lower bound. Designated nodes
-    // always satisfy this (one neighbour is placed).
-    assert!(
-        o.children(tree, start).len() <= 2,
-        "find1 start must have ≤ 2 children in the piece"
-    );
-    let mut u = start;
-    while 3 * o.size(u) > 4 * delta {
-        u = o
-            .children(tree, u)
-            .into_iter()
-            .max_by_key(|&c| o.size(c))
-            .expect("a subtree larger than 4Δ/3 ≥ 1 has children");
+    /// The nodes of a combination of oriented subtrees of the whole
+    /// piece, in static preorder: the union of the subtrees of `add`
+    /// (pairwise disjoint) less the subtree of `remove` (inside one of
+    /// them); with `invert`, the rest of the piece instead.
+    ///
+    /// Each oriented subtree is a static preorder range (a spine node's
+    /// is the top's range less the range of its child toward the root),
+    /// less the holes. So the result is a signed sum of a few ranges,
+    /// swept once, and copied as the slices of the preorder between its
+    /// boundaries.
+    pub fn collect(
+        &self,
+        add: &[NodeId],
+        remove: Option<NodeId>,
+        invert: bool,
+        events: &mut Vec<(u32, i32)>,
+    ) -> Vec<NodeId> {
+        events.clear();
+        let mut range = |(lo, hi): (u32, u32), sign: i32| {
+            events.push((lo, sign));
+            events.push((hi, -sign));
+        };
+        let whole = self.ix.range(self.top);
+        let mut len = 0i64;
+        let sign = if invert {
+            range(whole, 1);
+            len += i64::from(self.n);
+            -1
+        } else {
+            1
+        };
+        let terms = add
+            .iter()
+            .map(|&v| (v, sign))
+            .chain(remove.map(|v| (v, -sign)));
+        for (v, sign) in terms {
+            len += i64::from(sign) * i64::from(self.full_size(v));
+            if v == self.root {
+                range(whole, sign);
+            } else if self.on_spine(v) {
+                range(whole, sign);
+                range(self.ix.range(self.toward_root(v)), -sign);
+            } else {
+                range(self.ix.range(v), sign);
+            }
+        }
+        for &hole in self.holes {
+            range(hole, -1);
+        }
+        events.sort_unstable();
+        let mut out = Vec::with_capacity(len as usize);
+        let (mut cover, mut at) = (0, 0);
+        for &(pos, d) in events.iter() {
+            if cover > 0 {
+                out.extend_from_slice(&self.ix.order[at as usize..pos as usize]);
+            }
+            debug_assert!(cover <= 1, "the subtrees overlap");
+            cover += d;
+            at = pos;
+        }
+        debug_assert_eq!(out.len() as i64, len);
+        out
     }
-    debug_assert_ne!(u, start);
-    debug_assert!(u32::abs_diff(o.size(u), delta) <= (delta + 1) / 3);
-    u
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate;
-    use rand::SeedableRng;
+    use crate::generate::{self, TreeFamily};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::collections::HashMap;
+
+    /// The view of the piece holding `root`, its designated nodes found by
+    /// flooding.
+    fn view<'a>(
+        scratch: &'a mut SeparatorScratch,
+        t: &'a BinaryTree,
+        placed: &'a [bool],
+        root: NodeId,
+    ) -> View<'a> {
+        let designated = super::super::designated_by_flood(t, placed, root);
+        scratch.view(t, placed, designated, root).0
+    }
+
+    /// A piece of `root` oriented by brute force: a breadth-first flood
+    /// over un-placed nodes not in `blocked`.
+    struct Flood {
+        parent: HashMap<NodeId, Option<NodeId>>,
+        size: HashMap<NodeId, u32>,
+        order: Vec<NodeId>,
+    }
+
+    impl Flood {
+        fn new(t: &BinaryTree, placed: &[bool], blocked: &[NodeId], root: NodeId) -> Self {
+            let mut parent = HashMap::from([(root, None)]);
+            let mut order = vec![root];
+            let mut head = 0;
+            while head < order.len() {
+                let v = order[head];
+                head += 1;
+                for w in t.neighbors(v) {
+                    if !placed[w.index()] && !blocked.contains(&w) && !parent.contains_key(&w) {
+                        parent.insert(w, Some(v));
+                        order.push(w);
+                    }
+                }
+            }
+            let mut size: HashMap<NodeId, u32> = order.iter().map(|&v| (v, 1)).collect();
+            for &v in order.iter().rev() {
+                if let Some(p) = parent[&v] {
+                    *size.get_mut(&p).unwrap() += size[&v];
+                }
+            }
+            Flood {
+                parent,
+                size,
+                order,
+            }
+        }
+
+        fn children(&self, t: &BinaryTree, v: NodeId) -> Vec<NodeId> {
+            let mut out = t.neighbors(v).to_vec();
+            out.retain(|w| self.parent.get(w) == Some(&Some(v)));
+            out
+        }
+
+        /// `v` and its ancestors, bottom-up.
+        fn up(&self, v: NodeId) -> Vec<NodeId> {
+            std::iter::successors(Some(v), |u| self.parent[u]).collect()
+        }
+
+        fn subtree(&self, u: NodeId) -> Vec<NodeId> {
+            let mut out: Vec<NodeId> = self
+                .order
+                .iter()
+                .copied()
+                .filter(|&v| self.up(v).contains(&u))
+                .collect();
+            out.sort_unstable();
+            out
+        }
+    }
+
+    /// Checks `o` against the flood `f` of the same nodes: size, parent,
+    /// children (in neighbour order), subtree tests and junctions.
+    fn check(t: &BinaryTree, o: &View<'_>, f: &Flood, rng: &mut ChaCha8Rng) {
+        assert_eq!(o.len() as usize, f.order.len());
+        for &v in &f.order {
+            assert!(o.contains(v), "{v:?}");
+            assert_eq!(o.size(v), f.size[&v], "size of {v:?}");
+            assert_eq!(o.parent(v), f.parent[&v], "parent of {v:?}");
+            assert_eq!(
+                &o.children(v)[..],
+                &f.children(t, v)[..],
+                "children of {v:?}"
+            );
+        }
+        for _ in 0..64 {
+            let a = f.order[rng.random_range(0..f.order.len())];
+            let b = f.order[rng.random_range(0..f.order.len())];
+            let (up_a, up_b) = (f.up(a), f.up(b));
+            assert_eq!(o.in_subtree(a, b), up_a.contains(&b), "{a:?} below {b:?}");
+            let j = *up_b.iter().find(|u| up_a.contains(u)).unwrap();
+            assert_eq!(o.junction(a, b), j, "junction of {a:?}, {b:?}");
+        }
+    }
+
+    /// Sorted, for comparing sets.
+    fn sorted(mut vs: Vec<NodeId>) -> Vec<NodeId> {
+        vs.sort_unstable();
+        vs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        // The view agrees with a flood orientation on the whole piece,
+        // with one and two carved subtrees, and on a node's subtree
+        // alone; `collect` agrees with the flood's subtree sets. Dense
+        // placements give pieces with three or more designated nodes,
+        // and `multi` picks one whenever the guest has one.
+        #[test]
+        fn view_matches_a_flood_orientation(
+            seed in any::<u64>(),
+            family in 0usize..12,
+            n in 2usize..300,
+            density in 0usize..4,
+            multi in any::<bool>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let t = TreeFamily::ALL[family].generate(n, &mut rng);
+            let per64 = [0, 1, 4, 12][density];
+            let placed: Vec<bool> = (0..t.len()).map(|_| rng.random_range(0..64) < per64).collect();
+            let free: Vec<NodeId> = t.nodes().filter(|v| !placed[v.index()]).collect();
+            prop_assume!(!free.is_empty());
+            let has_placed_neighbour =
+                |v: NodeId| t.neighbors(v).iter().any(|w| placed[w.index()]);
+            let mut r1 = free[rng.random_range(0..free.len())];
+            if multi {
+                if let Some(&v) = free.iter().find(|&&v| {
+                    let f = Flood::new(&t, &placed, &[], v);
+                    f.order.iter().filter(|&&u| has_placed_neighbour(u)).count() >= 3
+                }) {
+                    r1 = v;
+                }
+            }
+            let whole = Flood::new(&t, &placed, &[], r1);
+            let designated: Vec<NodeId> =
+                whole.order.iter().copied().filter(|&v| has_placed_neighbour(v)).collect();
+            let mut scratch = SeparatorScratch::new(&t);
+            let (o, events) = scratch.view(&t, &placed, designated.iter().rev().copied(), r1);
+            check(&t, &o, &whole, &mut rng);
+            for v in t.nodes() {
+                prop_assert_eq!(o.contains(v), whole.parent.contains_key(&v));
+            }
+
+            // collect: a subtree, the rest of the piece, and two disjoint
+            // subtrees less one nested in the first.
+            let m = whole.order.len();
+            let u1 = whole.order[rng.random_range(0..m)];
+            let t1 = whole.subtree(u1);
+            prop_assert_eq!(&sorted(o.collect(&[u1], None, false, events)), &t1);
+            let rest: Vec<NodeId> = sorted(whole.order.clone()).into_iter().filter(|v| !t1.contains(v)).collect();
+            prop_assert_eq!(sorted(o.collect(&[u1], None, true, events)), rest);
+            let w = t1[rng.random_range(0..t1.len())];
+            let u2 = whole.order[rng.random_range(0..m)];
+            if w != u1 && !t1.contains(&u2) && !whole.subtree(u2).contains(&u1) {
+                let mut expect: Vec<NodeId> = t1.iter().copied().filter(|v| !whole.subtree(w).contains(v)).collect();
+                expect.extend(whole.subtree(u2));
+                prop_assert_eq!(sorted(o.collect(&[u1, u2], Some(w), false, events)), sorted(expect));
+            }
+
+            // Carves, as Lemma 2's corrections make them.
+            if m > 1 {
+                let c1 = whole.order[rng.random_range(1..m)];
+                let f1 = Flood::new(&t, &placed, &[c1], r1);
+                let o1 = o.carve(c1);
+                check(&t, &o1, &f1, &mut rng);
+                let c2 = f1.order[rng.random_range(0..f1.order.len())];
+                if c2 != r1 && !whole.subtree(c2).contains(&c1) {
+                    let f2 = Flood::new(&t, &placed, &[c1, c2], r1);
+                    check(&t, &o1.carve(c2), &f2, &mut rng);
+                }
+            }
+
+            // A node's subtree alone, as Lemma 2's case 3 reads it.
+            let s = whole.order[rng.random_range(0..m)];
+            let above: Vec<NodeId> = whole.parent[&s].into_iter().collect();
+            check(&t, &o.rooted_at(s), &Flood::new(&t, &placed, &above, s), &mut rng);
+        }
+    }
+
+    #[test]
+    fn index_is_a_preorder_with_subtree_sizes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let t = generate::random_bst(300, &mut rng);
+        let ix = SubtreeIndex::new(&t);
+        assert_eq!(ix.order, t.preorder());
+        assert_eq!(ix.sz, t.subtree_sizes());
+        for v in t.nodes() {
+            assert_eq!(ix.order[ix.pre[v.index()] as usize], v);
+        }
+    }
 
     #[test]
     fn orient_whole_tree_from_root() {
         let t = generate::left_complete(15);
-        let mut o = Orientation::new(t.len());
-        o.orient(&t, &[false; 15], &[], t.root());
-        assert_eq!(o.piece_len(), 15);
-        assert_eq!(o.size(t.root()), 15);
+        let mut scratch = SeparatorScratch::new(&t);
+        let o = view(&mut scratch, &t, &[false; 15], t.root());
+        assert_eq!(o.len(), 15);
         for v in t.nodes() {
             assert!(o.contains(v));
             assert_eq!(o.parent(v), t.parent(v));
@@ -299,15 +755,15 @@ mod tests {
     fn orient_from_interior_reroots() {
         // Path 0-1-2-3-4 rooted at 2: both directions become children.
         let t = generate::path(5);
-        let mut o = Orientation::new(5);
-        o.orient(&t, &[false; 5], &[], NodeId(2));
+        let mut scratch = SeparatorScratch::new(&t);
+        let o = view(&mut scratch, &t, &[false; 5], NodeId(2));
         assert_eq!(o.size(NodeId(2)), 5);
         assert_eq!(o.parent(NodeId(2)), None);
         assert_eq!(o.parent(NodeId(1)), Some(NodeId(2)));
         assert_eq!(o.parent(NodeId(3)), Some(NodeId(2)));
         assert_eq!(o.size(NodeId(1)), 2);
         assert_eq!(o.size(NodeId(3)), 2);
-        assert_eq!(o.children(&t, NodeId(2)).len(), 2);
+        assert_eq!(o.children(NodeId(2)).len(), 2);
     }
 
     #[test]
@@ -315,31 +771,32 @@ mod tests {
         let t = generate::path(7);
         let mut placed = vec![false; 7];
         placed[3] = true;
-        let mut o = Orientation::new(7);
-        o.orient(&t, &placed, &[], NodeId(0));
-        assert_eq!(o.piece_len(), 3); // 0,1,2
+        let mut scratch = SeparatorScratch::new(&t);
+        let o = view(&mut scratch, &t, &placed, NodeId(0));
+        assert_eq!(o.len(), 3); // 0,1,2
         assert!(!o.contains(NodeId(3)));
         assert!(!o.contains(NodeId(5)));
-        o.orient(&t, &placed, &[], NodeId(5));
-        assert_eq!(o.piece_len(), 3); // 4,5,6
+        let o = view(&mut scratch, &t, &placed, NodeId(5));
+        assert_eq!(o.len(), 3); // 4,5,6
     }
 
     #[test]
     fn excluded_acts_like_placed() {
         let t = generate::left_complete(7);
-        let mut o = Orientation::new(7);
-        // Excluding child 1 restricts the piece to {0, 2, 5, 6}.
-        o.orient(&t, &[false; 7], &[NodeId(1)], NodeId(0));
-        assert_eq!(o.piece_len(), 4);
+        let mut scratch = SeparatorScratch::new(&t);
+        // Carving (excluding) child 1 leaves {0, 2, 5, 6}.
+        let o = view(&mut scratch, &t, &[false; 7], NodeId(0)).carve(NodeId(1));
+        assert_eq!(o.len(), 4);
         assert!(!o.contains(NodeId(3)));
+        assert_eq!(&o.children(NodeId(0))[..], &[NodeId(2)]);
     }
 
     #[test]
     fn subtree_nodes_and_path() {
         let t = generate::left_complete(15);
-        let mut o = Orientation::new(15);
-        o.orient(&t, &[false; 15], &[], t.root());
-        let sub = o.subtree_nodes(NodeId(1));
+        let mut scratch = SeparatorScratch::new(&t);
+        let o = view(&mut scratch, &t, &[false; 15], t.root());
+        let sub = o.collect(&[NodeId(1)], None, false, &mut Vec::new());
         assert_eq!(sub.len(), 7);
         assert_eq!(sub[0], NodeId(1));
         for v in t.nodes() {
@@ -354,8 +811,8 @@ mod tests {
     #[test]
     fn junction_points() {
         let t = generate::left_complete(15);
-        let mut o = Orientation::new(15);
-        o.orient(&t, &[false; 15], &[], t.root());
+        let mut scratch = SeparatorScratch::new(&t);
+        let o = view(&mut scratch, &t, &[false; 15], t.root());
         assert_eq!(o.junction(NodeId(9), NodeId(10)), NodeId(4));
         assert_eq!(o.junction(NodeId(9), NodeId(3)), NodeId(1));
         assert_eq!(o.junction(NodeId(9), NodeId(14)), NodeId(0));
@@ -368,16 +825,17 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         for n in [50usize, 200, 1000] {
             let t = generate::random_bst(n, &mut rng);
-            let mut o = Orientation::new(n);
-            o.orient(&t, &vec![false; n], &[], t.root());
+            let mut scratch = SeparatorScratch::new(&t);
+            let placed = vec![false; n];
+            let o = view(&mut scratch, &t, &placed, t.root());
             for delta in [1u32, 2, 5, 10, (n as u32) / 3, (3 * n as u32) / 4 - 1] {
                 if delta == 0 || 3 * (n as u32) <= 4 * delta {
                     continue;
                 }
-                if o.children(&t, t.root()).len() > 2 {
+                if o.children(t.root()).len() > 2 {
                     continue;
                 }
-                let u = find1(&o, &t, t.root(), delta);
+                let u = o.find1(t.root(), delta);
                 let got = o.size(u);
                 assert!(
                     u32::abs_diff(got, delta) <= (delta + 1) / 3,
@@ -388,12 +846,29 @@ mod tests {
     }
 
     #[test]
+    fn holes_come_from_every_designated_node() {
+        // In the complete tree on 15 nodes (children of v: 2v+1, 2v+2),
+        // placing the root and the grandchildren 7 and 9 of node 1 leaves
+        // node 1's piece {1, 3, 4, 8, 10} next to three placed nodes. The
+        // hole under node 3 is missed unless node 3 is passed too.
+        let t = generate::left_complete(15);
+        let mut placed = vec![false; 15];
+        for v in [0, 7, 9] {
+            placed[v] = true;
+        }
+        let mut scratch = SeparatorScratch::new(&t);
+        let all = [NodeId(1), NodeId(3), NodeId(4)];
+        assert_eq!(scratch.piece_len(&t, &placed, all), 5);
+        assert_eq!(scratch.piece_len(&t, &placed, [NodeId(1), NodeId(4)]), 6);
+    }
+
+    #[test]
     fn find1_on_path_is_exact_enough() {
         let t = generate::path(100);
-        let mut o = Orientation::new(100);
-        o.orient(&t, &[false; 100], &[], t.root());
+        let mut scratch = SeparatorScratch::new(&t);
+        let o = view(&mut scratch, &t, &[false; 100], t.root());
         for delta in [1u32, 7, 30, 60] {
-            let u = find1(&o, &t, t.root(), delta);
+            let u = o.find1(t.root(), delta);
             // On a path every subtree size is hit exactly: |T(u)| = ⌊4Δ/3⌋.
             assert_eq!(o.size(u), 4 * delta / 3);
         }

@@ -55,10 +55,23 @@ impl<const N: usize> Adjacency<N> {
         Adjacency::default()
     }
 
+    /// Appends `v`.
+    ///
+    /// # Panics
+    /// Panics if the list already holds `N` entries.
     #[inline]
-    pub(crate) fn push(&mut self, v: NodeId) {
+    pub fn push(&mut self, v: NodeId) {
         self.buf[usize::from(self.len)] = v;
         self.len += 1;
+    }
+
+    /// The entries of `vs`, at most `N` of them.
+    pub(crate) fn of(vs: &[NodeId]) -> Self {
+        let mut out = Self::new();
+        for &v in vs {
+            out.push(v);
+        }
+        out
     }
 
     /// The entries as a slice.
