@@ -2,7 +2,8 @@
 //! `results/BENCH_embed.json`.
 //!
 //! For each size on the curve X(6)–X(12) it builds the same seeded
-//! `random-bst` guest, and one `uniform` guest at X(12), two ways:
+//! `random-bst` guest, and one `uniform` and one `path` guest at X(12),
+//! two ways:
 //!
 //! * **legacy** — the frozen pre-refactor builder
 //!   (`xtree_bench::legacy_theorem1`), timed as the reference;
@@ -18,7 +19,8 @@
 //! generalised to be machine-independent): each guest in [`GATE_FLOORS`]
 //! requires the serial rebuild to beat legacy by its floor — random-bst at
 //! the serving size X(6) and at X(12), the largest host a cold build
-//! reaches, and a uniform guest at X(12), whose build Lemma 2 dominates —
+//! reaches, a uniform guest at X(12), whose build Lemma 2 dominates, and a
+//! path at X(12), where the separator walks cover the longest runs —
 //! and the X(6) steady-state allocation count must stay within
 //! [`GATE_ALLOC_SLACK`] of the checked-in
 //! `results/BENCH_embed_baseline.json`. Wall-clock is only ever compared
@@ -45,7 +47,7 @@ use xtree_trees::BinaryTree;
 /// flooding builder it replaced; 2.5x fails the latter and leaves the
 /// former a 25% margin. Random-bst spends about 5% of a build in Lemma 2,
 /// so the uniform X(12) row holds the separator lemmas to their speed.
-const GATE_FLOORS: [(TreeFamily, u8, f64); 3] = [
+const GATE_FLOORS: [(TreeFamily, u8, f64); 4] = [
     (TreeFamily::RandomBst, SERVING_R, 1.5),
     (TreeFamily::RandomBst, 12, 2.5),
     // On 2 vCPUs this ratio read 1.54–1.71x while both builders oriented
@@ -53,6 +55,11 @@ const GATE_FLOORS: [(TreeFamily, u8, f64); 3] = [
     // off the static preorder: 3x fails the former and leaves the latter
     // a margin of over 80%.
     (TreeFamily::UniformRandom, 12, 3.0),
+    // On a path guest the walks were the cost: 2.71–2.95x while `find1`
+    // and `find2` stepped one node at a time, 5.34–6.11x once they
+    // search heavy-path runs (2 vCPUs). 4x fails the former and leaves
+    // the latter a margin of over 30%.
+    (TreeFamily::Path, 12, 4.0),
 ];
 /// Gate: allowed growth of steady-state allocations per build over the
 /// checked-in baseline (counts, not bytes — fully machine-independent).
@@ -222,6 +229,7 @@ fn main() {
         (bst, 11),
         (bst, 12),
         (TreeFamily::UniformRandom, 12),
+        (TreeFamily::Path, 12),
     ];
     let (guests, reps): (&[(TreeFamily, u8)], usize) = if smoke {
         (&serving_only, 2)
@@ -249,8 +257,8 @@ fn main() {
         .with("seed", base_seed)
         .with(
             "workload",
-            "seeded random-bst guests at X(6)-X(12) and a uniform guest at X(12), one \
-             Theorem-1 build per rep; legacy (frozen pre-refactor builder and \
+            "seeded random-bst guests at X(6)-X(12) and uniform and path guests at X(12), \
+             one Theorem-1 build per rep; legacy (frozen pre-refactor builder and \
              orientation-based separator) vs rebuilt serial (reused scratch); median over \
              interleaved reps; allocation counts from a counting global allocator",
         )

@@ -77,12 +77,14 @@ pub fn evaluate(tree: &BinaryTree, emb: &XEmbedding) -> EmbeddingStats {
             c4 += 1;
         }
     }
+    // One count of the loads serves both the maximum and injectivity.
+    let max_load = emb.max_load();
     EmbeddingStats {
         dilation,
         dilation_histogram: histogram,
-        max_load: emb.max_load(),
+        max_load,
         expansion: emb.expansion(),
-        injective: emb.is_injective(),
+        injective: max_load <= 1,
         condition3_violations: c3,
         condition4_violations: c4,
     }

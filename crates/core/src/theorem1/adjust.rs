@@ -28,10 +28,10 @@
 //! snapshot equals what live queries would return, and the two phases
 //! reproduce the legacy decide-and-apply-per-pair order exactly.
 
-use super::state::{Builder, IntId};
+use super::state::{Builder, IntId, IntervalSplit};
 use std::ops::Range;
 use xtree_topology::Address;
-use xtree_trees::{Separation, SeparatorScratch};
+use xtree_trees::SeparatorScratch;
 
 /// What one sibling pair decided to do, computed read-only in phase one
 /// and committed in phase two.
@@ -47,7 +47,7 @@ struct PairPlan {
     /// shared move list.
     whole: Range<usize>,
     /// At most one Lemma-2 split of the residual imbalance.
-    split: Option<(IntId, Separation)>,
+    split: Option<(IntId, IntervalSplit)>,
 }
 
 /// Runs the full ADJUST sweep of round `i` (no-op for `i < 2`).
@@ -226,15 +226,15 @@ fn apply_plan(b: &mut Builder<'_>, plan: PairPlan, whole: &[IntId], mass: &mut [
         mass[bri] += size;
         b.log.adjust_whole_moves += 1;
     }
-    if let Some((id, sep)) = plan.split {
+    if let Some((id, split)) = plan.split {
         let pos = b
             .att_list(plan.bd)
             .iter()
             .position(|&x| x == id)
             .expect("planned split vanished");
         b.detach_swap(plan.bd, pos);
-        let moved = sep.part2.len() as i64;
-        b.apply_separation(id, &sep, plan.d0, plan.r0, plan.d0, plan.r0);
+        let moved = i64::from(split.boundary.part2_len);
+        b.apply_separation(id, &split, plan.d0, plan.r0, plan.d0, plan.r0);
         mass[bdi] -= moved;
         mass[bri] += moved;
         b.log.adjust_splits += 1;

@@ -88,12 +88,12 @@ fn assign_children(b: &mut Builder<'_>, alpha: Address) {
         return;
     }
     let mut scr = std::mem::take(&mut b.s.sep_scratch);
-    let sep = b
+    let split = b
         .interval(id)
         .lemma2(&mut scr, b.tree, &b.s.placed, delta as u32);
     b.s.sep_scratch = scr;
     b.detach_swap(heavy, pos);
-    b.apply_separation(id, &sep, heavy, light, heavy, light);
+    b.apply_separation(id, &split, heavy, light, heavy, light);
     b.log.split_balances += 1;
 }
 

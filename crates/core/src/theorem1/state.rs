@@ -29,7 +29,7 @@
 
 use std::ops::Deref;
 use xtree_topology::Address;
-use xtree_trees::{lemma2_with, BinaryTree, NodeId, Separation, SeparatorScratch};
+use xtree_trees::{lemma2_boundary, BinaryTree, Boundary, NodeId, SeparatorScratch};
 
 /// Handle of a live interval in the builder's slab.
 pub(crate) type IntId = u32;
@@ -98,18 +98,28 @@ pub(crate) struct Interval {
     pub size: u32,
 }
 
+/// A Lemma-2 split of an interval as the builder applies it: the boundary
+/// sets and the size of part 2, and in debug builds part 2 itself, for
+/// the side check of [`Builder::apply_separation`].
+pub(crate) struct IntervalSplit {
+    pub boundary: Boundary,
+    #[cfg(debug_assertions)]
+    part2: Vec<NodeId>,
+}
+
 impl Interval {
     /// Lemma 2 on this fragment, read off the guest's static preorder in
     /// `scr`, with its first and last designated nodes as `r1` and `r2`
     /// (the same node if it has only one). Every designated node is
-    /// passed: the holes of the fragment hang off all of them.
+    /// passed: the holes of the fragment hang off all of them. Release
+    /// builds do not list part 2.
     pub fn lemma2(
         &self,
         scr: &mut SeparatorScratch,
         tree: &BinaryTree,
         placed: &[bool],
         delta: u32,
-    ) -> Separation {
+    ) -> IntervalSplit {
         let r1 = self.designated[0].0;
         let r2 = self
             .designated
@@ -122,7 +132,21 @@ impl Interval {
             self.size,
             "the piece view disagrees with the interval's size"
         );
-        lemma2_with(scr, tree, placed, nodes, r1, r2, delta)
+        let boundary = lemma2_boundary(scr, tree, placed, nodes.clone(), r1, r2, delta);
+        #[cfg(debug_assertions)]
+        let part2 = {
+            let sep = xtree_trees::lemma2_with(scr, tree, placed, nodes, r1, r2, delta);
+            let listed = (&sep.s1[..], &sep.s2[..], &sep.cut[..], sep.part2.len());
+            let b = &boundary;
+            let sized = (&b.s1[..], &b.s2[..], &b.cut[..], b.part2_len as usize);
+            assert_eq!(listed, sized, "the boundary disagrees with the separation");
+            sep.part2
+        };
+        IntervalSplit {
+            boundary,
+            #[cfg(debug_assertions)]
+            part2,
+        }
     }
 
     /// The shallowest anchor level — placement of the designated nodes is
@@ -698,15 +722,16 @@ impl<'t> Builder<'t> {
         assert_eq!(k, ids.len(), "derived a fragment the flood does not find");
     }
 
-    /// Debug check of the rule [`AttachRule::BySide`] rests on, once `sep`
-    /// is placed: an un-placed neighbour of an `S1` node lies in part 1,
-    /// and one of an `S2` node in part 2.
+    /// Debug check of the rule [`AttachRule::BySide`] rests on, once
+    /// `split` is placed: an un-placed neighbour of an `S1` node lies in
+    /// part 1, and one of an `S2` node in part 2.
     #[cfg(debug_assertions)]
-    fn assert_sides(&mut self, sep: &Separation) {
+    fn assert_sides(&mut self, split: &IntervalSplit) {
         self.begin_sweep();
-        for &v in &sep.part2 {
+        for &v in &split.part2 {
             self.s.mark[v.index()] = self.s.epoch;
         }
+        let sep = &split.boundary;
         for (in_part2, boundary) in [(false, &sep.s1), (true, &sep.s2)] {
             for &v in boundary {
                 for w in self.tree.neighbors(v) {
@@ -726,13 +751,14 @@ impl<'t> Builder<'t> {
     pub fn apply_separation(
         &mut self,
         id: IntId,
-        sep: &Separation,
+        split: &IntervalSplit,
         v1: Address,
         v2: Address,
         att1: Address,
         att2: Address,
     ) {
         let iv = self.remove_interval(id);
+        let sep = &split.boundary;
         for &v in &sep.s1 {
             self.place(v, v1);
         }
@@ -740,7 +766,7 @@ impl<'t> Builder<'t> {
             self.place(v, v2);
         }
         #[cfg(debug_assertions)]
-        self.assert_sides(sep);
+        self.assert_sides(split);
         let mut newly = std::mem::take(&mut self.s.newly_buf);
         newly.clear();
         newly.extend_from_slice(&sep.s1);

@@ -5,7 +5,7 @@
 //! random models, all parameterised by an exact node count `n` (the
 //! theorems need `n = 16·(2^{r+1} − 1)` exactly).
 
-use crate::tree::{BinaryTree, NodeId};
+use crate::tree::{BinaryTree, NodeId, NONE};
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -152,7 +152,7 @@ impl TreeFamily {
 /// A path of `n` nodes.
 pub fn path(n: usize) -> BinaryTree {
     assert!(n >= 1);
-    let mut t = BinaryTree::singleton();
+    let mut t = BinaryTree::with_capacity(n);
     let mut tip = t.root();
     for _ in 1..n {
         tip = t.add_child(tip);
@@ -163,16 +163,16 @@ pub fn path(n: usize) -> BinaryTree {
 /// Left-complete binary tree with exactly `n` nodes (heap shape).
 pub fn left_complete(n: usize) -> BinaryTree {
     assert!(n >= 1);
-    let parents: Vec<Option<usize>> = (0..n)
-        .map(|v| if v == 0 { None } else { Some((v - 1) / 2) })
+    let parents = (0..n as u32)
+        .map(|v| if v == 0 { NONE } else { (v - 1) / 2 })
         .collect();
-    BinaryTree::from_parents(&parents)
+    BinaryTree::from_parent_ids(parents)
 }
 
 /// Caterpillar: a spine path with one extra leaf on alternating spine nodes.
 pub fn caterpillar(n: usize) -> BinaryTree {
     assert!(n >= 1);
-    let mut t = BinaryTree::singleton();
+    let mut t = BinaryTree::with_capacity(n);
     let mut tip = t.root();
     let mut made = 1;
     let mut hang = true;
@@ -195,8 +195,12 @@ pub fn caterpillar(n: usize) -> BinaryTree {
 pub fn broom(n: usize) -> BinaryTree {
     assert!(n >= 1);
     let handle = (n / 2).max(1);
-    let mut t = path(handle);
-    let mut frontier = vec![last_path_node(&t)];
+    let mut t = BinaryTree::with_capacity(n);
+    let mut tip = t.root();
+    for _ in 1..handle {
+        tip = t.add_child(tip);
+    }
+    let mut frontier = vec![tip];
     let mut made = handle;
     // Grow the head breadth-first so it forms a complete-ish tree.
     while made < n {
@@ -215,14 +219,6 @@ pub fn broom(n: usize) -> BinaryTree {
     t
 }
 
-fn last_path_node(t: &BinaryTree) -> NodeId {
-    let mut v = t.root();
-    while let Some(c) = t.children(v).first().copied() {
-        v = c;
-    }
-    v
-}
-
 /// Random BST shape: the shape of inserting a uniform random permutation of
 /// `0..n` into a binary search tree. Expected height `Θ(log n)`, but with
 /// long unary stretches — a good "typical divide and conquer" model.
@@ -237,7 +233,7 @@ pub fn random_bst<R: Rng + ?Sized>(n: usize, rng: &mut R) -> BinaryTree {
 /// spare capacity. Produces bushier trees than the BST model.
 pub fn random_attach<R: Rng + ?Sized>(n: usize, rng: &mut R) -> BinaryTree {
     assert!(n >= 1);
-    let mut t = BinaryTree::singleton();
+    let mut t = BinaryTree::with_capacity(n);
     // `open` holds nodes with < 2 children, each listed once per free slot.
     let mut open = vec![t.root(), t.root()];
     for _ in 1..n {
@@ -261,7 +257,7 @@ pub fn random_split<R: Rng + ?Sized>(n: usize, rng: &mut R) -> BinaryTree {
 }
 
 fn random_split_rec<R: Rng + ?Sized>(n: usize, rng: &mut R, uniform: bool) -> BinaryTree {
-    let mut t = BinaryTree::singleton();
+    let mut t = BinaryTree::with_capacity(n);
     // Explicit work stack of (node, subtree budget excluding the node).
     let mut stack = vec![(t.root(), n - 1)];
     while let Some((v, budget)) = stack.pop() {
@@ -329,7 +325,7 @@ pub fn fibonacci_size(order: u32) -> usize {
 /// from [`random_attach`] (lean = 0) toward [`path`] (lean = 255).
 pub fn random_leaning<R: Rng + ?Sized>(n: usize, lean: u8, rng: &mut R) -> BinaryTree {
     assert!(n >= 1);
-    let mut t = BinaryTree::singleton();
+    let mut t = BinaryTree::with_capacity(n);
     let mut open = vec![t.root(), t.root()];
     for _ in 1..n {
         let i = if rng.random_range(0..256) < u32::from(lean) {
@@ -346,36 +342,34 @@ pub fn random_leaning<R: Rng + ?Sized>(n: usize, lean: u8, rng: &mut R) -> Binar
 }
 
 /// The Rémy scaffold shared by [`remy_full`] and [`uniform_random`]: the
-/// parent/child scratch arrays of a uniformly random full binary tree
-/// with `leaves` leaves (`2·leaves − 1` nodes).
-fn remy_scaffold<R: Rng + ?Sized>(
-    leaves: usize,
-    rng: &mut R,
-) -> (Vec<Option<usize>>, Vec<[Option<usize>; 2]>) {
+/// parent/child arrays of a uniformly random full binary tree with
+/// `leaves` leaves (`2·leaves − 1` nodes), as `u32` ids with [`NONE`] for
+/// a missing link, 12 bytes per node.
+fn remy_scaffold<R: Rng + ?Sized>(leaves: usize, rng: &mut R) -> (Vec<u32>, Vec<[u32; 2]>) {
     let n = 2 * leaves - 1;
-    let mut parent: Vec<Option<usize>> = vec![None; n];
+    assert!(n < NONE as usize, "tree too large");
+    let mut parent = vec![NONE; n];
     let mut used = 1usize; // node 0 is the initial single leaf / root
-    let mut children: Vec<[Option<usize>; 2]> = vec![[None, None]; n];
+    let mut children = vec![[NONE, NONE]; n];
     for _ in 1..leaves {
         // Pick a uniform existing node to graft above.
         let target = rng.random_range(0..used);
-        let internal = used;
-        let leaf = used + 1;
+        let internal = used as u32;
+        let leaf = internal + 1;
         used += 2;
         let side = rng.random_range(0..2usize);
         // Splice `internal` into target's parent slot.
-        if let Some(p) = parent[target] {
-            let slot = children[p]
-                .iter()
-                .position(|&c| c == Some(target))
-                .expect("consistent links");
-            children[p][slot] = Some(internal);
-            parent[internal] = Some(p);
+        let p = parent[target];
+        if p != NONE {
+            let kids = &mut children[p as usize];
+            kids[usize::from(kids[0] != target as u32)] = internal;
+            parent[internal as usize] = p;
         }
-        children[internal][side] = Some(target);
-        children[internal][1 - side] = Some(leaf);
-        parent[target] = Some(internal);
-        parent[leaf] = Some(internal);
+        let kids = &mut children[internal as usize];
+        kids[side] = target as u32;
+        kids[1 - side] = leaf;
+        parent[target] = internal;
+        parent[leaf as usize] = internal;
     }
     debug_assert_eq!(used, n);
     (parent, children)
@@ -389,7 +383,7 @@ fn remy_scaffold<R: Rng + ?Sized>(
 pub fn remy_full<R: Rng + ?Sized>(leaves: usize, rng: &mut R) -> BinaryTree {
     assert!(leaves >= 1);
     let (parent, _) = remy_scaffold(leaves, rng);
-    BinaryTree::from_parents(&parent)
+    BinaryTree::from_parent_ids(parent)
 }
 
 /// Uniformly random binary tree with exactly `n` nodes: each of the
@@ -398,25 +392,30 @@ pub fn remy_full<R: Rng + ?Sized>(leaves: usize, rng: &mut R) -> BinaryTree {
 /// contracted away, is a uniform binary tree on the `n` internal nodes.
 pub fn uniform_random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> BinaryTree {
     assert!(n >= 1);
-    let (parent, children) = remy_scaffold(n + 1, rng);
-    // Internal nodes (those with children) survive; the parent of an
-    // internal node is always internal, so they form a tree by themselves.
-    let mut new_id = vec![usize::MAX; parent.len()];
-    let mut next = 0usize;
-    for (v, kids) in children.iter().enumerate() {
-        if kids[0].is_some() {
-            new_id[v] = next;
+    let (parent, mut children) = remy_scaffold(n + 1, rng);
+    // Internal nodes (those with children) survive, numbered in scaffold
+    // order; the parent of an internal node is always internal, so they
+    // form a tree by themselves. Each internal node's new id overwrites
+    // its first child slot, which nothing reads again.
+    let mut next = 0u32;
+    for kids in children.iter_mut() {
+        if kids[0] != NONE {
+            kids[0] = next;
             next += 1;
         }
     }
-    debug_assert_eq!(next, n);
-    let mut contracted = vec![None; n];
+    debug_assert_eq!(next as usize, n);
+    let mut contracted = Vec::with_capacity(n);
     for (v, &p) in parent.iter().enumerate() {
-        if new_id[v] != usize::MAX {
-            contracted[new_id[v]] = p.map(|p| new_id[p]);
+        if children[v][0] != NONE {
+            contracted.push(if p == NONE {
+                NONE
+            } else {
+                children[p as usize][0]
+            });
         }
     }
-    BinaryTree::from_parents(&contracted)
+    BinaryTree::from_parent_ids(contracted)
 }
 
 /// Perfectly height-balanced tree: every node budget is split as evenly
@@ -424,7 +423,7 @@ pub fn uniform_random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> BinaryTree {
 /// `⌈log2(n + 1)⌉ − 1` and sibling subtrees differ by at most one node.
 pub fn balanced(n: usize) -> BinaryTree {
     assert!(n >= 1);
-    let mut t = BinaryTree::singleton();
+    let mut t = BinaryTree::with_capacity(n);
     let mut stack = vec![(t.root(), n - 1)];
     while let Some((v, budget)) = stack.pop() {
         if budget == 0 {
@@ -456,7 +455,9 @@ pub fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<u32> {
 /// The BST shape of inserting `keys` in order (duplicates go right).
 /// Node `i` of the result is the `i`-th inserted key, so the shape is a
 /// pure function of the key sequence — the reference the insertion-order
-/// family is pinned against.
+/// family is pinned against. Each key descends from the root, so this
+/// costs the sum of the depths; [`bst_insertion`] builds the same shape
+/// of a permutation in one linear pass.
 pub fn bst_shape(keys: &[u32]) -> BinaryTree {
     assert!(!keys.is_empty());
     let mut parent: Vec<Option<usize>> = vec![None; keys.len()];
@@ -480,12 +481,39 @@ pub fn bst_shape(keys: &[u32]) -> BinaryTree {
 }
 
 /// Literal insertion-order BST: draws a uniform permutation of `0..n`
-/// with [`random_permutation`] and inserts it with [`bst_shape`]. Same
-/// distribution as [`random_bst`], but per-seed checkable against a
-/// reference insertion.
+/// with [`random_permutation`] and returns the shape [`bst_shape`] gives
+/// it. Same distribution as [`random_bst`], but per-seed checkable
+/// against a reference insertion.
+///
+/// The insertion BST of distinct keys is their *Cartesian tree*: in key
+/// order, heap-ordered by insertion time. So one stack pass over the keys
+/// in order builds it: the stack holds the current rightmost path, a key
+/// pops every later-inserted node off it, adopts the last one popped as
+/// its left child and becomes the right child of the node left on top.
 pub fn bst_insertion<R: Rng + ?Sized>(n: usize, rng: &mut R) -> BinaryTree {
     assert!(n >= 1);
-    bst_shape(&random_permutation(n, rng))
+    let perm = random_permutation(n, rng);
+    // Insertion time (= node id) of each key.
+    let mut time = vec![0u32; n];
+    for (i, &key) in perm.iter().enumerate() {
+        time[key as usize] = i as u32;
+    }
+    drop(perm);
+    let mut parent = vec![NONE; n];
+    let mut spine: Vec<u32> = Vec::new();
+    for &v in &time {
+        let mut popped = NONE;
+        while let Some(&top) = spine.last().filter(|&&top| top > v) {
+            popped = top;
+            spine.pop();
+        }
+        if popped != NONE {
+            parent[popped as usize] = v;
+        }
+        parent[v as usize] = spine.last().copied().unwrap_or(NONE);
+        spine.push(v);
+    }
+    BinaryTree::from_parent_ids(parent)
 }
 
 /// Picks a uniformly random node of `t`.
@@ -708,14 +736,22 @@ mod tests {
 
     #[test]
     fn bst_insertion_matches_reference_insertion() {
+        let mut sizes = ChaCha8Rng::seed_from_u64(12);
         for seed in 0..10u64 {
+            // Small sizes and deep insertions up to 2^14 keys.
+            let n = if seed < 3 {
+                [1, 2, 200][seed as usize]
+            } else {
+                sizes.random_range(1..=1 << 14)
+            };
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let t = bst_insertion(200, &mut rng);
+            let t = bst_insertion(n, &mut rng);
             // Replay the same permutation and insert it naively.
-            let perm = random_permutation(200, &mut ChaCha8Rng::seed_from_u64(seed));
+            let perm = random_permutation(n, &mut ChaCha8Rng::seed_from_u64(seed));
             let r = bst_shape(&perm);
             for v in t.nodes() {
-                assert_eq!(t.parent(v), r.parent(v), "seed {seed}");
+                assert_eq!(t.parent(v), r.parent(v), "seed {seed} n={n}");
+                assert_eq!(t.children(v), r.children(v), "seed {seed} n={n}");
             }
         }
     }

@@ -14,7 +14,7 @@ pub mod tree;
 
 pub use generate::{theorem1_size, theorem3_size, TreeFamily, DEFAULT_SKEW_BIAS};
 pub use separator::{
-    check_separation, lemma1, lemma1_with, lemma2, lemma2_with, Separation, SeparatorScratch,
-    SubtreeIndex,
+    check_separation, lemma1, lemma1_with, lemma2, lemma2_boundary, lemma2_with, Boundary,
+    Separation, SeparatorScratch, SubtreeIndex,
 };
 pub use tree::{Adjacency, BinaryTree, NodeId};

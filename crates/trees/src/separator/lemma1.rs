@@ -76,35 +76,24 @@ pub(crate) fn lemma1_in(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32) -> Spl
         .parent(u)
         .expect("find1 never returns the orientation root");
 
-    let mut s1: Vec<NodeId>;
-    let s2: Vec<NodeId>;
-    if o.in_subtree(r2, u) {
+    let (s1, s2) = if o.in_subtree(r2, u) {
         // Case 1: T(u) contains r2.
-        s1 = vec![r1, z];
-        s2 = dedup(vec![u, r2]);
+        (Adjacency::set(&[r1, z]), Adjacency::set(&[u, r2]))
     } else {
         // Case 2: r2 stays on r1's side; y is where the paths to u and to
         // r2 part (possibly r1, r2 or z themselves).
         let y = o.junction(u, r2);
         debug_assert_ne!(y, u, "junction in T(u) would imply r2 ∈ T(u)");
-        s1 = vec![r1, r2, z, y];
-        s2 = vec![u];
-    }
-    s1 = dedup(s1);
+        (Adjacency::set(&[r1, r2, z, y]), Adjacency::of(&[u]))
+    };
     debug_assert!(u32::abs_diff(o.size(u), delta) <= Separation::lemma1_bound(delta));
     Split {
         s1,
         s2,
-        cut: vec![(z, u)],
+        cut: Adjacency::of(&[(z, u)]),
         add: Adjacency::of(&[u]),
         remove: None,
     }
-}
-
-pub(crate) fn dedup(mut v: Vec<NodeId>) -> Vec<NodeId> {
-    v.sort_unstable();
-    v.dedup();
-    v
 }
 
 #[cfg(test)]

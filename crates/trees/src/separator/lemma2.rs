@@ -13,9 +13,9 @@
 //! a detail the extended abstract leaves to the full version. This can push
 //! `|S1|` to 5.
 
-use super::lemma1::{dedup, lemma1_in};
+use super::lemma1::lemma1_in;
 use super::orient::{SeparatorScratch, View};
-use super::{designated_by_flood, Separation, Split};
+use super::{designated_by_flood, Boundary, Separation, Split};
 use crate::tree::{Adjacency, BinaryTree, NodeId};
 
 /// Applies Lemma 2 to the piece containing `r1`. Indexes the guest and
@@ -58,6 +58,30 @@ pub fn lemma2_with(
     delta: u32,
 ) -> Separation {
     let (o, events) = scratch.view(tree, placed, designated, r1);
+    let (split, invert) = split(&o, r1, r2, delta);
+    split.finish(&o, invert, events)
+}
+
+/// [`lemma2_with`] without listing `part2`: the same boundary sets and
+/// cut, and the size of part 2. Costs the walks only, and allocates
+/// nothing.
+pub fn lemma2_boundary(
+    scratch: &mut SeparatorScratch,
+    tree: &BinaryTree,
+    placed: &[bool],
+    designated: impl IntoIterator<Item = NodeId>,
+    r1: NodeId,
+    r2: NodeId,
+    delta: u32,
+) -> Boundary {
+    let (o, _) = scratch.view(tree, placed, designated, r1);
+    let (split, invert) = split(&o, r1, r2, delta);
+    split.boundary(&o, invert)
+}
+
+/// Lemma 2 on the whole piece `o`, rooted at `r1`: the split, and whether
+/// its parts are swapped.
+fn split(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32) -> (Split, bool) {
     assert!(o.contains(r2), "r2 must lie in the piece of r1");
     let n = o.len();
     assert!(
@@ -67,21 +91,21 @@ pub fn lemma2_with(
 
     if delta == n {
         // Take the whole piece: lay out the designated nodes, cut nothing.
-        return Split {
-            s1: Vec::new(),
-            s2: dedup(vec![r1, r2]),
-            cut: Vec::new(),
+        let whole = Split {
+            s1: Adjacency::default(),
+            s2: Adjacency::set(&[r1, r2]),
+            cut: Adjacency::default(),
             add: Adjacency::of(&[r1]),
             remove: None,
-        }
-        .finish(&o, false, events);
+        };
+        return (whole, false);
     }
     if 3 * n > 4 * delta {
-        main_split(&o, r1, r2, delta).finish(&o, false, events)
+        (main_split(o, r1, r2, delta), false)
     } else {
         // Δ < n ≤ 4Δ/3: solve for Δ' = n − Δ < Δ/3 and swap the roles of
         // the two sides (paper's closing remark in the proof).
-        main_split(&o, r1, r2, n - delta).finish(&o, true, events)
+        (main_split(o, r1, r2, n - delta), true)
     }
 }
 
@@ -108,9 +132,9 @@ fn case_both_in_s1(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32) -> Split {
 
     if s_u1 == delta {
         return Split {
-            s1: dedup(vec![r1, r2, pu1]),
-            s2: vec![u1],
-            cut: vec![(pu1, u1)],
+            s1: Adjacency::set(&[r1, r2, pu1]),
+            s2: Adjacency::of(&[u1]),
+            cut: Adjacency::of(&[(pu1, u1)]),
             add: Adjacency::of(&[u1]),
             remove: None,
         };
@@ -121,9 +145,9 @@ fn case_both_in_s1(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32) -> Split {
         let w = o.find1(u1, e);
         let pw = o.parent(w).expect("find1 result has a father");
         return Split {
-            s1: dedup(vec![r1, r2, pu1, w]),
-            s2: dedup(vec![u1, pw]),
-            cut: vec![(pu1, u1), (w, pw)],
+            s1: Adjacency::set(&[r1, r2, pu1, w]),
+            s2: Adjacency::set(&[u1, pw]),
+            cut: Adjacency::of(&[(pu1, u1), (w, pw)]),
             add: Adjacency::of(&[u1]),
             remove: Some(w),
         };
@@ -141,9 +165,9 @@ fn case_both_in_s1(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32) -> Split {
         // w is an ancestor of u1: the two carvings merge into T(w).
         let pw = o.parent(w).expect("w is below r2");
         return Split {
-            s1: dedup(vec![r1, r2, pw]),
-            s2: vec![w],
-            cut: vec![(pw, w)],
+            s1: Adjacency::set(&[r1, r2, pw]),
+            s2: Adjacency::of(&[w]),
+            cut: Adjacency::of(&[(pw, w)]),
             add: Adjacency::of(&[w]),
             remove: None,
         };
@@ -153,9 +177,9 @@ fn case_both_in_s1(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32) -> Split {
     // component between r2, pu1 and pw would have three edges into S1.
     let j = o.junction(u1, w);
     Split {
-        s1: dedup(vec![r1, r2, pu1, pw, j]),
-        s2: dedup(vec![u1, w]),
-        cut: vec![(pu1, u1), (pw, w)],
+        s1: Adjacency::set(&[r1, r2, pu1, pw, j]),
+        s2: Adjacency::set(&[u1, w]),
+        cut: Adjacency::of(&[(pu1, u1), (pw, w)]),
         add: Adjacency::of(&[u1, w]),
         remove: None,
     }
@@ -181,9 +205,9 @@ fn case_small_subtree(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32, v: NodeI
 
     if s_u1 == delta1 {
         return Split {
-            s1: dedup(vec![r1, x, pu1]),
-            s2: dedup(vec![r2, v, u1]),
-            cut: vec![(x, v), (pu1, u1)],
+            s1: Adjacency::set(&[r1, x, pu1]),
+            s2: Adjacency::set(&[r2, v, u1]),
+            cut: Adjacency::of(&[(x, v), (pu1, u1)]),
             add: Adjacency::of(&[v, u1]),
             remove: None,
         };
@@ -193,9 +217,9 @@ fn case_small_subtree(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32, v: NodeI
         let w = o2.find1(u1, e);
         let pw = o2.parent(w).expect("find1 result has a father");
         return Split {
-            s1: dedup(vec![r1, x, pu1, w]),
-            s2: dedup(vec![r2, v, u1, pw]),
-            cut: vec![(x, v), (pu1, u1), (w, pw)],
+            s1: Adjacency::set(&[r1, x, pu1, w]),
+            s2: Adjacency::set(&[r2, v, u1, pw]),
+            cut: Adjacency::of(&[(x, v), (pu1, u1), (w, pw)]),
             add: Adjacency::of(&[v, u1]),
             remove: Some(w),
         };
@@ -211,9 +235,9 @@ fn case_small_subtree(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32, v: NodeI
             .parent(u2)
             .expect("u2 is below x or equals a child of it");
         return Split {
-            s1: dedup(vec![r1, x, pu2]),
-            s2: dedup(vec![r2, v, u2]),
-            cut: vec![(x, v), (pu2, u2)],
+            s1: Adjacency::set(&[r1, x, pu2]),
+            s2: Adjacency::set(&[r2, v, u2]),
+            cut: Adjacency::of(&[(x, v), (pu2, u2)]),
             add: Adjacency::of(&[v, u2]),
             remove: None,
         };
@@ -221,9 +245,9 @@ fn case_small_subtree(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32, v: NodeI
     let pu2 = o3.parent(u2).expect("find1 result has a father");
     let j = o2.junction(u1, u2);
     Split {
-        s1: dedup(vec![r1, x, pu1, pu2, j]),
-        s2: dedup(vec![r2, v, u1, u2]),
-        cut: vec![(x, v), (pu1, u1), (pu2, u2)],
+        s1: Adjacency::set(&[r1, x, pu1, pu2, j]),
+        s2: Adjacency::set(&[r2, v, u1, u2]),
+        cut: Adjacency::of(&[(x, v), (pu1, u1), (pu2, u2)]),
         add: Adjacency::of(&[v, u1, u2]),
         remove: None,
     }
@@ -237,21 +261,21 @@ fn case_medium_subtree(o: &View<'_>, r1: NodeId, r2: NodeId, delta: u32, v: Node
     let dp = o.size(v) - delta;
     if dp == 0 {
         return Split {
-            s1: dedup(vec![r1, x]),
-            s2: dedup(vec![v, r2]),
-            cut: vec![(x, v)],
+            s1: Adjacency::set(&[r1, x]),
+            s2: Adjacency::set(&[v, r2]),
+            cut: Adjacency::of(&[(x, v)]),
             add: Adjacency::of(&[v]),
             remove: None,
         };
     }
     // Lemma 1 runs on T(v) alone, so the piece it carves off lies in T(v).
     let inner = lemma1_in(&o.rooted_at(v), v, r2, dp);
-    let mut s1 = vec![r1, x];
-    s1.extend(inner.s2);
-    let mut cut = vec![(x, v)];
-    cut.extend(inner.cut.into_iter().map(|(a, b)| (b, a)));
+    let s1: Adjacency<5> = [r1, x].into_iter().chain(inner.s2).collect();
+    let cut = std::iter::once((x, v))
+        .chain(inner.cut.iter().map(|&(a, b)| (b, a)))
+        .collect();
     Split {
-        s1: dedup(s1),
+        s1: Adjacency::set(&s1),
         s2: inner.s1,
         cut,
         add: Adjacency::of(&[v]),
@@ -365,6 +389,37 @@ mod tests {
         );
         for &v in &sep.part2 {
             assert!(v.index() < 100);
+        }
+    }
+
+    #[test]
+    fn boundary_matches_the_separation() {
+        // The allocation-free entry point returns the separation's
+        // boundary sets, cut and part-2 size, on pieces with holes too.
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        for family in TreeFamily::ALL {
+            let t = family.generate(600, &mut rng);
+            let placed: Vec<bool> = (0..600).map(|_| rng.random_range(0..32) == 0).collect();
+            let mut scratch = SeparatorScratch::new(&t);
+            for _ in 0..20 {
+                let r1 = NodeId(rng.random_range(0..600));
+                if placed[r1.index()] {
+                    continue;
+                }
+                let designated = designated_by_flood(&t, &placed, r1);
+                let n = scratch.piece_len(&t, &placed, designated.iter().copied());
+                let delta = rng.random_range(1..=n);
+                let (d, r2) = (
+                    designated.iter().copied(),
+                    *designated.last().unwrap_or(&r1),
+                );
+                let b = lemma2_boundary(&mut scratch, &t, &placed, d.clone(), r1, r2, delta);
+                let sep = lemma2_with(&mut scratch, &t, &placed, d, r1, r2, delta);
+                assert_eq!(&b.s1[..], &sep.s1[..]);
+                assert_eq!(&b.s2[..], &sep.s2[..]);
+                assert_eq!(&b.cut[..], &sep.cut[..]);
+                assert_eq!(b.part2_len as usize, sep.part2.len());
+            }
         }
     }
 

@@ -26,7 +26,7 @@ mod lemma2;
 mod orient;
 
 pub use lemma1::{lemma1, lemma1_with};
-pub use lemma2::{lemma2, lemma2_with};
+pub use lemma2::{lemma2, lemma2_boundary, lemma2_with};
 pub use orient::{SeparatorScratch, SubtreeIndex};
 
 use crate::tree::{Adjacency, BinaryTree, NodeId};
@@ -46,6 +46,22 @@ pub struct Separation {
     pub cut: Vec<(NodeId, NodeId)>,
 }
 
+/// A [`Separation`] without its `part2` list: the boundary sets, the cut
+/// and the size of part 2, all inline. It is what a caller that places
+/// only the boundary needs, and [`lemma2_boundary`] returns it without
+/// listing part 2 or allocating.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Boundary {
+    /// Boundary set inside part 1.
+    pub s1: Adjacency<5>,
+    /// Boundary set inside part 2.
+    pub s2: Adjacency<5>,
+    /// The deleted edges, each written as `(node in part 1, node in part 2)`.
+    pub cut: Adjacency<3, (NodeId, NodeId)>,
+    /// Number of nodes in part 2.
+    pub part2_len: u32,
+}
+
 impl Separation {
     /// Lemma 1's guarantee on `| |T2| − Δ |`.
     pub fn lemma1_bound(delta: u32) -> u32 {
@@ -60,35 +76,48 @@ impl Separation {
 
 /// A separation whose `part2` is still a combination of oriented subtrees
 /// of the piece: the union of the disjoint subtrees of `add` less the
-/// subtree of `remove`. The lemmas' case analyses return it, and only the
-/// final [`finish`](Self::finish) copies the nodes.
+/// subtree of `remove`. The lemmas' case analyses return it, inline; its
+/// [`boundary`](Self::boundary) sizes part 2, and only
+/// [`finish`](Self::finish) copies the nodes.
 pub(crate) struct Split {
-    s1: Vec<NodeId>,
-    s2: Vec<NodeId>,
-    cut: Vec<(NodeId, NodeId)>,
+    s1: Adjacency<5>,
+    s2: Adjacency<5>,
+    cut: Adjacency<3, (NodeId, NodeId)>,
     add: Adjacency<3>,
     remove: Option<NodeId>,
 }
 
 impl Split {
+    /// The boundary of the separation of the piece `o`, with parts 1 and
+    /// 2 swapped when `invert`.
+    fn boundary(&self, o: &View<'_>, invert: bool) -> Boundary {
+        let part2_len = o.part_len(&self.add, self.remove, invert);
+        if invert {
+            Boundary {
+                s1: self.s2,
+                s2: self.s1,
+                cut: self.cut.iter().map(|&(a, b)| (b, a)).collect(),
+                part2_len,
+            }
+        } else {
+            Boundary {
+                s1: self.s1,
+                s2: self.s2,
+                cut: self.cut,
+                part2_len,
+            }
+        }
+    }
+
     /// The separation of the piece `o`, with parts 1 and 2 swapped when
     /// `invert`.
     fn finish(self, o: &View<'_>, invert: bool, events: &mut Vec<(u32, i32)>) -> Separation {
-        let part2 = o.collect(&self.add, self.remove, invert, events);
-        if invert {
-            Separation {
-                s1: self.s2,
-                s2: self.s1,
-                part2,
-                cut: self.cut.into_iter().map(|(a, b)| (b, a)).collect(),
-            }
-        } else {
-            Separation {
-                s1: self.s1,
-                s2: self.s2,
-                part2,
-                cut: self.cut,
-            }
+        let b = self.boundary(o, invert);
+        Separation {
+            s1: b.s1.to_vec(),
+            s2: b.s2.to_vec(),
+            part2: o.collect(&self.add, self.remove, invert, events),
+            cut: b.cut.to_vec(),
         }
     }
 }

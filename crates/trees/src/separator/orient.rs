@@ -18,16 +18,32 @@
 //! guest's static preorder ([`SubtreeIndex`], built once per guest) and a
 //! pass over the holes, and a lemma call costs its walks, not a pass over
 //! its piece.
+//!
+//! The walks themselves move along *runs*. The preorder lays out the
+//! larger child first, so every static heavy path is a contiguous stretch
+//! of it, and the walks' sizes change monotonically along the stretch:
+//! `find2` binary-searches each run of its path for the node where it
+//! stops, and `find1` does so wherever the sizes prove it follows the run
+//! (see [`View::follow_run`]). A path-shaped piece costs a few searches,
+//! not a step per node.
 
 use crate::tree::{Adjacency, BinaryTree, NodeId};
 
-/// The guest's static preorder from its root: `order[pre[v]] = v`, and the
-/// subtree of `v` is `order[pre[v] .. pre[v] + sz[v]]`, so "is `v` below
-/// `t`?" is a range test.
+/// The guest's static preorder from its root, heavy child first:
+/// `order[pre[v]] = v`, and the subtree of `v` is
+/// `order[pre[v] .. pre[v] + sz[v]]`, so "is `v` below `t`?" is a range
+/// test.
+///
+/// Each node's *heavy* child, the one with the larger static subtree (the
+/// later one in neighbour order on a tie, as `find1` breaks ties), comes
+/// right after it, so each static heavy path is a contiguous stretch of
+/// `order`, starting at the position `head[v]` for every node `v` on it.
 #[derive(Debug, Default)]
 pub struct SubtreeIndex {
     pre: Vec<u32>,
     sz: Vec<u32>,
+    /// Preorder position of the top of each node's heavy path.
+    head: Vec<u32>,
     order: Vec<NodeId>,
 }
 
@@ -43,8 +59,8 @@ impl SubtreeIndex {
     fn rebuild(&mut self, tree: &BinaryTree) {
         let n = tree.len();
         // Breadth-first order (parents before children) in `order`, then
-        // sizes bottom-up, positions top-down, and finally the preorder
-        // itself written over the breadth-first order.
+        // sizes bottom-up, positions and heads top-down, and finally the
+        // preorder itself written over the breadth-first order.
         let order = &mut self.order;
         order.clear();
         order.push(tree.root());
@@ -63,11 +79,22 @@ impl SubtreeIndex {
         }
         self.pre.clear();
         self.pre.resize(n, 0);
+        self.head.clear();
+        self.head.resize(n, 0);
         for &v in order.iter() {
-            let mut at = self.pre[v.index()] + 1;
-            for c in tree.children(v) {
-                self.pre[c.index()] = at;
-                at += self.sz[c.index()];
+            let (heavy, light) = match tree.children(v)[..] {
+                [a, b] if self.sz[a.index()] > self.sz[b.index()] => (a, Some(b)),
+                [a, b] => (b, Some(a)),
+                [a] => (a, None),
+                _ => continue,
+            };
+            let at = self.pre[v.index()] + 1;
+            self.pre[heavy.index()] = at;
+            self.head[heavy.index()] = self.head[v.index()];
+            if let Some(light) = light {
+                let at = at + self.sz[heavy.index()];
+                self.pre[light.index()] = at;
+                self.head[light.index()] = at;
             }
         }
         for v in tree.nodes() {
@@ -404,6 +431,9 @@ impl<'a> View<'a> {
     /// On return, `|T(u)| ≤ ⌊4Δ/3⌋` and `| |T(u)| − Δ | ≤ ⌊(Δ+1)/3⌋`, and
     /// the returned node differs from `start`.
     ///
+    /// Where the sizes prove the walk follows a heavy run, it jumps along
+    /// the run ([`Self::follow_run`]); it steps one node elsewhere.
+    ///
     /// # Preconditions (asserted)
     /// * `Δ ≥ 1` and `3·size(start) > 4·Δ`;
     /// * `start` has at most 2 children in the view (true whenever
@@ -422,55 +452,211 @@ impl<'a> View<'a> {
         );
         let mut u = start;
         while 3 * s > 4 * delta {
-            // The children's subtrees partition T(u) − u, so the last
-            // child's size is what the others leave.
-            let kids = self.children(u);
-            let (&last, rest) = kids
-                .split_last()
-                .expect("a subtree larger than 4Δ/3 ≥ 1 has children");
-            let mut left = s - 1;
-            let mut best = (u, 0);
-            for &c in rest {
-                let sc = self.size(c);
-                left -= sc;
-                if sc >= best.1 {
-                    best = (c, sc);
-                }
+            (u, s) = self.follow_run(u, s, delta);
+            if 3 * s <= 4 * delta {
+                break;
             }
-            if left >= best.1 {
-                best = (last, left);
-            }
-            (u, s) = best;
+            (u, s) = self.heaviest_child(u, s);
         }
         debug_assert_ne!(u, start);
         debug_assert!(u32::abs_diff(s, delta) <= (delta + 1) / 3);
         u
     }
 
+    /// One step of `find1`'s walk from `u` (of size `s`): its child of
+    /// maximal size, the last one on a tie, and that size.
+    fn heaviest_child(&self, u: NodeId, s: u32) -> (NodeId, u32) {
+        // The children's subtrees partition T(u) − u, so the last child's
+        // size is what the others leave.
+        let kids = self.children(u);
+        let (&last, rest) = kids
+            .split_last()
+            .expect("a subtree larger than 4Δ/3 ≥ 1 has children");
+        let mut left = s - 1;
+        let mut best = (u, 0);
+        for &c in rest {
+            let sc = self.size(c);
+            left -= sc;
+            if sc >= best.1 {
+                best = (c, sc);
+            }
+        }
+        if left >= best.1 {
+            best = (last, left);
+        }
+        best
+    }
+
+    /// The farthest node of `u`'s heavy run that `find1`'s walk provably
+    /// reaches from `u` (of size `s`), and its size; `(u, s)` itself if
+    /// the walk may leave the run at once.
+    ///
+    /// Off the spine the run descends the heavy path (`order[pre[u] + j]`
+    /// is the `j`-th node); on the spine it climbs the heavy path toward
+    /// the top (`order[pre[u] − j]`), the static parent being the
+    /// orientation's child there. Sizes fall strictly along either, so the
+    /// walk keeps to the run up to node `j` if no node before it stops
+    /// and every other child hanging off those nodes is smaller than node
+    /// `j`. The static sizes of those other children sum to a difference
+    /// of two static sizes, an upper bound on each, so the condition is
+    /// one comparison, true on a prefix of the run: a galloping search
+    /// finds its end. Below a heavy child with no hole or carve under it,
+    /// the static sizes are the view's and decide every step, ties
+    /// included (the layout breaks ties as `find1` does).
+    fn follow_run(&self, u: NodeId, s: u32, delta: u32) -> (NodeId, u32) {
+        let ix = self.ix;
+        let x = ix.pre[u.index()];
+        let size_u = ix.sz[u.index()];
+        let goes = |s: u32| 3 * s > 4 * delta;
+        // Past `s − ⌊4Δ/3⌋` steps a size is small enough to stop.
+        let fall = s - 4 * delta / 3;
+        let node = |p: u32| ix.order[p as usize];
+        // The size of the `j`-th node, `s` at `j = 0`.
+        let at = |j: u32, v: NodeId| if j == 0 { s } else { self.size(v) };
+        if !self.on_spine(u) {
+            if size_u == 1 {
+                return (u, s);
+            }
+            let h = ix.head[u.index()];
+            let on_run = |j: u32| ix.head[node(x + j).index()] == h;
+            if self.clear_below(node(x + 1)) {
+                // Static sizes decide: the walk stops on the run, at the
+                // latest at its leaf.
+                let hit = |j: u32| !on_run(j) || !goes(ix.sz[node(x + j).index()]);
+                let bound = size_u - 4 * delta / 3;
+                let j = first_hit(size_u - 1, bound, hit).expect("a heavy path ends in a leaf");
+                let v = node(x + j);
+                return (v, ix.sz[v.index()]);
+            }
+            // Holes and carves rooted on the run end it.
+            let mut end = size_u - 1;
+            let roots = self.holes.iter().map(|&(a, _)| a);
+            for r in roots.chain(self.carved.iter().map(|c| ix.pre[c.index()])) {
+                if r > x && r - x <= end && ix.head[node(r).index()] == h {
+                    end = r - x - 1;
+                }
+            }
+            let hit = |j: u32| {
+                !on_run(j) || !goes(at(j - 1, node(x + j - 1))) || {
+                    let v = node(x + j);
+                    size_u - ix.sz[v.index()] - j >= self.size(v)
+                }
+            };
+            let j = first_hit(end, fall + 1, hit).map_or(end, |j| j - 1);
+            let v = node(x + j);
+            (v, at(j, v))
+        } else {
+            if u == self.top {
+                return (u, s);
+            }
+            // The climb stays below the top and any carved spine node.
+            let mut lo = ix.head[u.index()].max(ix.pre[self.top.index()]);
+            for &c in &self.carved {
+                if self.on_spine(c) {
+                    lo = lo.max(ix.pre[c.index()] + 1);
+                }
+            }
+            let below_u = if u == self.root {
+                0
+            } else {
+                ix.sz[self.toward_root(u).index()]
+            };
+            let other = size_u - 1 - below_u;
+            let max = x.saturating_sub(lo);
+            let hit = |j: u32| {
+                !goes(at(j - 1, node(x + 1 - j))) || {
+                    let v = node(x - j);
+                    other + ix.sz[node(x + 1 - j).index()] - size_u - (j - 1) >= self.size(v)
+                }
+            };
+            let j = first_hit(max, fall + 1, hit).map_or(max, |j| j - 1);
+            let v = node(x - j);
+            (v, at(j, v))
+        }
+    }
+
+    /// True if no hole and no carve lies in the static subtree of `c`, so
+    /// every size below `c` is static.
+    fn clear_below(&self, c: NodeId) -> bool {
+        let (lo, hi) = self.ix.range(c);
+        self.holes.iter().all(|&(a, _)| a < lo || hi <= a)
+            && self.carved.iter().all(|&k| !self.ix.below(k, c))
+    }
+
     /// Procedure `find2` of the paper on the whole piece: walks from the
     /// root along the path toward `r2` while the subtree stays larger than
     /// `4Δ/3`, and returns where it stops. The path climbs the spine to
     /// the first node above `r2`, then descends the static tree.
+    ///
+    /// Sizes fall strictly along the path, so "the walk stops here" is
+    /// false and then true along it: each run of the path, a stretch of
+    /// one heavy path, is searched for its first stop, with a few reads
+    /// of the index and a pass over the holes per probe.
     pub fn find2(&self, r2: NodeId, delta: u32) -> NodeId {
         debug_assert!(self.base == self.root && self.carved.is_empty());
+        let ix = self.ix;
+        let node = |p: u32| ix.order[p as usize];
+        let stops = |v: NodeId, s: u32| 3 * s <= 4 * delta || v == r2;
+        // Past `s − ⌊4Δ/3⌋` steps a size is small enough to stop.
+        let fall = |s: u32| s - 4 * delta / 3;
         let (mut v, mut s) = (self.root, self.n);
-        while 3 * s > 4 * delta && v != r2 {
-            if self.ix.below(r2, v) {
+        // Climbing: the orientation's subtree of the static parent is the
+        // piece less the static part below the node climbed from.
+        while !stops(v, s) && !ix.below(r2, v) {
+            let x = ix.pre[v.index()];
+            let size_at = |j: u32| self.n - self.static_part(node(x + 1 - j));
+            let hit = |j: u32| ix.below(r2, node(x - j)) || stops(node(x - j), size_at(j));
+            // The run, up to the top at most (r2's junction lies below it).
+            let max = x - ix.head[v.index()].max(ix.pre[self.top.index()]);
+            match first_hit(max, fall(s), hit) {
+                Some(j) => (v, s) = (node(x - j), size_at(j)),
+                None => {
+                    let h = node(x - max);
+                    s = self.n - self.static_part(h);
+                    v = self.tree.parent(h).expect("r2 lies above");
+                }
+            }
+        }
+        // Descending toward r2 (strictly below `v`): along `v`'s run while
+        // its heavy child leads there, else onto the light child.
+        while !stops(v, s) {
+            let x = ix.pre[v.index()];
+            if !ix.below(r2, node(x + 1)) {
                 v = self
                     .tree
                     .children(v)
                     .into_iter()
-                    .find(|&c| self.ix.below(r2, c))
+                    .find(|&c| ix.below(r2, c))
                     .expect("r2 lies below one child");
                 s = self.static_part(v);
-            } else {
-                // Climbing: the orientation's subtree of the static
-                // parent is the piece less the static part below `v`.
-                s = self.n - self.static_part(v);
-                v = self.tree.parent(v).expect("r2 lies above");
+                continue;
             }
+            let h = ix.head[v.index()];
+            let on_path = |j: u32| {
+                let u = node(x + j);
+                ix.head[u.index()] == h && ix.below(r2, u)
+            };
+            let hit = |j: u32| !on_path(j) || stops(node(x + j), self.static_part(node(x + j)));
+            let j = first_hit(ix.sz[v.index()] - 1, fall(s), hit).expect("the path ends at r2");
+            if on_path(j) {
+                return node(x + j);
+            }
+            v = node(x + j - 1);
+            s = self.static_part(v);
         }
         v
+    }
+
+    /// The number of nodes [`Self::collect`] lists for the same
+    /// arguments: a few oriented sizes.
+    pub fn part_len(&self, add: &[NodeId], remove: Option<NodeId>, invert: bool) -> u32 {
+        let added: u32 = add.iter().map(|&v| self.full_size(v)).sum();
+        let len = added - remove.map_or(0, |v| self.full_size(v));
+        if invert {
+            self.n - len
+        } else {
+            len
+        }
     }
 
     /// The nodes of a combination of oriented subtrees of the whole
@@ -496,10 +682,8 @@ impl<'a> View<'a> {
             events.push((hi, -sign));
         };
         let whole = self.ix.range(self.top);
-        let mut len = 0i64;
         let sign = if invert {
             range(whole, 1);
-            len += i64::from(self.n);
             -1
         } else {
             1
@@ -509,7 +693,6 @@ impl<'a> View<'a> {
             .map(|&v| (v, sign))
             .chain(remove.map(|v| (v, -sign)));
         for (v, sign) in terms {
-            len += i64::from(sign) * i64::from(self.full_size(v));
             if v == self.root {
                 range(whole, sign);
             } else if self.on_spine(v) {
@@ -523,7 +706,8 @@ impl<'a> View<'a> {
             range(hole, -1);
         }
         events.sort_unstable();
-        let mut out = Vec::with_capacity(len as usize);
+        let len = self.part_len(add, remove, invert) as usize;
+        let mut out = Vec::with_capacity(len);
         let (mut cover, mut at) = (0, 0);
         for &(pos, d) in events.iter() {
             if cover > 0 {
@@ -533,9 +717,44 @@ impl<'a> View<'a> {
             cover += d;
             at = pos;
         }
-        debug_assert_eq!(out.len() as i64, len);
+        debug_assert_eq!(out.len(), len);
         out
     }
+}
+
+/// The first `j` in `1..=max` with `hit(j)`, for a `hit` that is false
+/// and then true, and true from `bound` on.
+///
+/// The walks' sizes fall by at least one per step, so a size threshold
+/// gives the bound, and on a run whose sizes fall by exactly one per step
+/// (a path) the answer is the bound itself. So the search probes the node
+/// before the bound, then the run's first node (walks often leave a run
+/// at once), and then gallops and bisects: one probe on a path, `O(log j)`
+/// elsewhere.
+fn first_hit(max: u32, bound: u32, mut hit: impl FnMut(u32) -> bool) -> Option<u32> {
+    // `hit(lo)` is false (`lo = 0` stands before the run), and `hit(hi)`
+    // true unless `hi` is past the run.
+    let (mut lo, mut hi) = (0, bound.clamp(1, max + 1));
+    for probe in [hi - 1, 1] {
+        if lo < probe && probe < hi {
+            if hit(probe) {
+                hi = probe;
+            } else {
+                lo = probe;
+            }
+        }
+    }
+    let mut step = 1;
+    while hi - lo > 1 {
+        let probe = lo + step.min((hi - lo) / 2);
+        if hit(probe) {
+            hi = probe;
+        } else {
+            lo = probe;
+            step *= 2;
+        }
+    }
+    (hi <= max).then_some(hi)
 }
 
 #[cfg(test)]
@@ -648,6 +867,37 @@ mod tests {
         vs
     }
 
+    /// The walks as the paper states them, one node per step: the oracles
+    /// the run searches must agree with.
+    impl View<'_> {
+        fn find1_stepping(&self, start: NodeId, delta: u32) -> NodeId {
+            let (mut u, mut s) = (start, self.size(start));
+            while 3 * s > 4 * delta {
+                (u, s) = self.heaviest_child(u, s);
+            }
+            u
+        }
+
+        fn find2_stepping(&self, r2: NodeId, delta: u32) -> NodeId {
+            let (mut v, mut s) = (self.root, self.n);
+            while 3 * s > 4 * delta && v != r2 {
+                if self.ix.below(r2, v) {
+                    v = self
+                        .tree
+                        .children(v)
+                        .into_iter()
+                        .find(|&c| self.ix.below(r2, c))
+                        .expect("r2 lies below one child");
+                    s = self.static_part(v);
+                } else {
+                    s = self.n - self.static_part(v);
+                    v = self.tree.parent(v).expect("r2 lies above");
+                }
+            }
+            v
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -727,15 +977,158 @@ mod tests {
         }
     }
 
+    /// A piece node drawn uniformly, with its view size.
+    fn draw(rng: &mut ChaCha8Rng, o: &View<'_>, nodes: &[NodeId]) -> Option<(NodeId, u32)> {
+        let inside: Vec<NodeId> = nodes.iter().copied().filter(|&v| o.contains(v)).collect();
+        let v = *inside.get(rng.random_range(0..inside.len().max(1)))?;
+        Some((v, o.size(v)))
+    }
+
+    /// Checks `find1` against the stepping oracle from a few drawn starts
+    /// of `o` (including its own root), each with a drawn `Δ`.
+    fn check_find1(
+        rng: &mut ChaCha8Rng,
+        o: &View<'_>,
+        nodes: &[NodeId],
+    ) -> Result<(), TestCaseError> {
+        for k in 0..6 {
+            let start = if k == 0 {
+                Some((o.base, o.len()))
+            } else {
+                draw(rng, o, nodes)
+            };
+            let Some((start, size)) = start else { continue };
+            if size < 2 || o.children(start).len() > 2 {
+                continue;
+            }
+            let delta = rng.random_range(1..=(3 * size - 1) / 4);
+            let (got, want) = (o.find1(start, delta), o.find1_stepping(start, delta));
+            prop_assert!(
+                got == want,
+                "find1 from {start:?} (size {size}), Δ = {delta}: {got:?}, oracle {want:?}"
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The run searches return the stepping walks' node, on whole,
+        // carved and sub-rooted views. Path, caterpillar and broom guests
+        // reach 4 000 nodes (long runs); complete and balanced ones have
+        // static ties; sparse placements leave long pieces with holes.
+        #[test]
+        fn walks_match_the_stepping_oracles(
+            seed in any::<u64>(),
+            family in 0usize..18,
+            scale in 2usize..4000,
+            density in 0usize..4,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // Half the cases draw a path, caterpillar or broom.
+            let family = TreeFamily::ALL.get(family).copied().unwrap_or(
+                [TreeFamily::Path, TreeFamily::Caterpillar, TreeFamily::Broom][family % 3],
+            );
+            let path_like = matches!(family, TreeFamily::Path | TreeFamily::Caterpillar | TreeFamily::Broom);
+            let n = if path_like { scale } else { 2 + scale / 4 };
+            let t = family.generate(n, &mut rng);
+            let per1024 = [0, 1, 16, 128][density];
+            let placed: Vec<bool> = (0..t.len()).map(|_| rng.random_range(0..1024) < per1024).collect();
+            let free: Vec<NodeId> = t.nodes().filter(|v| !placed[v.index()]).collect();
+            prop_assume!(!free.is_empty());
+            let mut scratch = SeparatorScratch::new(&t);
+            for _ in 0..4 {
+                let r1 = free[rng.random_range(0..free.len())];
+                let o = view(&mut scratch, &t, &placed, r1);
+                let nodes: Vec<NodeId> = free.iter().copied().filter(|&v| o.contains(v)).collect();
+                let m = o.len();
+                prop_assert_eq!(m as usize, nodes.len());
+                for _ in 0..6 {
+                    let r2 = nodes[rng.random_range(0..nodes.len())];
+                    let delta = rng.random_range(1..=m);
+                    let (got, want) = (o.find2(r2, delta), o.find2_stepping(r2, delta));
+                    prop_assert!(got == want, "find2 to {r2:?}, Δ = {delta}: {got:?}, oracle {want:?}");
+                }
+                check_find1(&mut rng, &o, &nodes)?;
+                if m < 3 {
+                    continue;
+                }
+                // Carves, as Lemma 2's corrections make them.
+                let c1 = nodes[rng.random_range(0..nodes.len())];
+                if c1 != r1 {
+                    let o1 = o.carve(c1);
+                    check_find1(&mut rng, &o1, &nodes)?;
+                    if let Some((c2, _)) = draw(&mut rng, &o1, &nodes) {
+                        if c2 != r1 && !o.in_subtree(c1, c2) {
+                            check_find1(&mut rng, &o1.carve(c2), &nodes)?;
+                        }
+                    }
+                }
+                // A node's subtree alone, as Lemma 2's case 3 reads it.
+                let b = nodes[rng.random_range(0..nodes.len())];
+                check_find1(&mut rng, &o.rooted_at(b), &nodes)?;
+            }
+        }
+    }
+
+    #[test]
+    fn first_hit_finds_the_first_hit_for_every_valid_bound() {
+        for max in 0..40u32 {
+            // `first` past `max` means nothing in range hits; any bound
+            // from `first` on is valid.
+            for first in 1..=max + 1 {
+                for bound in first..=max + 2 {
+                    let want = (first <= max).then_some(first);
+                    let got = first_hit(max, bound, |j| {
+                        assert!((1..=max).contains(&j), "probe {j} outside 1..={max}");
+                        j >= first
+                    });
+                    assert_eq!(got, want, "max {max}, first {first}, bound {bound}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn index_is_a_preorder_with_subtree_sizes() {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let t = generate::random_bst(300, &mut rng);
-        let ix = SubtreeIndex::new(&t);
-        assert_eq!(ix.order, t.preorder());
-        assert_eq!(ix.sz, t.subtree_sizes());
-        for v in t.nodes() {
-            assert_eq!(ix.order[ix.pre[v.index()] as usize], v);
+        for t in [
+            generate::random_bst(300, &mut rng),
+            generate::balanced(255),
+            generate::left_complete(100),
+            generate::caterpillar(99),
+            generate::uniform_random(400, &mut rng),
+        ] {
+            let ix = SubtreeIndex::new(&t);
+            assert_eq!(ix.sz, t.subtree_sizes());
+            for v in t.nodes() {
+                let p = ix.pre[v.index()];
+                assert_eq!(ix.order[p as usize], v);
+                // Heavy first: the larger child (the later one on a tie)
+                // follows its parent, and the other follows its subtree.
+                let kids = t.children(v);
+                let heavy = match kids[..] {
+                    [a, b] if ix.size(a) > ix.size(b) => Some(a),
+                    [_, b] => Some(b),
+                    [a] => Some(a),
+                    _ => None,
+                };
+                if let Some(c) = heavy {
+                    assert_eq!(ix.pre[c.index()], p + 1, "heavy child of {v:?}");
+                    assert_eq!(ix.head[c.index()], ix.head[v.index()], "head of {c:?}");
+                    for &l in kids.iter().filter(|&&l| l != c) {
+                        assert_eq!(
+                            ix.pre[l.index()],
+                            p + 1 + ix.size(c),
+                            "light child of {v:?}"
+                        );
+                        assert_eq!(ix.head[l.index()], ix.pre[l.index()], "head of {l:?}");
+                    }
+                }
+            }
+            assert_eq!(ix.head[t.root().index()], 0);
+            assert_eq!(ix.pre[t.root().index()], 0);
         }
     }
 

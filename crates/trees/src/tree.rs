@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// Index of a node within a [`BinaryTree`] arena.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -28,28 +28,29 @@ impl fmt::Debug for NodeId {
 
 pub(crate) const NONE: u32 = u32::MAX;
 
-/// A fixed-capacity inline adjacency list.
+/// A fixed-capacity inline list, of nodes unless `T` says otherwise.
 ///
 /// A binary-tree node has at most two children and three neighbours, so
 /// adjacency queries never need the heap: this is a plain array plus a
 /// length, `Copy`, and dereferences to a slice. (It replaced a vendored
-/// `SmallVec` stand-in that heap-allocated on every call.)
+/// `SmallVec` stand-in that heap-allocated on every call.) The separator
+/// lemmas keep their boundary sets and cut edges in it too.
 #[derive(Clone, Copy)]
-pub struct Adjacency<const N: usize> {
-    buf: [NodeId; N],
+pub struct Adjacency<const N: usize, T = NodeId> {
+    buf: [T; N],
     len: u8,
 }
 
-impl<const N: usize> Default for Adjacency<N> {
+impl<const N: usize, T: Copy + Default> Default for Adjacency<N, T> {
     fn default() -> Self {
         Adjacency {
-            buf: [NodeId(0); N],
+            buf: [T::default(); N],
             len: 0,
         }
     }
 }
 
-impl<const N: usize> Adjacency<N> {
+impl<const N: usize, T: Copy + Default> Adjacency<N, T> {
     #[inline]
     fn new() -> Self {
         Adjacency::default()
@@ -60,61 +61,86 @@ impl<const N: usize> Adjacency<N> {
     /// # Panics
     /// Panics if the list already holds `N` entries.
     #[inline]
-    pub fn push(&mut self, v: NodeId) {
+    pub fn push(&mut self, v: T) {
         self.buf[usize::from(self.len)] = v;
         self.len += 1;
     }
 
     /// The entries of `vs`, at most `N` of them.
-    pub(crate) fn of(vs: &[NodeId]) -> Self {
-        let mut out = Self::new();
-        for &v in vs {
-            out.push(v);
-        }
-        out
+    pub(crate) fn of(vs: &[T]) -> Self {
+        vs.iter().copied().collect()
     }
+}
 
+impl<const N: usize, T> Adjacency<N, T> {
     /// The entries as a slice.
     #[inline]
-    pub fn as_slice(&self) -> &[NodeId] {
+    pub fn as_slice(&self) -> &[T] {
         &self.buf[..usize::from(self.len)]
     }
 }
 
-impl<const N: usize> std::ops::Deref for Adjacency<N> {
-    type Target = [NodeId];
+impl<const N: usize, T: Copy + Default> FromIterator<T> for Adjacency<N, T> {
+    /// # Panics
+    /// Panics past `N` entries.
+    fn from_iter<I: IntoIterator<Item = T>>(vs: I) -> Self {
+        let mut out = Self::new();
+        for v in vs {
+            out.push(v);
+        }
+        out
+    }
+}
+
+impl<const N: usize> Adjacency<N> {
+    /// The distinct entries of `vs`, sorted.
+    pub(crate) fn set(vs: &[NodeId]) -> Self {
+        let mut all = Self::of(vs);
+        all.buf[..vs.len()].sort_unstable();
+        let mut out = Self::new();
+        for v in all {
+            if out.last() != Some(&v) {
+                out.push(v);
+            }
+        }
+        out
+    }
+}
+
+impl<const N: usize, T> std::ops::Deref for Adjacency<N, T> {
+    type Target = [T];
     #[inline]
-    fn deref(&self) -> &[NodeId] {
+    fn deref(&self) -> &[T] {
         self.as_slice()
     }
 }
 
-impl<const N: usize> PartialEq for Adjacency<N> {
+impl<const N: usize, T: PartialEq> PartialEq for Adjacency<N, T> {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
-impl<const N: usize> Eq for Adjacency<N> {}
+impl<const N: usize, T: Eq> Eq for Adjacency<N, T> {}
 
-impl<const N: usize> fmt::Debug for Adjacency<N> {
+impl<const N: usize, T: fmt::Debug> fmt::Debug for Adjacency<N, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.as_slice()).finish()
     }
 }
 
-impl<const N: usize> IntoIterator for Adjacency<N> {
-    type Item = NodeId;
-    type IntoIter = std::iter::Take<std::array::IntoIter<NodeId, N>>;
+impl<const N: usize, T> IntoIterator for Adjacency<N, T> {
+    type Item = T;
+    type IntoIter = std::iter::Take<std::array::IntoIter<T, N>>;
     #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.buf.into_iter().take(usize::from(self.len))
     }
 }
 
-impl<'a, const N: usize> IntoIterator for &'a Adjacency<N> {
-    type Item = &'a NodeId;
-    type IntoIter = std::slice::Iter<'a, NodeId>;
+impl<'a, const N: usize, T> IntoIterator for &'a Adjacency<N, T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
     #[inline]
     fn into_iter(self) -> Self::IntoIter {
         self.as_slice().iter()
@@ -132,9 +158,19 @@ pub struct BinaryTree {
 impl BinaryTree {
     /// A tree with a single root node.
     pub fn singleton() -> Self {
+        Self::with_capacity(1)
+    }
+
+    /// A single root with room for `n` nodes, for generators that grow a
+    /// tree of known size with [`Self::add_child`].
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        let mut parent = Vec::with_capacity(n);
+        let mut children = Vec::with_capacity(n);
+        parent.push(NONE);
+        children.push([NONE, NONE]);
         BinaryTree {
-            parent: vec![NONE],
-            children: vec![[NONE, NONE]],
+            parent,
+            children,
             root: 0,
         }
     }
@@ -148,29 +184,18 @@ impl BinaryTree {
         let n = parents.len();
         assert!(n > 0, "tree must have at least one node");
         assert!(n < NONE as usize, "tree too large");
-        let mut tree = BinaryTree {
-            parent: vec![NONE; n],
-            children: vec![[NONE, NONE]; n],
-            root: NONE,
-        };
-        for (v, &p) in parents.iter().enumerate() {
-            match p {
-                None => {
-                    assert_eq!(tree.root, NONE, "multiple roots");
-                    tree.root = v as u32;
-                }
+        let parent = parents
+            .iter()
+            .enumerate()
+            .map(|(v, &p)| match p {
+                None => NONE,
                 Some(p) => {
                     assert!(p < n && p != v, "invalid parent {p} of {v}");
-                    tree.parent[v] = p as u32;
-                    let slot = tree.children[p]
-                        .iter()
-                        .position(|&c| c == NONE)
-                        .unwrap_or_else(|| panic!("node {p} has more than two children"));
-                    tree.children[p][slot] = v as u32;
+                    p as u32
                 }
-            }
-        }
-        assert_ne!(tree.root, NONE, "no root");
+            })
+            .collect();
+        let tree = Self::link(parent);
         // Reject cycles / forests: everything must be reachable from the root.
         let mut seen = 0usize;
         let mut stack = vec![tree.root];
@@ -187,6 +212,42 @@ impl BinaryTree {
         }
         assert_eq!(seen, n, "parent array describes a forest, not a tree");
         tree
+    }
+
+    /// Builds a tree from the parent array of a generator whose output is
+    /// a binary tree by construction ([`NONE`] exactly at the root): child
+    /// slots as [`Self::from_parents`] assigns them, without its checks
+    /// (debug builds still validate).
+    pub(crate) fn from_parent_ids(parent: Vec<u32>) -> Self {
+        let tree = Self::link(parent);
+        #[cfg(debug_assertions)]
+        tree.validate();
+        tree
+    }
+
+    /// Fills the child slots of every node in increasing child id and
+    /// finds the root.
+    fn link(parent: Vec<u32>) -> Self {
+        let n = parent.len();
+        let mut children = vec![[NONE, NONE]; n];
+        let mut root = NONE;
+        for (v, &p) in parent.iter().enumerate() {
+            if p == NONE {
+                assert_eq!(root, NONE, "multiple roots");
+                root = v as u32;
+                continue;
+            }
+            let kids = &mut children[p as usize];
+            let slot = usize::from(kids[0] != NONE);
+            assert_eq!(kids[slot], NONE, "node {p} has more than two children");
+            kids[slot] = v as u32;
+        }
+        assert_ne!(root, NONE, "no root");
+        BinaryTree {
+            parent,
+            children,
+            root,
+        }
     }
 
     /// Number of nodes.
