@@ -15,8 +15,13 @@
 //! * **counters** / **metrics** / **trace** — the loop paying for real
 //!   sinks, so the cost of *enabled* telemetry is on record too.
 //!
-//! Modes are interleaved across repetitions and the per-mode minimum is
-//! kept, which filters scheduler noise out of a percent-level comparison.
+//! Modes are interleaved across repetitions, in reverse order on every
+//! other one, so no mode always runs right after another. A mode's
+//! overhead is the median, over the repetitions, of its time over the
+//! same repetition's baseline time: pairing cancels drift slower than one
+//! repetition, and the median ignores a repetition another process
+//! disturbed, where the ratio of two per-mode minima compares two
+//! different repetitions' luck. Reported times are per-mode medians.
 //!
 //! Run with: `cargo run --release -p xtree-bench --bin telbench`
 //! (`--smoke` sweeps two tiny hosts and skips the results file.)
@@ -170,6 +175,17 @@ fn time_pass(
 
 const MODES: [&str; 5] = ["baseline", "noop", "counters", "metrics", "trace"];
 
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_unstable_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
 const USAGE: &str = "[--smoke] [--seed N]";
 
 fn main() {
@@ -181,7 +197,7 @@ fn main() {
     } else {
         &[(8, 96), (9, 48), (10, 32), (11, 12), (12, 6)]
     };
-    let reps = if smoke { 2 } else { 5 };
+    let reps = if smoke { 2 } else { 21 };
     let mut hosts = Vec::new();
     let mut x10_noop_overhead = None;
     for &(r, batches) in heights {
@@ -203,10 +219,13 @@ fn main() {
             .run_batch_with(&net, &rounds[0], &mut trace)
             .expect("warmup");
 
-        let mut best = [f64::INFINITY; MODES.len()];
+        let mut times: [Vec<f64>; MODES.len()] = Default::default();
         let mut reference: Option<Totals> = None;
-        for _ in 0..reps {
-            for (m, slot) in best.iter_mut().enumerate() {
+        for rep in 0..reps {
+            for k in 0..MODES.len() {
+                // Odd reps run the modes in reverse, so each mode runs as
+                // often before its neighbour as after it.
+                let m = if rep % 2 == 0 { k } else { MODES.len() - 1 - k };
                 let (elapsed, totals) = match MODES[m] {
                     "baseline" => time_pass(&rounds, |b| baseline.run_batch(&net, b).unwrap()),
                     "noop" => time_pass(&rounds, |b| {
@@ -236,19 +255,21 @@ fn main() {
                     Some(t) => assert_eq!(t, &totals, "{} diverged", MODES[m]),
                     None => reference = Some(totals),
                 }
-                if elapsed < *slot {
-                    *slot = elapsed;
-                }
+                times[m].push(elapsed);
             }
         }
 
-        let overhead = |m: usize| (best[m] - best[0]) / best[0] * 100.0;
+        let elapsed = |m: usize| median(times[m].clone());
+        let overhead = |m: usize| {
+            let pairs = times[m].iter().zip(&times[0]);
+            median(pairs.map(|(t, base)| (t / base - 1.0) * 100.0).collect())
+        };
         let mut modes = Value::object();
         for (m, name) in MODES.iter().enumerate().skip(1) {
             modes.set(
                 name,
                 Value::object()
-                    .with("elapsed_ms", best[m] * 1e3)
+                    .with("elapsed_ms", elapsed(m) * 1e3)
                     .with("overhead_pct", overhead(m)),
             );
         }
@@ -256,7 +277,7 @@ fn main() {
         eprintln!(
             "X({r}): {n} vertices, {batches} batches x {per_batch} msgs — baseline {:.2} ms, \
              noop {:+.2}%, counters {:+.2}%, metrics {:+.2}%, trace {:+.2}%",
-            best[0] * 1e3,
+            elapsed(0) * 1e3,
             overhead(1),
             overhead(2),
             overhead(3),
@@ -271,7 +292,7 @@ fn main() {
                 .with("vertices", n)
                 .with("batches", batches)
                 .with("messages_per_batch", per_batch)
-                .with("baseline_ms", best[0] * 1e3)
+                .with("baseline_ms", elapsed(0) * 1e3)
                 .with("modes", modes),
         );
     }
@@ -281,7 +302,8 @@ fn main() {
         .with(
             "workload",
             "seeded uniform-random batches; pre-instrumentation loop vs the Sink-parameterised \
-             engine under no-op, counter, metrics, and trace sinks; min over interleaved reps",
+             engine under no-op, counter, metrics, and trace sinks; interleaved reps, times are \
+             per-mode medians, overheads medians of per-rep ratios to the same rep's baseline",
         )
         .with("reps", reps)
         .with("hosts", Value::from(hosts));

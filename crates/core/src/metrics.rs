@@ -106,38 +106,61 @@ pub fn mean_dilation(stats: &EmbeddingStats) -> f64 {
     weighted as f64 / total as f64
 }
 
-/// Edge congestion of an embedding: route every guest edge along the
-/// deterministic shortest host path (the same smallest-id-downhill rule
-/// the simulator's routers use) and count how many such routes cross each
-/// undirected host edge; return the maximum. Together with dilation this
-/// bounds the slowdown of a one-step simulation of the guest on the host.
+/// What one walk of every guest edge's host route measures.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RouteStats {
+    /// Hops of the longest route. Routes are shortest paths, so this is
+    /// the dilation [`evaluate`] reports.
+    pub dilation: u32,
+    /// Routes across the busiest undirected host edge: the edge
+    /// congestion.
+    pub congestion: u32,
+}
+
+/// Routes every guest edge along the deterministic shortest host path
+/// (the same smallest-id-downhill rule the simulator's routers use) and
+/// measures the longest route and the busiest undirected host edge in
+/// the one walk.
 ///
 /// Routes are computed hop by hop from the closed-form X-tree distance —
 /// no per-edge BFS — and counters live in a flat `Vec` indexed by
 /// [`xtree_topology::Csr::directed_edge_index`] of the edge's `(min, max)`
 /// orientation, so the walk does no hashing and scales to hosts far past
-/// the BFS-friendly sizes.
-pub fn edge_congestion(tree: &BinaryTree, emb: &XEmbedding, host: &XTree) -> u32 {
+/// the BFS-friendly sizes. Each hop is one hop shorter to go
+/// ([`xtree_topology::xtree::next_hop_towards`]), so a route has exactly
+/// [`xtree_topology::analytic_distance`] hops.
+pub fn route_stats(tree: &BinaryTree, emb: &XEmbedding, host: &XTree) -> RouteStats {
     assert_eq!(host.height(), emb.height);
     let graph = host.graph();
     let mut usage = vec![0u32; graph.directed_edge_count()];
+    let mut dilation = 0u32;
     for (u, v) in tree.edges() {
         let (mut at, b) = (emb.image(u), emb.image(v));
+        let mut hops = 0u32;
         while at != b {
             let next = xtree_topology::xtree::next_hop_towards(at, b, emb.height);
-            let (lo, hi) = if at.heap_id() < next.heap_id() {
-                (at, next)
-            } else {
-                (next, at)
-            };
+            let (lo, hi) = if at < next { (at, next) } else { (next, at) };
             let e = graph
                 .directed_edge_index(lo.heap_id() as u32, hi.heap_id() as u32)
                 .expect("next hop is a host neighbour");
             usage[e as usize] += 1;
             at = next;
+            hops += 1;
         }
+        dilation = dilation.max(hops);
     }
-    usage.into_iter().max().unwrap_or(0)
+    RouteStats {
+        dilation,
+        congestion: usage.into_iter().max().unwrap_or(0),
+    }
+}
+
+/// Edge congestion of an embedding: how many guest-edge routes of
+/// [`route_stats`] cross the busiest undirected host edge. Together with
+/// dilation this bounds the slowdown of a one-step simulation of the
+/// guest on the host.
+pub fn edge_congestion(tree: &BinaryTree, emb: &XEmbedding, host: &XTree) -> u32 {
+    route_stats(tree, emb, host).congestion
 }
 
 /// Verifies that a map covers every guest node exactly once and nothing
@@ -219,6 +242,19 @@ mod tests {
         // Edges 1-3, 1-4 stay on vertex "0" (no links); 0-1 and 0-2 use the
         // two distinct root links once each.
         assert_eq!(edge_congestion(&t, &e, &host), 1);
+    }
+
+    #[test]
+    fn the_longest_route_is_the_dilation() {
+        for (t, height) in [
+            (generate::path(15), 3),
+            (generate::caterpillar(31), 4),
+            (generate::left_complete(63), 5),
+        ] {
+            let e = heap_order_embedding(&t, height);
+            let routes = route_stats(&t, &e, &XTree::new(height));
+            assert_eq!(routes.dilation, evaluate(&t, &e).dilation);
+        }
     }
 
     #[test]

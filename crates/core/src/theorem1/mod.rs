@@ -26,9 +26,8 @@ pub use state::{BuildLog, EmbedOptions, Theorem1Scratch};
 pub use trace::paper_bound;
 
 use crate::embedding::XEmbedding;
-use state::{AttachRule, Builder};
-use xtree_topology::Address;
-use xtree_trees::{BinaryTree, NodeId};
+use state::Builder;
+use xtree_trees::BinaryTree;
 
 /// The Theorem-1 construction result: the embedding plus its measured
 /// convergence trace and construction log.
@@ -138,13 +137,8 @@ fn embed_exact(
     let r = optimal_height_cap(n, opts.capacity);
     let mut b = Builder::new(tree, r, opts, scratch);
 
-    // δ_0: lay out a connected block of up to `capacity` nodes on the root
-    // ε and attach everything else there.
-    let block = bfs_block(tree, tree.root(), (opts.capacity as usize).min(n));
-    for &v in &block {
-        b.place(v, Address::ROOT);
-    }
-    b.rebuild_components(&block, &[], AttachRule::Fixed(Address::ROOT));
+    // δ_0.
+    b.place_root_block();
 
     // embed_with pads every guest to an exact size first, so embed_exact
     // only ever sees exact sizes: every vertex must fill completely.
@@ -167,28 +161,6 @@ fn embed_exact(
         log,
         mass_trace,
     }
-}
-
-/// A connected block of `k` nodes grown breadth-first from `start`.
-fn bfs_block(tree: &BinaryTree, start: NodeId, k: usize) -> Vec<NodeId> {
-    let mut out = vec![start];
-    let mut seen = vec![false; tree.len()];
-    seen[start.index()] = true;
-    let mut head = 0;
-    while out.len() < k {
-        let v = out[head];
-        head += 1;
-        for w in tree.neighbors(v) {
-            if out.len() == k {
-                break;
-            }
-            if !seen[w.index()] {
-                seen[w.index()] = true;
-                out.push(w);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

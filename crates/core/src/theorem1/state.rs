@@ -25,7 +25,10 @@
 //! New fragments are not flooded (DESIGN.md §13): each one is derived from
 //! the un-placed nodes next to what was just placed, and sized from the
 //! guest's static preorder, so a placement costs time in the nodes it
-//! places, not in the fragment it cuts.
+//! places, not in the fragment it cuts. Absorbing a fragment walks the
+//! preorder range of its top, and no walk keeps visited marks: the
+//! guest is a tree, so a breadth-first walk that places what it reaches,
+//! or that never steps back to where it came from, meets each node once.
 
 use std::ops::Deref;
 use xtree_topology::Address;
@@ -89,8 +92,10 @@ impl Deref for Designated {
 /// A connected fragment of un-placed guest nodes.
 #[derive(Clone, Debug)]
 pub(crate) struct Interval {
-    /// Any node of the fragment (used to re-enter it for lemma calls).
-    pub entry: NodeId,
+    /// The fragment's node nearest the guest root: its nodes are the
+    /// un-placed ones of the static subtree of `top` that no placed node
+    /// separates from it.
+    pub top: NodeId,
     /// Designated nodes with their anchors. Almost always 1 or 2; the
     /// capacity-driven fill can transiently create more (logged).
     pub designated: Designated,
@@ -108,6 +113,13 @@ pub(crate) struct IntervalSplit {
 }
 
 impl Interval {
+    /// The node a breadth-first flood of the fragment would start from:
+    /// its first designated node. Only the debug checks flood.
+    #[cfg(any(test, debug_assertions))]
+    pub fn entry(&self) -> NodeId {
+        self.designated[0].0
+    }
+
     /// Lemma 2 on this fragment, read off the guest's static preorder in
     /// `scr`, with its first and last designated nodes as `r1` and `r2`
     /// (the same node if it has only one). Every designated node is
@@ -236,17 +248,14 @@ pub struct Theorem1Scratch {
     /// summing a list behind a hash lookup).
     att: Vec<Vec<IntId>>,
     att_mass: Vec<u64>,
-    /// Epoch-stamped visited marks for floods, crowns and the candidate
-    /// sweep of `rebuild_components`.
-    mark: Vec<u32>,
-    epoch: u32,
     /// The guest's static preorder, indexed once per build, which
     /// `rebuild_components` sizes fragments from and every separator-lemma
     /// call reads its piece off, plus the lemmas' buffers.
     pub(crate) sep_scratch: SeparatorScratch,
-    // Reusable arenas for flood orders, crown orders, freshly placed
-    // node lists, fragment candidates, and the ADJUST/SPLIT work queues.
-    flood_buf: Vec<NodeId>,
+    // Reusable arenas for flood orders (each node with the neighbour it was
+    // reached from), crown orders, freshly placed node lists, fragment
+    // candidates, and the ADJUST/SPLIT work queues.
+    flood_buf: Vec<(NodeId, NodeId)>,
     order_buf: Vec<NodeId>,
     cand_buf: Vec<Candidate>,
     frag_buf: Vec<Fragment>,
@@ -267,8 +276,13 @@ struct Candidate {
     /// Index into `newly` of the placed node it was found next to;
     /// `u32::MAX` for a designated node of the removed interval.
     found_by: u32,
-    /// Index of its fragment in `frag_buf`.
+    /// Index of its fragment in `frag_buf`; [`Candidate::REPEAT`] for a
+    /// node met before in the same call.
     frag: u32,
+}
+
+impl Candidate {
+    const REPEAT: u32 = u32::MAX;
 }
 
 /// A fragment `rebuild_components` is deriving, keyed by its top node.
@@ -276,13 +290,18 @@ struct Candidate {
 struct Fragment {
     /// The fragment's node nearest the guest root.
     top: NodeId,
-    /// Its first two candidates, and how many it has (its top is one, so
-    /// it has at least one).
+    /// Its first two candidates ([`Fragment::UNMET`] until met), and how
+    /// many it has (its top is one, so it has at least one).
     entry: NodeId,
     other: NodeId,
     count: u32,
     /// `sz[top]` less the subtrees of its placed children.
     size: u32,
+}
+
+impl Fragment {
+    /// No guest node: an empty candidate slot.
+    const UNMET: NodeId = NodeId(u32::MAX);
 }
 
 impl Theorem1Scratch {
@@ -310,9 +329,6 @@ impl Theorem1Scratch {
         }
         self.att_mass.clear();
         self.att_mass.resize(host, 0);
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
     }
 }
 
@@ -413,18 +429,23 @@ impl<'t> Builder<'t> {
         self.s.count.iter().all(|&c| c == self.opts.capacity)
     }
 
+    /// The map entry of vertex `at`, the only way a build turns an
+    /// address into one: heap ids fit in `u32` up to `X(31)`, far above
+    /// any buildable host, and debug builds check it so a truncation can
+    /// never be silent.
+    fn map_entry(at: Address) -> u32 {
+        let h = at.heap_id();
+        debug_assert!(u32::try_from(h).is_ok(), "heap id of {at} overflows u32");
+        h as u32
+    }
+
     /// Places one guest node; panics if the vertex is full (callers check).
-    ///
-    /// The only place a build turns an address into a map entry: heap ids
-    /// fit in `u32` up to `X(31)`, far above any buildable host, and debug
-    /// builds check it so a truncation can never be silent.
     pub fn place(&mut self, v: NodeId, at: Address) {
         debug_assert!(!self.s.placed[v.index()], "{v:?} placed twice");
         let h = at.heap_id();
-        debug_assert!(u32::try_from(h).is_ok(), "heap id of {at} overflows u32");
         assert!(self.s.count[h] < self.cap(), "capacity exceeded at {at}");
         self.s.placed[v.index()] = true;
-        self.assign[v.index()] = h as u32;
+        self.assign[v.index()] = Self::map_entry(at);
         self.s.count[h] += 1;
     }
 
@@ -516,22 +537,23 @@ impl<'t> Builder<'t> {
         anchor
     }
 
-    /// Floods the un-placed component containing `start` breadth-first
-    /// (using the current sweep epoch so components are visited once per
-    /// sweep) into `nodes`, returning its designated nodes with anchors.
-    fn flood_into(&mut self, start: NodeId, nodes: &mut Vec<NodeId>) -> Designated {
+    /// Floods the un-placed fragment containing `start` breadth-first into
+    /// `nodes`, each node with the neighbour it was reached from, and
+    /// returns its designated nodes with anchors. The guest is a tree, so
+    /// the flood needs no visited marks: it steps to every un-placed
+    /// neighbour but the one it came from, and meets each node once.
+    fn flood_into(&self, start: NodeId, nodes: &mut Vec<(NodeId, NodeId)>) -> Designated {
         nodes.clear();
-        nodes.push(start);
+        // No node is its own neighbour, so `start` excludes nothing.
+        nodes.push((start, start));
         let mut designated = Designated::new();
-        self.s.mark[start.index()] = self.s.epoch;
         let mut head = 0;
         while head < nodes.len() {
-            let v = nodes[head];
+            let (v, from) = nodes[head];
             head += 1;
             for w in self.tree.neighbors(v) {
-                if !self.s.placed[w.index()] && self.s.mark[w.index()] != self.s.epoch {
-                    self.s.mark[w.index()] = self.s.epoch;
-                    nodes.push(w);
+                if w != from && !self.s.placed[w.index()] {
+                    nodes.push((w, v));
                 }
             }
             if let Some(a) = self.anchor(v) {
@@ -539,17 +561,6 @@ impl<'t> Builder<'t> {
             }
         }
         designated
-    }
-
-    /// Begins a flood sweep: components found by subsequent flood calls
-    /// within this sweep are not revisited. Epochs persist across builds
-    /// (scratch reuse) and wrap around at `u32::MAX`.
-    fn begin_sweep(&mut self) {
-        if self.s.epoch == u32::MAX {
-            self.s.mark.fill(0);
-            self.s.epoch = 0;
-        }
-        self.s.epoch += 1;
     }
 
     /// After placing `newly`, all of them nodes of one removed interval
@@ -565,6 +576,12 @@ impl<'t> Builder<'t> {
     /// parent, and its size `sz[top]` less the subtrees of its candidates'
     /// placed children. With at most two candidates the flood would meet
     /// them as (entry, other); only a fragment with more still floods.
+    ///
+    /// A node can be met more than once: next to two nodes of `newly`, or
+    /// next to one and in `old`. It counts the first time only. A fragment
+    /// records its first two candidates, so a repeat of either is
+    /// recognised in O(1), and any other repeat arrives with two already
+    /// recorded, where the fragment floods whatever its count.
     pub fn rebuild_components(
         &mut self,
         newly: &[NodeId],
@@ -578,7 +595,6 @@ impl<'t> Builder<'t> {
         let mut frags = std::mem::take(&mut self.s.frag_buf);
         cands.clear();
         frags.clear();
-        self.begin_sweep();
         let found = newly.iter().enumerate().flat_map(|(k, &p)| {
             self.tree
                 .neighbors(p)
@@ -587,10 +603,9 @@ impl<'t> Builder<'t> {
         });
         let old = old.iter().map(|&(d, _)| (d, u32::MAX));
         for (u, found_by) in found.chain(old) {
-            if self.s.placed[u.index()] || self.s.mark[u.index()] == self.s.epoch {
+            if self.s.placed[u.index()] {
                 continue;
             }
-            self.s.mark[u.index()] = self.s.epoch;
             cands.push(Candidate {
                 node: u,
                 found_by,
@@ -601,10 +616,12 @@ impl<'t> Builder<'t> {
                 .parent(u)
                 .is_some_and(|p| self.s.placed[p.index()])
             {
+                // A top met twice is listed twice; the first listing
+                // wins every search below, and the second stays empty.
                 frags.push(Fragment {
                     top: u,
-                    entry: u,
-                    other: u,
+                    entry: Fragment::UNMET,
+                    other: Fragment::UNMET,
                     count: 0,
                     size: self.s.sep_scratch.index().size(u),
                 });
@@ -612,16 +629,20 @@ impl<'t> Builder<'t> {
         }
         let ix = self.s.sep_scratch.index();
         for c in &mut cands {
-            // The deepest top above `c` (the one with the smallest subtree)
-            // is its fragment's: any node on the path from the fragment's
-            // top down to `c` is in the fragment, so no other top lies
-            // between them.
+            // The deepest top above `c` (the one with the smallest subtree,
+            // the first such) is its fragment's: any node on the path from
+            // the fragment's top down to `c` is in the fragment, so no
+            // other top lies between them.
             let k = (0..frags.len())
                 .filter(|&k| ix.below(c.node, frags[k].top))
                 .min_by_key(|&k| ix.size(frags[k].top))
                 .expect("every fragment has a top");
-            c.frag = k as u32;
             let f = &mut frags[k];
+            if f.entry == c.node || f.other == c.node {
+                c.frag = Candidate::REPEAT;
+                continue;
+            }
+            c.frag = k as u32;
             match f.count {
                 0 => f.entry = c.node,
                 1 => f.other = c.node,
@@ -637,6 +658,9 @@ impl<'t> Builder<'t> {
         #[cfg(debug_assertions)]
         let mut ids = Vec::new();
         for c in &cands {
+            if c.frag == Candidate::REPEAT {
+                continue;
+            }
             let f = frags[c.frag as usize];
             if f.entry != c.node {
                 continue;
@@ -664,7 +688,7 @@ impl<'t> Builder<'t> {
                 }
             };
             let id = self.new_interval(Interval {
-                entry: c.node,
+                top: f.top,
                 designated,
                 size,
             });
@@ -682,7 +706,6 @@ impl<'t> Builder<'t> {
     /// more than two designated nodes: their breadth-first order from
     /// `entry` and the fragment's size, counted in the build log.
     fn flood_fragment(&mut self, entry: NodeId) -> (Designated, u32) {
-        self.begin_sweep();
         let mut nodes = std::mem::take(&mut self.s.flood_buf);
         let designated = self.flood_into(entry, &mut nodes);
         let size = nodes.len() as u32;
@@ -692,24 +715,44 @@ impl<'t> Builder<'t> {
         (designated, size)
     }
 
-    /// Debug check of `rebuild_components` against the floods it
-    /// replaces: one sweep flooding, in discovery order, every un-placed
-    /// neighbour of `newly` not yet reached must find the intervals `ids`
-    /// in order, each with the same entry, designated nodes, anchors and
-    /// size.
+    /// The top of the un-placed fragment holding `v`: the highest node
+    /// reached climbing through un-placed parents.
     #[cfg(debug_assertions)]
-    fn assert_matches_flood(&mut self, newly: &[NodeId], ids: &[IntId]) {
-        self.begin_sweep();
+    fn fragment_top(&self, v: NodeId) -> NodeId {
+        let mut top = v;
+        while let Some(p) = self.tree.parent(top) {
+            if self.s.placed[p.index()] {
+                break;
+            }
+            top = p;
+        }
+        top
+    }
+
+    /// Debug check of `rebuild_components` against the floods it
+    /// replaces: flooding, in discovery order, every un-placed neighbour
+    /// of `newly` whose fragment no earlier flood reached must find the
+    /// intervals `ids` in order, each with the same entry, top, designated
+    /// nodes, anchors and size.
+    #[cfg(debug_assertions)]
+    fn assert_matches_flood(&self, newly: &[NodeId], ids: &[IntId]) {
         let mut nodes = Vec::new();
+        let mut tops = Vec::new();
         let mut k = 0;
         for &p in newly {
             for u in self.tree.neighbors(p) {
-                if self.s.placed[u.index()] || self.s.mark[u.index()] == self.s.epoch {
+                if self.s.placed[u.index()] {
                     continue;
                 }
+                let top = self.fragment_top(u);
+                if tops.contains(&top) {
+                    continue;
+                }
+                tops.push(top);
                 let designated = self.flood_into(u, &mut nodes);
                 let iv = self.interval(*ids.get(k).expect("a fragment was not derived"));
-                assert_eq!(iv.entry, u, "fragment {k}: entry");
+                assert_eq!(iv.entry(), u, "fragment {k}: entry");
+                assert_eq!(iv.top, top, "fragment {k}: top");
                 assert_eq!(
                     &iv.designated[..],
                     &designated[..],
@@ -726,17 +769,15 @@ impl<'t> Builder<'t> {
     /// `split` is placed: an un-placed neighbour of an `S1` node lies in
     /// part 1, and one of an `S2` node in part 2.
     #[cfg(debug_assertions)]
-    fn assert_sides(&mut self, split: &IntervalSplit) {
-        self.begin_sweep();
-        for &v in &split.part2 {
-            self.s.mark[v.index()] = self.s.epoch;
-        }
+    fn assert_sides(&self, split: &IntervalSplit) {
+        let mut part2 = split.part2.clone();
+        part2.sort_unstable();
         let sep = &split.boundary;
         for (in_part2, boundary) in [(false, &sep.s1), (true, &sep.s2)] {
             for &v in boundary {
                 for w in self.tree.neighbors(v) {
                     if !self.s.placed[w.index()] {
-                        let side = self.s.mark[w.index()] == self.s.epoch;
+                        let side = part2.binary_search(&w).is_ok();
                         assert_eq!(side, in_part2, "{w:?} next to {v:?} is on the other side");
                     }
                 }
@@ -781,19 +822,116 @@ impl<'t> Builder<'t> {
     }
 
     /// Places every node of interval `id` at `at` (capacity must suffice).
+    ///
+    /// The fragment is the static subtree of its top less the subtrees of
+    /// the placed nodes in it (a placed node cuts off everything below
+    /// it), so a walk of the top's preorder range that jumps over the
+    /// subtree of each placed node it meets places exactly the fragment.
+    /// Its designated list is complete and cannot change while it lives,
+    /// so the list's length is what a flood would count.
     pub fn absorb_interval(&mut self, id: IntId, at: Address) {
         let iv = self.remove_interval(id);
-        self.begin_sweep();
-        let mut nodes = std::mem::take(&mut self.s.flood_buf);
-        let designated = self.flood_into(iv.entry, &mut nodes);
-        if designated.len() > 2 {
+        if iv.designated.len() > 2 {
             self.log.multi_designated_components += 1;
         }
-        debug_assert_eq!(nodes.len() as u32, iv.size);
-        for &v in &nodes {
-            self.place(v, at);
+        #[cfg(debug_assertions)]
+        let flooded = {
+            let mut nodes = Vec::new();
+            let designated = self.flood_into(iv.entry(), &mut nodes);
+            assert_eq!(
+                designated.len() > 2,
+                iv.designated.len() > 2,
+                "the flood counts another multi-designated fragment"
+            );
+            let mut nodes: Vec<NodeId> = nodes.into_iter().map(|(v, _)| v).collect();
+            nodes.sort_unstable();
+            nodes
+        };
+        let h = at.heap_id();
+        assert!(
+            u32::from(self.s.count[h]) + iv.size <= u32::from(self.cap()),
+            "capacity exceeded at {at}"
+        );
+        let entry = Self::map_entry(at);
+        let ix = self.s.sep_scratch.index();
+        let range = ix.subtree(iv.top);
+        #[cfg(debug_assertions)]
+        let mut walked = Vec::new();
+        let mut k = 0;
+        while k < range.len() {
+            let v = range[k];
+            if self.s.placed[v.index()] {
+                k += ix.size(v) as usize;
+            } else {
+                self.s.placed[v.index()] = true;
+                self.assign[v.index()] = entry;
+                k += 1;
+                #[cfg(debug_assertions)]
+                walked.push(v);
+            }
         }
-        self.s.flood_buf = nodes;
+        self.s.count[h] += iv.size as u16;
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(walked.len() as u32, iv.size, "stale interval size");
+            walked.sort_unstable();
+            assert_eq!(walked, flooded, "the preorder walk and the flood disagree");
+        }
+    }
+
+    /// Grows `order`, whose nodes are placed at `at`, breadth-first
+    /// through un-placed nodes to `k` nodes, placing each node at `at` as
+    /// it is reached: `placed` is the walk's only visited mark.
+    ///
+    /// Returns where the tail of `order` starts. Every node before it had
+    /// all its neighbours reached, so none has an un-placed neighbour,
+    /// and only the tail can border a fragment. The last node expanded
+    /// may have stopped part-way, so the tail starts there.
+    fn grow_crown(&mut self, order: &mut Vec<NodeId>, k: usize, at: Address) -> usize {
+        let mut head = 0;
+        while order.len() < k {
+            debug_assert!(head < order.len(), "crown BFS starved");
+            let v = order[head];
+            head += 1;
+            for w in self.tree.neighbors(v) {
+                if order.len() == k {
+                    break;
+                }
+                if !self.s.placed[w.index()] {
+                    self.place(w, at);
+                    order.push(w);
+                }
+            }
+        }
+        let tail = head.saturating_sub(1);
+        #[cfg(debug_assertions)]
+        for &v in &order[..tail] {
+            let settled = self
+                .tree
+                .neighbors(v)
+                .iter()
+                .all(|w| self.s.placed[w.index()]);
+            assert!(
+                settled,
+                "{v:?} before the crown's tail borders an un-placed node"
+            );
+        }
+        tail
+    }
+
+    /// Round 0: places a connected block of up to `capacity` nodes, grown
+    /// breadth-first from the guest root, on the root `ε`, and attaches
+    /// everything else there.
+    pub fn place_root_block(&mut self) {
+        let k = usize::from(self.cap()).min(self.tree.len());
+        let root = self.tree.root();
+        let mut order = std::mem::take(&mut self.s.order_buf);
+        order.clear();
+        order.push(root);
+        self.place(root, Address::ROOT);
+        let tail = self.grow_crown(&mut order, k, Address::ROOT);
+        self.rebuild_components(&order[tail..], &[], AttachRule::Fixed(Address::ROOT));
+        self.s.order_buf = order;
     }
 
     /// Places a connected "crown" of `k` nodes of interval `id` at
@@ -813,38 +951,20 @@ impl<'t> Builder<'t> {
             "crown of {k} from interval of {}",
             iv.size
         );
-        // BFS from the designated nodes through un-placed nodes.
-        self.begin_sweep();
+        // BFS from the designated nodes through un-placed nodes; a
+        // designated node left out stays designated of the rest.
         let mut order = std::mem::take(&mut self.s.order_buf);
         order.clear();
-        for &(d, _) in iv.designated.iter() {
-            if order.len() == k as usize {
-                break; // a designated node left out stays designated of the rest
-            }
-            if self.s.mark[d.index()] != self.s.epoch {
-                self.s.mark[d.index()] = self.s.epoch;
-                order.push(d);
-            }
+        for &(d, _) in iv.designated.iter().take(k as usize) {
+            self.place(d, at);
+            order.push(d);
         }
-        let mut head = 0;
-        while order.len() < k as usize {
-            debug_assert!(head < order.len(), "crown BFS starved");
-            let v = order[head];
-            head += 1;
-            for w in self.tree.neighbors(v) {
-                if order.len() == k as usize {
-                    break;
-                }
-                if !self.s.placed[w.index()] && self.s.mark[w.index()] != self.s.epoch {
-                    self.s.mark[w.index()] = self.s.epoch;
-                    order.push(w);
-                }
-            }
-        }
-        for &v in &order {
-            self.place(v, at);
-        }
-        self.rebuild_components(&order, &iv.designated, AttachRule::Fixed(attach_rest_to));
+        let tail = self.grow_crown(&mut order, k as usize, at);
+        self.rebuild_components(
+            &order[tail..],
+            &iv.designated,
+            AttachRule::Fixed(attach_rest_to),
+        );
         self.s.order_buf = order;
     }
 
@@ -888,10 +1008,10 @@ impl<'t> Builder<'t> {
         for ids in &self.s.att {
             for &id in ids {
                 let iv = self.interval(id);
-                // Walk the fragment from its entry.
-                let mut stack = vec![iv.entry];
+                // Walk the fragment from its top.
+                let mut stack = vec![iv.top];
                 let mut seen = std::collections::HashSet::new();
-                seen.insert(iv.entry);
+                seen.insert(iv.top);
                 while let Some(v) = stack.pop() {
                     assert!(!self.s.placed[v.index()], "placed node inside an interval");
                     assert!(!covered[v.index()], "node in two intervals");
@@ -963,24 +1083,128 @@ mod tests {
         assert_eq!(ids.len(), 2);
         // Discovery order: the root's children come first.
         let multi = b.interval(ids[0]);
-        assert_eq!(multi.entry, NodeId(1));
+        assert_eq!((multi.entry(), multi.top), (NodeId(1), NodeId(1)));
         assert_eq!(multi.size, 5);
         assert!(matches!(multi.designated, Designated::Heap(_)));
         // Breadth-first from the entry, each anchored at the root.
         let expect = [NodeId(1), NodeId(3), NodeId(4)].map(|d| (d, Address::ROOT));
         assert_eq!(&multi.designated[..], &expect[..]);
         let plain = b.interval(ids[1]);
-        assert_eq!(plain.entry, NodeId(2));
+        assert_eq!((plain.entry(), plain.top), (NodeId(2), NodeId(2)));
         assert_eq!(plain.size, 7);
         assert_eq!(&plain.designated[..], &[(NodeId(2), Address::ROOT)]);
         assert!(matches!(plain.designated, Designated::Inline { .. }));
         assert_eq!(b.log.multi_designated_components, 1, "the fallback counts");
 
-        // Absorbing the fragment floods it and counts it once more.
+        // Absorbing the fragment counts it once more.
         b.detach_swap(Address::ROOT, 0);
         b.absorb_interval(ids[0], Address::ROOT);
         assert_eq!(b.log.multi_designated_components, 2);
         assert_eq!(b.count(Address::ROOT), 8);
+    }
+
+    /// The guest nodes `b` has placed, in id order.
+    fn placed_nodes(b: &Builder<'_>) -> Vec<u32> {
+        (0..b.tree.len() as u32)
+            .filter(|&v| b.s.placed[v as usize])
+            .collect()
+    }
+
+    #[test]
+    fn absorbing_a_fragment_jumps_over_the_placed_subtrees_below_its_top() {
+        // In the complete tree on 15 nodes, placing the root and node 4
+        // leaves node 1's fragment {1, 3, 7, 8}, with a hole under 4 whose
+        // children 9 and 10 are fragments of their own.
+        let t = generate::left_complete(15);
+        let mut scratch = Theorem1Scratch::new();
+        let mut b = Builder::new(&t, 1, EmbedOptions::default(), &mut scratch);
+        let newly = [NodeId(0), NodeId(4)];
+        for &v in &newly {
+            b.place(v, Address::ROOT);
+        }
+        b.rebuild_components(&newly, &[], AttachRule::Fixed(Address::ROOT));
+        let ids = b.att_list(Address::ROOT).to_vec();
+        let tops: Vec<_> = ids.iter().map(|&id| b.interval(id).top).collect();
+        assert_eq!(tops, [1, 2, 9, 10].map(NodeId));
+        let frag = b.interval(ids[0]);
+        assert_eq!(frag.size, 4);
+        // Node 1 borders the root above and node 4 below: one designated
+        // node, inline.
+        assert_eq!(&frag.designated[..], &[(NodeId(1), Address::ROOT)]);
+
+        let leaf = Address::ROOT.child(0);
+        b.detach_swap(Address::ROOT, 0);
+        b.absorb_interval(ids[0], leaf);
+        assert_eq!(b.count(leaf), 4);
+        assert_eq!(placed_nodes(&b), [0, 1, 3, 4, 7, 8]);
+        for v in [1, 3, 7, 8] {
+            assert_eq!(b.assign[v], leaf.heap_id() as u32, "n{v}");
+        }
+        // The fragments inside the hole are untouched.
+        for &id in &ids[2..] {
+            assert_eq!(b.interval(id).size, 1);
+        }
+        assert_eq!(b.log.multi_designated_components, 0);
+    }
+
+    #[test]
+    fn a_three_designated_fragment_met_twice_floods_without_marks() {
+        // In the complete tree on 31 nodes, placing the root, node 7 (a
+        // child of 3) and both children 9 and 10 of node 4 leaves node 1's
+        // fragment {1, 3, 4, 8, 17, 18} next to four placed nodes. Node 4
+        // is met twice, from 9 and from 10, and the fragment has three
+        // designated nodes, so it floods.
+        let t = generate::left_complete(31);
+        let mut scratch = Theorem1Scratch::new();
+        let mut b = Builder::new(&t, 1, EmbedOptions::default(), &mut scratch);
+        let newly = [0, 7, 9, 10].map(NodeId);
+        for &v in &newly {
+            b.place(v, Address::ROOT);
+        }
+        b.rebuild_components(&newly, &[], AttachRule::Fixed(Address::ROOT));
+        let ids = b.att_list(Address::ROOT).to_vec();
+        // Discovery order: the root's children, then 7's children, then
+        // 9's, then 10's.
+        let tops: Vec<_> = ids.iter().map(|&id| b.interval(id).top).collect();
+        assert_eq!(tops, [1, 2, 15, 16, 19, 20, 21, 22].map(NodeId));
+        let multi = b.interval(ids[0]);
+        assert_eq!(multi.size, 6);
+        let expect = [1, 3, 4].map(|d| (NodeId(d), Address::ROOT));
+        assert_eq!(&multi.designated[..], &expect[..]);
+        assert_eq!(b.interval(ids[1]).size, 15);
+        assert_eq!(b.log.multi_designated_components, 1);
+
+        b.detach_swap(Address::ROOT, 0);
+        b.absorb_interval(ids[0], Address::ROOT.child(1));
+        assert_eq!(b.log.multi_designated_components, 2);
+        assert_eq!(placed_nodes(&b), [0, 1, 3, 4, 7, 8, 9, 10, 17, 18]);
+    }
+
+    #[test]
+    fn a_node_next_to_three_new_nodes_is_one_candidate() {
+        // Placing the root and both children of node 1 leaves {1}, met
+        // from all three: one designated node, not a flood.
+        let t = generate::left_complete(15);
+        let mut scratch = Theorem1Scratch::new();
+        let mut b = Builder::new(&t, 0, EmbedOptions::default(), &mut scratch);
+        let newly = [0, 3, 4].map(NodeId);
+        for &v in &newly {
+            b.place(v, Address::ROOT);
+        }
+        b.rebuild_components(&newly, &[], AttachRule::Fixed(Address::ROOT));
+        let ids = b.att_list(Address::ROOT).to_vec();
+        let single = b.interval(ids[0]);
+        assert_eq!((single.top, single.size), (NodeId(1), 1));
+        assert_eq!(&single.designated[..], &[(NodeId(1), Address::ROOT)]);
+        let tops: Vec<_> = ids.iter().map(|&id| b.interval(id).top).collect();
+        assert_eq!(tops, [1, 2, 7, 8, 9, 10].map(NodeId));
+        assert_eq!(b.log.multi_designated_components, 0);
+    }
+
+    #[test]
+    fn interval_slots_fit_in_48_bytes() {
+        // Two inline (node, 8-byte address) pairs, the top and the size.
+        assert_eq!(std::mem::size_of::<Option<Interval>>(), 48);
     }
 
     #[test]

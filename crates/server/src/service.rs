@@ -37,7 +37,7 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use xtree_core::theorem1::{EmbedOptions, Theorem1Scratch};
-use xtree_core::{evaluate, metrics::edge_congestion, theorem1, theorem2, XEmbedding};
+use xtree_core::{metrics::route_stats, theorem1, theorem2, XEmbedding};
 use xtree_host::{guest_map, host_label, AnyHost, Host, HOST_LABELS};
 use xtree_sim::workload::{HostMap, WORKLOADS};
 use xtree_sim::{compute_load, congestion, simulate_one_in, Engine, SimError};
@@ -176,16 +176,19 @@ fn host_net(host: u8, height: u8) -> Result<&'static AnyHost, Response> {
 
 /// How `emb` scores on `host`: the host-specific `EmbedOk` fields. The
 /// X-tree keeps the `xtree_core` metrics, whose congestion counts
-/// undirected edges; the other hosts go through [`score_on`].
+/// undirected edges, and reads the dilation off the same walk of the
+/// routes (they are shortest paths) and the load off one count; the
+/// other hosts go through [`score_on`].
 fn score(host: u8, tree: &BinaryTree, emb: &XEmbedding) -> Result<EmbedScore, Response> {
     let net = host_net(host, emb.height)?;
     if let AnyHost::XTree(x) = net {
-        let stats = evaluate(tree, emb);
+        let routes = route_stats(tree, emb, x.xtree());
+        let max_load = emb.max_load();
         return Ok(EmbedScore {
-            dilation: u64::from(stats.dilation),
-            max_load: u64::from(stats.max_load),
-            congestion: u64::from(edge_congestion(tree, emb, x.xtree())),
-            injective: stats.injective,
+            dilation: u64::from(routes.dilation),
+            max_load: u64::from(max_load),
+            congestion: u64::from(routes.congestion),
+            injective: max_load <= 1,
         });
     }
     let map = guest_map(host, emb).expect("tag validated by host_net");
@@ -492,6 +495,7 @@ pub fn handle_compute(
 mod tests {
     use super::*;
     use crate::cache::SHARDS;
+    use xtree_core::{evaluate, metrics::edge_congestion};
     use xtree_host::{XTreeHost, HOST_XTREE};
     use xtree_sim::simulate_all_with;
     use xtree_telemetry::Format;
@@ -994,6 +998,48 @@ mod tests {
         assert_eq!(metrics.sim.snapshot(), Counters::default());
     }
 
+    /// The X-tree score `evaluate` and `edge_congestion` give `emb`.
+    fn evaluated(tree: &BinaryTree, emb: &XEmbedding) -> EmbedScore {
+        let stats = evaluate(tree, emb);
+        let cong = edge_congestion(tree, emb, XTreeHost::new(emb.height).xtree());
+        EmbedScore {
+            dilation: u64::from(stats.dilation),
+            max_load: u64::from(stats.max_load),
+            congestion: u64::from(cong),
+            injective: stats.injective,
+        }
+    }
+
+    #[test]
+    fn xtree_replies_equal_evaluate_and_edge_congestion() {
+        // Every family under both theorems at X(6), and through Theorem 1
+        // at X(9).
+        let x6 = 16 * 127;
+        let x9 = 16 * 1023;
+        for family in 0..TreeFamily::ALL.len() {
+            for (nodes, theorem) in [(x6, 1), (x6, 2), (x9, 1)] {
+                let seed = 4;
+                let req = Request::Embed {
+                    family: family as u8,
+                    nodes: nodes as u64,
+                    seed,
+                    theorem,
+                };
+                let resp = handle_compute(&req, HOST_XTREE, &EmbeddingCache::new(0), &counters());
+                let tree = TreeFamily::ALL[family].generate_seeded(nodes, seed);
+                let mut emb = theorem1::embed(&tree).emb;
+                if theorem == 2 {
+                    emb = theorem2::injectivize(&emb);
+                }
+                let expect = embed_ok(&emb, evaluated(&tree, &emb), false);
+                assert_eq!(
+                    resp, expect,
+                    "family {family}, {nodes} nodes, theorem {theorem}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn table_hosts_answer_like_fresh_ones() {
         for tag in HOSTS_ALL {
@@ -1035,14 +1081,7 @@ mod tests {
                 let resp = handle_compute(&req, tag, &EmbeddingCache::new(0), &counters());
                 let fresh_score = if tag == HOST_XTREE {
                     // The X-tree is scored by the `xtree_core` metrics.
-                    let stats = evaluate(&tree, &emb);
-                    let cong = edge_congestion(&tree, &emb, XTreeHost::new(height).xtree());
-                    EmbedScore {
-                        dilation: u64::from(stats.dilation),
-                        max_load: u64::from(stats.max_load),
-                        congestion: u64::from(cong),
-                        injective: stats.injective,
-                    }
+                    evaluated(&tree, &emb)
                 } else {
                     score_on(&fresh, &tree, &map).unwrap()
                 };

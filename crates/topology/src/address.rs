@@ -7,31 +7,49 @@
 //! horizontal ("cross") edges connect `x` with `successor(x)` — the unique
 //! string of the same length with `binary(successor(x)) = binary(x) + 1`.
 //!
-//! [`Address`] packs such a string into a `(len, bits)` pair, supporting
-//! strings of up to 60 bits — far more than any host network that fits in
-//! memory.
+//! [`Address`] stores such a string as its heap-order id (the root is 0,
+//! and the children of `h` are `2h + 1` and `2h + 2`), supporting strings
+//! of up to 60 bits — far more than any host network that fits in memory.
+//! One `u64` is the whole address: `heap_id` and `from_heap_id` cost
+//! nothing, and the level and the position within it are one bit scan
+//! away.
 
 use std::fmt;
 
 /// Maximum supported string length. `4^60` leaves is unreachable in memory,
-/// so this is not a practical restriction; it keeps `bits` in a `u64` with
-/// headroom for arithmetic.
+/// so this is not a practical restriction; it keeps every heap id in a
+/// `u64` with headroom for arithmetic.
 pub const MAX_LEN: u8 = 60;
 
 /// A binary string of bounded length, i.e. a vertex address in a complete
 /// binary tree or X-tree.
 ///
 /// Ordered first by length (level), then by `binary(x)` — exactly the
-/// left-to-right, top-to-bottom reading order of the tree levels.
+/// left-to-right, top-to-bottom reading order of the tree levels, which
+/// is the order of the heap ids it holds.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Address {
-    len: u8,
-    bits: u64,
+    /// The heap-order id `2^len − 1 + binary(x)`. `id + 1` is the string
+    /// with a leading `1` prepended, so its bit length gives the level.
+    id: u64,
 }
 
 impl Address {
     /// The empty string `ε` (the root).
-    pub const ROOT: Address = Address { len: 0, bits: 0 };
+    pub const ROOT: Address = Address { id: 0 };
+
+    /// The address of heap id `tag − 1`, for `tag` the string read as a
+    /// binary number behind a leading `1`.
+    #[inline]
+    fn tagged(tag: u64) -> Address {
+        Address { id: tag - 1 }
+    }
+
+    /// The string behind a leading `1`: `2^len + binary(x)`.
+    #[inline]
+    fn tag(self) -> u64 {
+        self.id + 1
+    }
 
     /// Builds an address from a level and the integer value of the string.
     ///
@@ -41,10 +59,10 @@ impl Address {
     pub fn new(len: u8, bits: u64) -> Self {
         assert!(len <= MAX_LEN, "address length {len} exceeds MAX_LEN");
         assert!(
-            len == 64 || bits < (1u64 << len),
+            bits < (1u64 << len),
             "bits {bits} do not fit in a string of length {len}"
         );
-        Address { len, bits }
+        Address::tagged((1u64 << len) | bits)
     }
 
     /// Parses a string of `'0'`/`'1'` characters; the empty string is the root.
@@ -55,55 +73,49 @@ impl Address {
         if s.len() > MAX_LEN as usize {
             return None;
         }
-        let mut bits = 0u64;
+        let mut tag = 1u64;
         for c in s.chars() {
             match c {
-                '0' => bits <<= 1,
-                '1' => bits = (bits << 1) | 1,
+                '0' => tag <<= 1,
+                '1' => tag = (tag << 1) | 1,
                 _ => return None,
             }
         }
-        Some(Address {
-            len: s.len() as u8,
-            bits,
-        })
+        Some(Address::tagged(tag))
     }
 
     /// The string length, i.e. the level of the vertex (root = 0).
     #[inline]
     pub fn level(self) -> u8 {
-        self.len
+        self.tag().ilog2() as u8
     }
 
     /// `binary(x)`: the integer this string denotes, i.e. the position of the
     /// vertex within its level, counted from the left starting at 0.
     #[inline]
     pub fn index(self) -> u64 {
-        self.bits
+        self.tag() - (1u64 << self.level())
     }
 
     /// Number of vertices on this address's level (`2^len`).
     #[inline]
     pub fn level_width(self) -> u64 {
-        1u64 << self.len
+        1u64 << self.level()
     }
 
     /// True for the root `ε`.
     #[inline]
     pub fn is_root(self) -> bool {
-        self.len == 0
+        self.id == 0
     }
 
     /// The parent string (drops the last symbol); `None` for the root.
     #[inline]
     pub fn parent(self) -> Option<Address> {
-        if self.len == 0 {
+        if self.id == 0 {
             None
         } else {
-            Some(Address {
-                len: self.len - 1,
-                bits: self.bits >> 1,
-            })
+            Some(Address::tagged(self.tag() >> 1))
         }
     }
 
@@ -114,10 +126,9 @@ impl Address {
     #[inline]
     pub fn child(self, b: u8) -> Address {
         assert!(b <= 1, "child bit must be 0 or 1");
-        assert!(self.len < MAX_LEN, "address too long");
+        assert!(self.level() < MAX_LEN, "address too long");
         Address {
-            len: self.len + 1,
-            bits: (self.bits << 1) | u64::from(b),
+            id: 2 * self.id + 1 + u64::from(b),
         }
     }
 
@@ -132,39 +143,32 @@ impl Address {
     /// edge leaving `x` to the right.
     #[inline]
     pub fn successor(self) -> Option<Address> {
-        if self.len > 0 && self.bits + 1 < (1u64 << self.len) {
-            Some(Address {
-                len: self.len,
-                bits: self.bits + 1,
-            })
-        } else {
+        if self.is_rightmost() {
             None
+        } else {
+            Some(Address { id: self.id + 1 })
         }
     }
 
     /// The previous string of the same length, if any.
     #[inline]
     pub fn predecessor(self) -> Option<Address> {
-        if self.bits > 0 {
-            Some(Address {
-                len: self.len,
-                bits: self.bits - 1,
-            })
-        } else {
+        if self.is_leftmost() {
             None
+        } else {
+            Some(Address { id: self.id - 1 })
         }
     }
 
     /// Moves `delta` positions within the level, staying in bounds.
     #[inline]
     pub fn offset(self, delta: i64) -> Option<Address> {
-        let idx = self.bits as i64 + delta;
+        let idx = self.index() as i64 + delta;
         if idx < 0 || idx as u64 >= self.level_width() {
             None
         } else {
             Some(Address {
-                len: self.len,
-                bits: idx as u64,
+                id: self.id.wrapping_add_signed(delta),
             })
         }
     }
@@ -172,13 +176,13 @@ impl Address {
     /// True if this is the all-zeros string `0^len` (leftmost on its level).
     #[inline]
     pub fn is_leftmost(self) -> bool {
-        self.bits == 0
+        self.tag().is_power_of_two()
     }
 
     /// True if this is the all-ones string `1^len` (rightmost on its level).
     #[inline]
     pub fn is_rightmost(self) -> bool {
-        self.len == 0 || self.bits == (1u64 << self.len) - 1
+        (self.id + 2).is_power_of_two()
     }
 
     /// Appends `count` copies of bit `b`: `x · b^count`.
@@ -192,105 +196,93 @@ impl Address {
 
     /// Concatenates another string onto this one: `x · y`.
     pub fn concat(self, suffix: Address) -> Address {
+        let len = suffix.level();
         assert!(
-            self.len + suffix.len <= MAX_LEN,
+            self.level() + len <= MAX_LEN,
             "concatenated address too long"
         );
-        Address {
-            len: self.len + suffix.len,
-            bits: (self.bits << suffix.len) | suffix.bits,
-        }
+        Address::tagged((self.tag() << len) | suffix.index())
     }
 
     /// The ancestor at `level`; `None` if `level > self.level()`.
     #[inline]
     pub fn ancestor_at(self, level: u8) -> Option<Address> {
-        if level > self.len {
+        let len = self.level();
+        if level > len {
             None
         } else {
-            Some(Address {
-                len: level,
-                bits: self.bits >> (self.len - level),
-            })
+            Some(Address::tagged(self.tag() >> (len - level)))
         }
     }
 
     /// True if `self` is an ancestor of (or equal to) `other`.
     #[inline]
     pub fn is_ancestor_of(self, other: Address) -> bool {
-        other.ancestor_at(self.len) == Some(self)
+        other.ancestor_at(self.level()) == Some(self)
     }
 
     /// The leftmost descendant of `self` on `level` (appends `0`s).
     #[inline]
     pub fn leftmost_descendant(self, level: u8) -> Address {
-        assert!(level >= self.len);
-        self.extend(0, level - self.len)
+        assert!(level >= self.level());
+        self.extend(0, level - self.level())
     }
 
     /// The rightmost descendant of `self` on `level` (appends `1`s).
     #[inline]
     pub fn rightmost_descendant(self, level: u8) -> Address {
-        assert!(level >= self.len);
-        self.extend(1, level - self.len)
+        assert!(level >= self.level());
+        self.extend(1, level - self.level())
     }
 
     /// Heap-order id: addresses enumerated level by level, left to right.
     /// The root is 0; level `l` occupies ids `2^l − 1 .. 2^{l+1} − 1`.
     #[inline]
     pub fn heap_id(self) -> usize {
-        ((1u64 << self.len) - 1 + self.bits) as usize
+        self.id as usize
     }
 
     /// Inverse of [`heap_id`](Self::heap_id).
     #[inline]
     pub fn from_heap_id(id: usize) -> Address {
-        let id = id as u64;
-        let len = u64::BITS - (id + 1).leading_zeros() - 1;
-        Address {
-            len: len as u8,
-            bits: id + 1 - (1u64 << len),
-        }
+        Address { id: id as u64 }
     }
 
     /// Iterates over all addresses of length exactly `len`, left to right.
     pub fn level_iter(len: u8) -> impl Iterator<Item = Address> {
-        (0..(1u64 << len)).map(move |bits| Address { len, bits })
+        ((1u64 << len) - 1..(2u64 << len) - 1).map(|id| Address { id })
     }
 
     /// Iterates over all addresses of length at most `max_len`, in heap order.
     pub fn all_up_to(max_len: u8) -> impl Iterator<Item = Address> {
-        (0..=max_len).flat_map(Address::level_iter)
+        (0..(2u64 << max_len) - 1).map(|id| Address { id })
     }
 
     /// The individual bits, most significant (first symbol) first.
     pub fn bits_msb_first(self) -> impl Iterator<Item = u8> {
-        let (len, bits) = (self.len, self.bits);
+        let (len, bits) = (self.level(), self.index());
         (0..len).map(move |i| ((bits >> (len - 1 - i)) & 1) as u8)
     }
 
     /// Distance in the *complete binary tree* (no horizontal edges): up to
     /// the lowest common ancestor and back down.
     pub fn tree_distance(self, other: Address) -> u32 {
-        let common = self.lca(other);
-        u32::from(self.len - common.len) + u32::from(other.len - common.len)
+        let common = self.lca(other).level();
+        u32::from(self.level() - common) + u32::from(other.level() - common)
     }
 
-    /// Lowest common ancestor in the complete binary tree.
+    /// Lowest common ancestor in the complete binary tree: the longest
+    /// common prefix of the two strings.
     pub fn lca(self, other: Address) -> Address {
-        let mut a = self;
-        let mut b = other;
-        while a.len > b.len {
-            a = a.parent().unwrap();
-        }
-        while b.len > a.len {
-            b = b.parent().unwrap();
-        }
-        while a != b {
-            a = a.parent().unwrap();
-            b = b.parent().unwrap();
-        }
-        a
+        let top = self.level().min(other.level());
+        let (a, b) = (
+            self.ancestor_at(top).unwrap().tag(),
+            other.ancestor_at(top).unwrap().tag(),
+        );
+        // Both tags have bit length `top + 1`; they agree above their
+        // highest differing bit.
+        let differ = u64::BITS - (a ^ b).leading_zeros();
+        Address::tagged(a >> differ)
     }
 }
 
@@ -302,7 +294,7 @@ impl fmt::Debug for Address {
 
 impl fmt::Display for Address {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.len == 0 {
+        if self.is_root() {
             return write!(f, "ε");
         }
         for b in self.bits_msb_first() {
@@ -329,6 +321,15 @@ mod tests {
         assert_eq!(r.predecessor(), None);
         assert_eq!(r.heap_id(), 0);
         assert_eq!(format!("{r}"), "ε");
+    }
+
+    #[test]
+    fn an_address_is_its_heap_id() {
+        assert_eq!(std::mem::size_of::<Address>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Address>>(), 16);
+        let a = Address::parse("0110").unwrap();
+        assert_eq!(a.heap_id(), (1 << 4) - 1 + 0b0110);
+        assert_eq!(Address::from_heap_id(a.heap_id()), a);
     }
 
     #[test]

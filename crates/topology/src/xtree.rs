@@ -411,6 +411,30 @@ mod tests {
     }
 
     #[test]
+    fn next_hop_routes_are_shortest_paths() {
+        // The premise of reading a dilation off routed hops: following
+        // `next_hop_towards` from `a` reaches `b`, along host edges, in
+        // exactly `analytic_distance(a, b)` hops, on every vertex pair of
+        // X(1) .. X(6).
+        for r in 1..=6u8 {
+            let x = XTree::new(r);
+            for a in Address::all_up_to(r) {
+                for b in Address::all_up_to(r) {
+                    let (mut at, mut hops) = (a, 0);
+                    while at != b {
+                        let next = next_hop_towards(at, b, r);
+                        assert!(x.has_edge(x.id(at), x.id(next)), "X({r}): {at} -> {next}");
+                        at = next;
+                        hops += 1;
+                        assert!(hops <= 2 * u32::from(r), "X({r}): {a} -> {b} loops");
+                    }
+                    assert_eq!(hops, analytic_distance(a, b), "X({r}): {a} -> {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn render_has_height_plus_one_rows() {
         let x = XTree::new(3);
         assert_eq!(x.render_ascii().lines().count(), 4);

@@ -116,6 +116,14 @@ impl SubtreeIndex {
         self.sz[v.index()]
     }
 
+    /// The static subtree of `v` in preorder: `v` first, and each node's
+    /// subtree contiguous right after it, so a walk can jump over one.
+    #[inline]
+    pub fn subtree(&self, v: NodeId) -> &[NodeId] {
+        let (lo, hi) = self.range(v);
+        &self.order[lo as usize..hi as usize]
+    }
+
     /// The preorder positions of the static subtree of `v`.
     #[inline]
     fn range(&self, v: NodeId) -> (u32, u32) {

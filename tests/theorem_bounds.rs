@@ -30,6 +30,25 @@ fn theorem1_bounds_across_families_and_heights() {
     }
 }
 
+/// The sampled guest with the largest measured dilations, which README's
+/// "Results at a glance" names: `xtree-cli embed --family skewed:240
+/// --nodes 1008 --seed 11` (add `--target xtree-injective` for Theorem 2).
+#[test]
+fn the_skewed_dilation_3_guest_stays_within_both_bounds() {
+    let family = TreeFamily::parse("skewed:240").unwrap();
+    let tree = family.generate_seeded(1008, 11);
+    let base = theorem1::embed(&tree).emb;
+    let s = evaluate(&tree, &base);
+    assert_eq!(s.dilation, 3);
+    assert_eq!(s.dilation_histogram, [830, 120, 56, 1]);
+    assert_eq!(s.max_load, 16);
+    assert_eq!(s.condition3_violations, 0);
+    assert_eq!(s.condition4_violations, 0);
+    let inj = evaluate(&tree, &theorem2::injectivize(&base));
+    assert!(inj.injective);
+    assert_eq!(inj.dilation, 10);
+}
+
 #[test]
 fn theorem2_bounds() {
     let mut rng = ChaCha8Rng::seed_from_u64(2);
